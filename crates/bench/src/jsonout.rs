@@ -459,9 +459,9 @@ pub fn run_microbenches() -> Vec<JsonResult> {
             foot_opt.0,
             foot_opt.1,
         );
-        // Warm-pool query cost per backend vs the RAM index: the pooled
-        // cursor path (no word-level lookahead, per-word frame reads) is
-        // the price of real storage; the cold counterpart additionally
+        // Warm-pool query cost per backend vs the RAM index: per-word
+        // reads through pinned pool frames (the engine lifts whole slots)
+        // are the price of real storage; the cold counterpart additionally
         // pays real I/O, measured one-shot in the E14 experiment binary.
         let (lo, hi) = (32u32, 47);
         for (name, backend) in [("file", Backend::File), ("mmap", Backend::Mmap)] {

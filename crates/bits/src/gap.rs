@@ -306,6 +306,45 @@ impl GapBitmap {
         b
     }
 
+    /// Splices non-empty bitmaps whose spans ascend without overlap into
+    /// one bitmap over `universe`, with no decode and no re-encode.
+    /// `spans[i]` is the first and last element of `parts[i]`, known from
+    /// storage metadata: each part's first code (`gamma(first + 1)`) is
+    /// re-coded as the gap from the previous part's last element, and the
+    /// rest of its stream is copied verbatim. The skip directory is left
+    /// to build lazily, as for [`Self::from_code_bits`].
+    ///
+    /// # Panics
+    /// Panics if the slices differ in length, a part is empty, or a span
+    /// starts at or before the previous span's end.
+    pub fn concat(parts: &[GapBitmap], spans: &[(u64, u64)], universe: u64) -> Self {
+        assert_eq!(parts.len(), spans.len(), "one span per part");
+        // A re-coded first gap is never longer than the code it replaces
+        // (`first - prev ≤ first + 1`), so the summed sizes bound the splice.
+        let mut bits = BitBuf::with_capacity(parts.iter().map(|p| p.bits.len()).sum());
+        let mut count = 0u64;
+        let mut prev: Option<u64> = None;
+        for (part, &(first, last)) in parts.iter().zip(spans) {
+            assert!(part.count > 0, "spliced parts must be non-empty");
+            debug_assert_eq!(part.iter().next(), Some(first), "span start mismatch");
+            debug_assert_eq!(part.iter().last(), Some(last), "span end mismatch");
+            let code = match prev {
+                None => first + 1,
+                Some(q) => {
+                    assert!(first > q, "spans must ascend without overlap");
+                    first - q
+                }
+            };
+            codes::put_gamma(&mut bits, code);
+            let head = codes::gamma_len(first + 1);
+            bits.extend_from_source(&mut part.bits.reader_at(head), part.bits.len() - head);
+            count += part.count;
+            prev = Some(last);
+        }
+        kernel::MERGE_CONCAT.add(1);
+        Self::from_code_bits(bits, count, universe)
+    }
+
     /// The skip directory, building it with one decode pass if no
     /// construction or storage path supplied it. CPU-only: the payload is
     /// already in memory.

@@ -52,6 +52,9 @@ pub static DECODE_SCALAR: Counter = Counter::new("kernel/decode_scalar");
 pub static ENCODE_BULK: Counter = Counter::new("kernel/encode_bulk");
 /// Bitset-accumulate re-encodes (`from_words`/`from_words_span`).
 pub static REENCODE_BITSET: Counter = Counter::new("kernel/reencode_bitset");
+/// Position-disjoint stored covers spliced end to end
+/// ([`crate::GapBitmap::concat`]): no decode, no re-encode.
+pub static MERGE_CONCAT: Counter = Counter::new("kernel/merge_concat");
 /// Intersection probes resolved by decoding the other stream (gallop).
 pub static INTERSECT_GALLOP: Counter = Counter::new("kernel/intersect_gallop");
 /// Intersection probes resolved by an occupancy word alone — the probed
@@ -64,13 +67,14 @@ pub static INTERSECT_BLOCK_AND: Counter = Counter::new("kernel/intersect_block_a
 pub static CONTAINS_BLOCK_SKIP: Counter = Counter::new("kernel/contains_block_skip");
 
 /// All kernel counters, for snapshot surfaces (the serve STATS op).
-pub fn counters() -> [&'static Counter; 9] {
+pub fn counters() -> [&'static Counter; 10] {
     [
         &DECODE_SWAR,
         &DECODE_SIMD,
         &DECODE_SCALAR,
         &ENCODE_BULK,
         &REENCODE_BITSET,
+        &MERGE_CONCAT,
         &INTERSECT_GALLOP,
         &INTERSECT_BLOCK_SKIP,
         &INTERSECT_BLOCK_AND,

@@ -19,7 +19,9 @@
 //! * [`merge`] — k-way merges over position streams (the paper's
 //!   "compute the compressed bitmap of their union by merging", §2.1),
 //!   including the density-driven planner ([`merge::plan`]) and its
-//!   bitset-accumulate path for dense covers;
+//!   bitset-accumulate path for dense covers, and the stored-cover
+//!   planner ([`merge::plan_stored`]) that splices position-disjoint
+//!   streams without decoding them;
 //! * [`skip`] — skip directories: sampled `(position, bit offset,
 //!   occupancy word)` entries that make gap streams seekable, powering
 //!   galloping set operations, occupancy block-skipping and

@@ -57,6 +57,14 @@ pub enum MergeStrategy {
     /// One input: encode straight through (callers with stored streams
     /// short-circuit earlier to a verbatim copy).
     Passthrough,
+    /// Two or more stored streams whose `[first, last]` spans ascend
+    /// without overlap, in the order given — one character split over
+    /// sibling leaves, or a clustered column. Lifted streams are spliced
+    /// end to end ([`GapBitmap::concat`]), re-coding only each stream's
+    /// first gap: no decode, no comparisons, no re-encode. Chosen only by
+    /// [`plan_stored`]; forced on streaming inputs it runs the k-way
+    /// merge.
+    Concat,
     /// Two inputs: branch-per-element linear merge.
     Linear,
     /// Three or more sparse inputs: min-heap merge.
@@ -114,6 +122,40 @@ pub fn plan(streams: usize, total: u64, span: Option<(u64, u64)>) -> MergeStrate
             _ => MergeStrategy::Heap,
         },
     }
+}
+
+/// [`plan`] for stored streams, from their per-member metadata
+/// `(count, first_pos, last_pos)` in cover order: [`MergeStrategy::Concat`]
+/// when two or more members' spans ascend without overlap, else the
+/// density rule. Members out of position order never splice, so callers
+/// sort the cover by `first_pos` first.
+pub fn plan_stored(members: &[(u64, u64, u64)]) -> MergeStrategy {
+    if members.len() >= 2 && members.windows(2).all(|w| w[0].2 < w[1].1) {
+        return MergeStrategy::Concat;
+    }
+    let (total, span) = cover_stats(members.iter().copied());
+    plan(members.len(), total, span)
+}
+
+/// Unions stored streams lifted verbatim (`parts[i]` holds the codes of
+/// the member described by `members[i]`) under a strategy from
+/// [`plan_stored`]: `Concat` splices the code streams; every other
+/// strategy decodes each part with the SWAR batch kernel
+/// ([`GapBitmap::decode_all`]) and merges the decoded runs.
+pub fn union_stored(
+    parts: &[GapBitmap],
+    members: &[(u64, u64, u64)],
+    universe: u64,
+    strategy: MergeStrategy,
+) -> GapBitmap {
+    if strategy == MergeStrategy::Concat {
+        let spans: Vec<(u64, u64)> = members.iter().map(|&(_, f, l)| (f, l)).collect();
+        return GapBitmap::concat(parts, &spans, universe);
+    }
+    let (total, span) = cover_stats(members.iter().copied());
+    let decoded: Vec<std::vec::IntoIter<u64>> =
+        parts.iter().map(|p| p.to_vec().into_iter()).collect();
+    merge_with_strategy(decoded, universe, total, span, strategy)
 }
 
 /// Merges disjoint sorted streams into a [`GapBitmap`] under the planned
@@ -342,6 +384,74 @@ mod tests {
         assert_eq!(plan(8, 10_000, None), MergeStrategy::Heap);
         // Tiny unions never pay for the allocation.
         assert_eq!(plan(8, 64, Some((0, 63))), MergeStrategy::Heap);
+    }
+
+    #[test]
+    fn plan_stored_splices_only_ascending_disjoint_spans() {
+        let disjoint = [(3, 0, 9), (2, 10, 40), (5, 41, 90)];
+        assert_eq!(plan_stored(&disjoint), MergeStrategy::Concat);
+        assert_eq!(plan_stored(&disjoint[..2]), MergeStrategy::Concat);
+        // Touching or interleaved spans fall back to the density rule.
+        assert_eq!(
+            plan_stored(&[(3, 0, 10), (2, 10, 40)]),
+            MergeStrategy::Linear
+        );
+        assert_eq!(
+            plan_stored(&[(100, 0, 99_999), (100, 1, 99_998), (100, 2, 99_997)]),
+            MergeStrategy::Heap
+        );
+        // Out of position order never splices.
+        assert_eq!(
+            plan_stored(&[(2, 10, 40), (3, 0, 9)]),
+            MergeStrategy::Linear
+        );
+        assert_eq!(plan_stored(&disjoint[..1]), MergeStrategy::Passthrough);
+    }
+
+    proptest! {
+        #[test]
+        fn union_stored_agrees_across_strategies(
+            set in proptest::collection::btree_set(0u64..1 << 20, 1..600),
+            cuts in proptest::collection::vec(any::<u32>(), 1..6),
+        ) {
+            // Split one sorted set into consecutive non-empty runs: their
+            // spans ascend without overlap, so every strategy applies.
+            let all: Vec<u64> = set.into_iter().collect();
+            let mut bounds: Vec<usize> =
+                cuts.iter().map(|&c| 1 + c as usize % all.len()).collect();
+            bounds.push(all.len());
+            bounds.sort_unstable();
+            bounds.dedup();
+            let mut runs = Vec::new();
+            let mut at = 0;
+            for b in bounds {
+                if b > at {
+                    runs.push(&all[at..b]);
+                    at = b;
+                }
+            }
+            let universe = all[all.len() - 1] + 1 + (all.len() as u64 % 3);
+            let parts: Vec<GapBitmap> =
+                runs.iter().map(|r| GapBitmap::from_sorted(r, universe)).collect();
+            let members: Vec<(u64, u64, u64)> = runs
+                .iter()
+                .map(|r| (r.len() as u64, r[0], r[r.len() - 1]))
+                .collect();
+            let want = GapBitmap::from_sorted(&all, universe);
+            if runs.len() >= 2 {
+                prop_assert_eq!(plan_stored(&members), MergeStrategy::Concat);
+            }
+            for strategy in [
+                MergeStrategy::Concat,
+                MergeStrategy::Linear,
+                MergeStrategy::Heap,
+                MergeStrategy::Bitset,
+            ] {
+                let got = union_stored(&parts, &members, universe, strategy);
+                prop_assert_eq!(&got, &want, "{:?}", strategy);
+                prop_assert_eq!(got.to_vec(), all.clone());
+            }
+        }
     }
 
     fn strided(streams: u64, per: u64, stride: u64, offset: u64) -> Vec<Vec<u64>> {

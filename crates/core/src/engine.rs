@@ -378,15 +378,19 @@ impl Engine {
     /// with all the nearest descendants that are in the materialized level
     /// immediately below").
     ///
-    /// The execution is planned from slot metadata alone — counts and
-    /// first/last positions, known before any stream bit is decoded:
-    /// a single-slot cover is a verbatim word copy (with the persisted
-    /// skip directory lifted alongside once the result is large enough to
-    /// gallop over); sparse multi-slot covers stream through the linear or
-    /// heap merge; dense covers (the complement trick's bread and butter)
-    /// accumulate into a word array and re-encode once
-    /// ([`merge::MergeStrategy::Bitset`]). Every strategy drains the same
-    /// decoders, so the blocks charged are identical by construction.
+    /// Execution is lift, then decode. A single-slot cover is a verbatim
+    /// word copy (with the persisted skip directory lifted alongside once
+    /// the result is large enough to gallop over). A multi-slot cover
+    /// lifts every slot's code words whole ([`CutStream::copy_bitmap`],
+    /// which charges exactly the blocks and bits of a full decode, one
+    /// pinned block at a time on a pooled disk), then plans the union
+    /// from slot metadata alone ([`merge::plan_stored`]). Position-disjoint
+    /// covers — a character split over sibling leaves, and most
+    /// complement-trick covers — splice the lifted streams
+    /// ([`merge::MergeStrategy::Concat`]); the rest decode each lifted
+    /// stream with the SWAR batch kernel and merge linearly, by heap, or
+    /// by bitset accumulate. The blocks charged are identical across
+    /// strategies by construction.
     fn merge_canonical(&self, canonical: &[NodeId], io: &IoSession) -> GapBitmap {
         let mut slots = Vec::new();
         for &v in canonical {
@@ -400,23 +404,51 @@ impl Engine {
                 self.cuts[cut as usize].copy_bitmap_auto(&self.disk, slot as usize, io, self.n)
             }
             _ => {
-                let (total, span) = merge::cover_stats(slots.iter().map(|&(cut, slot)| {
-                    let s = self.cuts[cut as usize].slot(slot as usize);
-                    (
-                        s.count,
-                        s.first_pos.expect("non-empty slot"),
-                        s.last_pos.expect("non-empty slot"),
-                    )
-                }));
-                let decoders: Vec<_> = slots
+                // Lift in storage order: a cover's slots follow cut-stream
+                // order, so consecutive lifts share boundary blocks and a
+                // small pool keeps them. Planning then takes the members
+                // in position order.
+                let mut lifted: Vec<_> = slots
                     .iter()
                     .map(|&(cut, slot)| {
-                        self.cuts[cut as usize].decoder(&self.disk, slot as usize, io)
+                        let part = self.cuts[cut as usize].copy_bitmap(
+                            &self.disk,
+                            slot as usize,
+                            io,
+                            self.n,
+                        );
+                        (self.slot_meta(cut, slot), part)
                     })
                     .collect();
-                merge::merge_adaptive(decoders, self.n, total, span)
+                lifted.sort_by_key(|&(meta, _)| meta.1);
+                let (members, parts): (Vec<_>, Vec<_>) = lifted.into_iter().unzip();
+                merge::union_stored(&parts, &members, self.n, merge::plan_stored(&members))
             }
         }
+    }
+
+    /// A non-empty slot's `(count, first_pos, last_pos)`: the merge
+    /// planner's input, known before any stream bit is read.
+    fn slot_meta(&self, cut: u32, slot: u32) -> (u64, u64, u64) {
+        let s = self.cuts[cut as usize].slot(slot as usize);
+        (
+            s.count,
+            s.first_pos.expect("non-empty slot"),
+            s.last_pos.expect("non-empty slot"),
+        )
+    }
+
+    /// The plan [`Self::merge_canonical`] makes for a multi-slot cover:
+    /// the members in position order plus the strategy.
+    #[cfg(test)]
+    pub(crate) fn plan_slots(
+        &self,
+        slots: &[(u32, u32)],
+    ) -> (Vec<(u64, u64, u64)>, merge::MergeStrategy) {
+        let mut members: Vec<_> = slots.iter().map(|&(c, s)| self.slot_meta(c, s)).collect();
+        members.sort_by_key(|m| m.1);
+        let strategy = merge::plan_stored(&members);
+        (members, strategy)
     }
 
     /// Appends original character `ch` at position `n`, charging `io`
@@ -730,6 +762,26 @@ impl Engine {
         for v in canonical {
             self.collect_slots(v, &mut slots);
         }
+        slots
+    }
+
+    /// The non-empty slots [`Self::query`] merges for `[lo, hi]` (the
+    /// complement cover when the complement trick applies), charging the
+    /// decomposition to `io`.
+    #[cfg(test)]
+    pub(crate) fn cover_slots(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Vec<(u32, u32)> {
+        let (ilo, ihi) = self.remap.map_range(lo, hi);
+        let (qs, qe) = self.index_range(ilo, ihi);
+        let mut slots = if qs == qe {
+            Vec::new()
+        } else if 2 * (qe - qs) > self.n {
+            let mut s = self.canonical_slots(0, qs, io);
+            s.extend(self.canonical_slots(qe, self.n, io));
+            s
+        } else {
+            self.canonical_slots(qs, qe, io)
+        };
+        slots.retain(|&(c, s)| self.cuts[c as usize].slot(s as usize).count > 0);
         slots
     }
 
@@ -1122,44 +1174,40 @@ mod tests {
         let n = 40_000usize;
         let mut seen = std::collections::HashSet::new();
         // Dense covers (small alphabet) drive the bitset branch; sparse
-        // covers (large alphabet, narrow ranges) drive the heap branch.
-        let cases: [(u32, &[(u32, u32)]); 2] = [
-            (16, &[(3, 3), (2, 5), (4, 11), (0, 12), (1, 14), (0, 14)]),
-            (1024, &[(100, 103), (7, 7), (511, 514), (200, 207)]),
+        // covers (large alphabet, narrow ranges) drive the heap branch; a
+        // heavy character split over sibling leaves drives the splice,
+        // directly and as the complement of a wide range.
+        let mut heavy = vec![0u32; 15_000];
+        heavy.extend(psi_workloads::uniform(n - 15_000, 16, 33));
+        let cases = [
+            (
+                psi_workloads::uniform(n, 16, 33),
+                16,
+                vec![(3, 3), (2, 5), (4, 11), (0, 12), (1, 14), (0, 14)],
+            ),
+            (
+                psi_workloads::uniform(n, 1024, 33),
+                1024,
+                vec![(100, 103), (7, 7), (511, 514), (200, 207)],
+            ),
+            (heavy, 16, vec![(0, 0), (1, 15), (0, 3), (2, 5)]),
         ];
-        for (sigma, ranges) in cases {
-            let symbols = psi_workloads::uniform(n, sigma, 33);
+        for (symbols, sigma, ranges) in cases {
             let engine = Engine::build(&symbols, sigma, cfg(), DEFAULT_C, Slack::None);
-            for &(lo, hi) in ranges {
+            for (lo, hi) in ranges {
                 let io = IoSession::new();
                 let got = engine.query(lo, hi, &io);
                 assert_eq!(got.to_vec(), naive_query(&symbols, lo, hi).to_vec());
                 // Replay the same canonical cover through the forced heap
                 // merge: identical output stream, identical blocks charged.
-                let (ilo, ihi) = engine.remap().map_range(lo, hi);
-                let (qs, qe) = engine.index_range(ilo, ihi);
-                let z = qe - qs;
                 let io_ref = IoSession::new();
-                let mut slots = if 2 * z > engine.n() {
-                    let mut s = engine.canonical_slots(0, qs, &io_ref);
-                    s.extend(engine.canonical_slots(qe, engine.n(), &io_ref));
-                    s
-                } else {
-                    engine.canonical_slots(qs, qe, &io_ref)
-                };
-                slots.retain(|&(c, s)| engine.cuts[c as usize].slot(s as usize).count > 0);
+                let slots = engine.cover_slots(lo, hi, &io_ref);
                 if slots.len() < 2 {
                     continue; // verbatim-copy path, covered elsewhere
                 }
-                let mut total = 0u64;
-                let (mut plo, mut phi) = (u64::MAX, 0u64);
-                for &(c, s) in &slots {
-                    let slot = engine.cuts[c as usize].slot(s as usize);
-                    total += slot.count;
-                    plo = plo.min(slot.first_pos.unwrap());
-                    phi = phi.max(slot.last_pos.unwrap());
-                }
-                seen.insert(merge::plan(slots.len(), total, Some((plo, phi))));
+                let (members, strategy) = engine.plan_slots(&slots);
+                seen.insert(strategy);
+                let (total, span) = merge::cover_stats(members.iter().copied());
                 let decoders: Vec<_> = slots
                     .iter()
                     .map(|&(c, s)| {
@@ -1170,7 +1218,7 @@ mod tests {
                     decoders,
                     engine.n(),
                     total,
-                    Some((plo, phi)),
+                    span,
                     MergeStrategy::Heap,
                 );
                 assert_eq!(got.stored(), &reference, "[{lo},{hi}] planner output");
@@ -1182,7 +1230,13 @@ mod tests {
             }
         }
         assert!(
-            seen.contains(&MergeStrategy::Bitset) && seen.contains(&MergeStrategy::Heap),
+            [
+                MergeStrategy::Concat,
+                MergeStrategy::Bitset,
+                MergeStrategy::Heap
+            ]
+            .iter()
+            .all(|s| seen.contains(s)),
             "query set failed to exercise the planner branches: {seen:?}"
         );
     }

@@ -211,6 +211,78 @@ mod tests {
     }
 
     #[test]
+    fn every_cover_plan_lifts_from_an_opened_store_like_ram() {
+        use psi_bits::{kernel, merge::MergeStrategy};
+        use psi_store::{open, save, Backend, OpenOptions};
+        // n = 8^5, so the root's eight children hold 4096 multiset entries
+        // each. Chars 0 and 1 alternate and fill the first two children
+        // exactly (one leaf each: copy, or a linear merge of the pair);
+        // a dense region (chars 2..10), a sparse one (10..1000) and a
+        // heavy char 1000 over two children reach the other plans.
+        let mut symbols: Vec<u32> = (0..8192u32).map(|i| i % 2).collect();
+        let shifted = |len, sigma, seed, base| {
+            psi_workloads::uniform(len, sigma, seed)
+                .into_iter()
+                .map(move |s| s + base)
+        };
+        symbols.extend(shifted(8192, 8, 51, 2));
+        symbols.extend(shifted(8192, 990, 53, 10));
+        symbols.extend(std::iter::repeat_n(1000u32, 8192));
+        let sigma = 1001u32;
+        let ram = OptimalIndex::build(&symbols, sigma, IoConfig::with_block_bits(1024));
+        let dir = std::env::temp_dir().join(format!("psi_core_lift_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("optimal.psi");
+        save(&ram, &path).expect("save");
+        let opts = OpenOptions {
+            backend: Backend::File,
+            pool_blocks: 1 << 16,
+            retry: None,
+            verify: true,
+        };
+        let mut seen = std::collections::HashSet::new();
+        for (lo, hi) in [(0, 0), (0, 1), (3, 6), (100, 103), (1000, 1000), (0, 999)] {
+            // Plans come from metadata alone, identical in both builds.
+            let slots = ram.engine.cover_slots(lo, hi, &IoSession::untracked());
+            let plan = match slots.len() {
+                1 => MergeStrategy::Passthrough,
+                _ => ram.engine.plan_slots(&slots).1,
+            };
+            seen.insert(plan);
+            // A fresh open per query: the pool starts cold.
+            let opened = open::<OptimalIndex>(&path, &opts).expect("open");
+            let (concat0, bitset0) = (kernel::MERGE_CONCAT.get(), kernel::REENCODE_BITSET.get());
+            let io_open = IoSession::new();
+            let got = opened.index.query(lo, hi, &io_open);
+            let fired = match plan {
+                MergeStrategy::Concat => kernel::MERGE_CONCAT.get() > concat0,
+                MergeStrategy::Bitset => kernel::REENCODE_BITSET.get() > bitset0,
+                _ => true,
+            };
+            assert!(fired, "[{lo},{hi}] {plan:?} did not run");
+            assert_eq!(got.to_vec(), naive_query(&symbols, lo, hi).to_vec());
+            let io_ram = IoSession::new();
+            assert_eq!(got, ram.query(lo, hi, &io_ram), "[{lo},{hi}] {plan:?}");
+            assert_eq!(io_open.stats(), io_ram.stats(), "[{lo},{hi}] {plan:?} io");
+            assert_eq!(
+                opened.real_fetches(),
+                io_open.stats().reads,
+                "[{lo},{hi}] {plan:?}: cold real fetches must equal the charge"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        for plan in [
+            MergeStrategy::Passthrough,
+            MergeStrategy::Concat,
+            MergeStrategy::Linear,
+            MergeStrategy::Heap,
+            MergeStrategy::Bitset,
+        ] {
+            assert!(seen.contains(&plan), "{plan:?} never planned: {seen:?}");
+        }
+    }
+
+    #[test]
     fn reading_is_output_sensitive() {
         // §1.3: reading within a constant of the *compressed result* size.
         let n = 1usize << 18;

@@ -50,9 +50,6 @@ use crate::wire::{
 pub struct ServeConfig {
     /// Most requests drained into one `execute_batch_settled` call.
     pub batch_window: usize,
-    /// Worker threads per batch (`1` on a single-core host; `0` means
-    /// [`std::thread::available_parallelism`]).
-    pub exec_threads: usize,
     /// Global cap on admitted-but-unanswered requests.
     pub max_inflight: usize,
     /// Per-connection share of the in-flight budget.
@@ -70,7 +67,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             batch_window: 32,
-            exec_threads: 1,
             max_inflight: 256,
             max_inflight_per_conn: 64,
             max_frame_bytes: crate::wire::MAX_FRAME_BYTES,
@@ -759,6 +755,10 @@ fn send(writer: &Arc<Mutex<Stream>>, payload: &[u8]) {
 /// connections — executes them as one settled batch, and answers each
 /// slot.
 fn batch_loop(shared: Arc<Shared>) {
+    // One executor thread per batch. On a 2-vCPU host, running batches on
+    // both cores bought +20% closed-loop qps for +27–35% peak RSS
+    // (DESIGN.md, "Server architecture").
+    const EXEC_THREADS: usize = 1;
     loop {
         let mut inbox = shared.inbox.lock().expect("inbox");
         while inbox.queued == 0 {
@@ -782,9 +782,7 @@ fn batch_loop(shared: Arc<Shared>) {
         drop(inbox);
 
         let queries: Vec<ConjunctiveQuery> = batch.iter().map(|p| p.query.clone()).collect();
-        let settled = shared
-            .table
-            .execute_batch_settled(&queries, shared.cfg.exec_threads);
+        let settled = shared.table.execute_batch_settled(&queries, EXEC_THREADS);
         shared.counters.batches.fetch_add(1, Ordering::Relaxed);
         shared
             .counters

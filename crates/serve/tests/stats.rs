@@ -12,7 +12,9 @@
 //! * **slow-query ring** — with a zero threshold every served request
 //!   lands in the ring with its full plan trace;
 //! * **quarantine visibility** — quarantined extents appear as
-//!   `quarantine/<attr>` list entries in the live snapshot.
+//!   `quarantine/<attr>` list entries in the live snapshot;
+//! * **splice visibility** — a position-disjoint cover is spliced, and
+//!   the splice shows live as `kernel/merge_concat`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -141,6 +143,40 @@ fn stats_reply_matches_the_servers_own_counters_exactly() {
         assert!(text.contains(needle), "{needle} missing from:\n{text}");
     }
 
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn position_disjoint_covers_are_spliced_and_counted_live() {
+    // A clustered column: each value fills one contiguous run of 500
+    // rows, one leaf each, so a multi-value range is a position-disjoint
+    // cover.
+    let c: Vec<u32> = (0..4000u32).map(|i| i / 500).collect();
+    let table = IndexedTable::from_columns(vec![IndexedColumn {
+        name: "c".into(),
+        sigma: 8,
+        index: Box::new(OptimalIndex::build(&c, 8, IoConfig::with_block_bits(512))),
+    }]);
+    let server = Server::serve(Arc::new(table), ServeConfig::default()).expect("serve");
+    let mut client = Client::connect(server.addr().expect("tcp addr")).expect("connect");
+    let spliced = |client: &mut Client, id| {
+        client
+            .stats(id)
+            .expect("stats")
+            .counter("kernel/merge_concat")
+            .expect("kernel/merge_concat missing from the STATS reply")
+    };
+    // Sibling tests share the process-wide kernel counters, so only the
+    // increase is pinned.
+    let before = spliced(&mut client, 1);
+    let q = Predicate::range("c", 2, 4).normalize().expect("normalize");
+    let rows = client.call(2, &q).expect("call").body.expect("rows").rows;
+    assert_eq!(rows, (1000..2500).collect::<Vec<u64>>());
+    assert!(
+        spliced(&mut client, 3) > before,
+        "the cover was not spliced"
+    );
     drop(client);
     server.shutdown();
 }

@@ -1,19 +1,21 @@
 //! Batch execution under pool-budget exhaustion: a query that cannot pin
-//! enough frames must fail alone, in its own result slot, while sibling
+//! a frame must fail alone, in its own result slot, while sibling
 //! queries in the same batch return correct rows (PR 8 satellite).
 //!
 //! The failing index is a real `OptimalIndex` re-hosted (via the public
-//! `PersistIndex` parts API) over a deliberately tiny buffer pool — a
-//! hard frame budget smaller than the number of simultaneously pinned
-//! blocks its k-way heap merge needs. Before the fix, the worker thread
-//! panicked on `PoolError::Exhausted` and poisoned the whole batch; now
-//! the slot settles to a typed `QueryError::Read` with `Transient` class
-//! (frames free up once other queries unpin) and the pool itself stays
-//! serviceable for cheaper queries afterwards.
+//! `PersistIndex` parts API) over a deliberately tiny buffer pool — two
+//! frames, hard cap two — whose frames the test pins itself, so the
+//! index cannot pin any other block its query needs. Before the fix, the
+//! worker thread panicked on `PoolError::Exhausted` and poisoned the
+//! whole batch; now the slot settles to a typed `QueryError::Read` with
+//! `Transient` class (frames free up once other pins drop) and the pool
+//! itself stays serviceable afterwards.
 
 use std::sync::Arc;
 
-use psi::io::{BufferPool, Disk, ErrorClass, ExtentId, IoConfig, MemStore, StoredExtent};
+use psi::io::{
+    BufferPool, Disk, ErrorClass, ExtentId, IoConfig, MemStore, PinnedBlock, StoredExtent,
+};
 use psi::query::{IndexedColumn, IndexedTable, Predicate, QueryError};
 use psi::store::PersistIndex;
 use psi::{naive_query, OptimalIndex, SecondaryIndex};
@@ -24,9 +26,9 @@ const WIDE_SIGMA: u32 = 64;
 
 /// The wide column: symbols 1..=62 each appear exactly twice, at rows
 /// spread far apart (different blocks), everything else is 0. A range
-/// query over [1, 62] matches 124 rows — below the bitset-merge
-/// threshold, so the engine's cover merge takes the k-way heap path and
-/// holds one pinned block per stream simultaneously.
+/// query over [1, 62] matches 124 rows from a many-slot cover whose
+/// streams live in many blocks; the engine lifts them one pinned block
+/// at a time.
 fn wide_data() -> Vec<u32> {
     let mut data = vec![0u32; N];
     for s in 1..63u32 {
@@ -42,8 +44,13 @@ fn narrow_data() -> Vec<u32> {
 
 /// Re-hosts a built index over a fresh pool with the given frame budget,
 /// exactly the way `psi_store::open` wires an opened index — but with a
-/// hard cap we control.
-fn rehost(built: &OptimalIndex, capacity: usize, hard_cap: usize) -> OptimalIndex {
+/// hard cap we control. Returns the pool too, so the test can spend its
+/// frames.
+fn rehost(
+    built: &OptimalIndex,
+    capacity: usize,
+    hard_cap: usize,
+) -> (OptimalIndex, Arc<BufferPool>) {
     let mut meta = psi::store::MetaBuf::new();
     built.write_meta(&mut meta);
     let disks = PersistIndex::disks(built);
@@ -62,9 +69,21 @@ fn rehost(built: &OptimalIndex, capacity: usize, hard_cap: usize) -> OptimalInde
         1,
         d.block_bits(),
     ));
-    let disk = Disk::from_stored(*d.config(), &stored, pool);
+    let disk = Disk::from_stored(*d.config(), &stored, Arc::clone(&pool));
     let mut cursor = psi::store::MetaCursor::new(meta.bytes());
-    OptimalIndex::from_parts(&mut cursor, vec![disk]).expect("re-host built index")
+    let index = OptimalIndex::from_parts(&mut cursor, vec![disk]).expect("re-host built index");
+    (index, pool)
+}
+
+/// Pins the first `frames` stored blocks of `built`'s volume in `pool`.
+fn pin_blocks(built: &OptimalIndex, pool: &BufferPool, frames: usize) -> Vec<PinnedBlock> {
+    let d = PersistIndex::disks(built)[0];
+    (0..d.num_extents() as u32)
+        .map(ExtentId)
+        .flat_map(|ext| (0..d.extent_blocks(ext)).map(move |b| (ext, b)))
+        .take(frames)
+        .map(|(ext, b)| pool.pin(ext, b))
+        .collect()
 }
 
 fn table_with(wide: OptimalIndex) -> IndexedTable {
@@ -90,15 +109,19 @@ fn exhausted_pool_fails_one_slot_and_siblings_survive() {
     let built = OptimalIndex::build(&data, WIDE_SIGMA, IoConfig::with_block_bits(BLOCK_BITS));
 
     // Sanity: re-hosting over a generous pool answers correctly — the
-    // exhaustion below is about the budget, not a broken re-host.
-    let generous = rehost(&built, 1024, 4096);
-    let (rows, _) = generous.query_measured(1, 62);
+    // exhaustion below is about the budget, not a broken re-host — and
+    // the wide query needs more blocks than the test will leave pinned.
+    let (generous, _) = rehost(&built, 1024, 4096);
+    let (rows, io) = generous.query_measured(1, 62);
     assert_eq!(rows.to_vec(), naive_query(&data, 1, 62).to_vec());
+    assert!(io.reads > 2, "wide query reads only {} blocks", io.reads);
 
-    // Two frames total, hard cap two: the heap merge's third
-    // simultaneously pinned stream block cannot be served.
-    let tiny = rehost(&built, 2, 2);
+    // Two frames total, hard cap two, both pinned by the test: the wide
+    // query cannot pin a block of its own.
+    let (tiny, pool) = rehost(&built, 2, 2);
     let t = table_with(tiny);
+    let pins = pin_blocks(&built, &pool, 2);
+    assert_eq!(pins.len(), 2);
 
     let batch = vec![
         Predicate::point("narrow", 3).normalize().unwrap(),
@@ -123,7 +146,7 @@ fn exhausted_pool_fails_one_slot_and_siblings_survive() {
                 "exhaustion is transient (frames free up), got: {e}"
             ),
             other => panic!(
-                "wide range must fail typed on a 2-frame budget \
+                "wide range must fail typed on a spent 2-frame budget \
                  ({threads} threads), got {other:?}"
             ),
         }
@@ -133,10 +156,18 @@ fn exhausted_pool_fails_one_slot_and_siblings_survive() {
         assert_eq!(ok2.rows.to_vec(), want_range, "{threads} threads");
     }
 
-    // The failed merge unpinned everything on abort: the same pool still
-    // serves queries that fit the budget.
+    // The failed query unpinned everything on abort: once the test's
+    // pins drop, the same 2-frame pool serves the wide range itself (the
+    // lift pins one block at a time) and single-stream queries.
+    for pin in pins {
+        pool.unpin(pin);
+    }
+    let wide = t
+        .execute(&Predicate::range("wide", 1, 62))
+        .expect("the wide range fits two frames once the pins drop");
+    assert_eq!(wide.rows.to_vec(), naive_query(&data, 1, 62).to_vec());
     let after = t
         .execute(&Predicate::point("wide", 5))
-        .expect("single-stream query fits two frames after the failed merge");
+        .expect("single-stream query fits two frames after the failed query");
     assert_eq!(after.rows.to_vec(), naive_query(&data, 5, 5).to_vec());
 }
