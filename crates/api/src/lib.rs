@@ -85,17 +85,6 @@ pub trait SecondaryIndex: Send + Sync {
         psi_io::catch_read(io, || self.query(lo, hi, io))
     }
 
-    /// Fallible form of [`Self::query_measured`]: the I/O statistics are
-    /// returned even when the query fails — the charges and retries up
-    /// to the fault are exactly what degraded-mode accounting needs.
-    #[allow(clippy::type_complexity)]
-    fn try_query_measured(&self, lo: Symbol, hi: Symbol) -> (Result<RidSet, ReadError>, IoStats) {
-        let io = IoSession::new();
-        let result = self.try_query(lo, hi, &io);
-        let stats = io.stats();
-        (result, stats)
-    }
-
     /// Estimated result cardinality of `I[lo; hi]`, computed from metadata
     /// resident in memory *before any payload bit is decoded* — the
     /// paper's prefix array `A`, catalog directories, or cut-slot counts.

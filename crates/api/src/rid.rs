@@ -6,7 +6,7 @@
 //! `K − 1` codes, and intersection leapfrogs both streams through
 //! [`psi_bits::GapCursor::next_geq`] instead of scanning `0..universe`.
 
-use psi_bits::{kernel, merge, GapBitmap, GapCursor};
+use psi_bits::{kernel, merge, GapBitmap};
 
 /// A compressed set of row ids (positions) returned by a range query.
 ///
@@ -226,65 +226,6 @@ impl RidSet {
     }
 }
 
-/// The occupancy summary of a cursor's *current* sample block, when the
-/// block is exactly summarized: `occ` covers buckets `[base, base + 64)`
-/// and describes every element of the block, which spans positions up to
-/// (excluding) `end` — the next sample. `j` is the block's entry index.
-struct BlockOcc {
-    j: usize,
-    base: u64,
-    occ: u64,
-    end: u64,
-}
-
-/// The summary of the block `cur` currently sits in, or `None` when the
-/// block cannot be trusted wholesale: the tail block (may be truncated or
-/// append-grown), a conservative `occ = 0` entry, or a block spanning
-/// more than the 64-bucket window its word can describe.
-fn block_occ(bm: &GapBitmap, cur: &GapCursor<'_>) -> Option<BlockOcc> {
-    let consumed = cur.consumed();
-    if consumed == 0 {
-        return None;
-    }
-    let dir = bm.skip_dir();
-    let j = ((consumed - 1) / u64::from(dir.k())) as usize;
-    let entries = dir.entries();
-    if j + 1 >= entries.len() {
-        return None;
-    }
-    let e = entries[j];
-    let end = entries[j + 1].pos;
-    if e.occ == 0 || ((end - 1) >> 6) - (e.pos >> 6) >= 64 {
-        return None;
-    }
-    Some(BlockOcc {
-        j,
-        base: e.pos >> 6,
-        occ: e.occ,
-        end,
-    })
-}
-
-/// Whether two exactly-summarized blocks provably share no position:
-/// their occupancy words, aligned to a common bucket base, AND to zero
-/// (blocks confined to disjoint bucket windows trivially qualify).
-fn blocks_disjoint(a: &BlockOcc, b: &BlockOcc) -> bool {
-    let anded = if a.base <= b.base {
-        let d = b.base - a.base;
-        if d >= 64 {
-            return true;
-        }
-        (a.occ >> d) & b.occ
-    } else {
-        let d = a.base - b.base;
-        if d >= 64 {
-            return true;
-        }
-        a.occ & (b.occ >> d)
-    };
-    anded == 0
-}
-
 /// Credit gate on per-probe occupancy consultation. Each
 /// [`SkipDirectory::rules_out`] call costs a directory binary search —
 /// pure overhead on workloads it never rules out (dense-vs-dense
@@ -300,17 +241,15 @@ const PROBE_CREDIT_CAP: i32 = 64;
 /// cursor to the other's head; matches are emitted, long runs of misses
 /// are jumped via the skip directories.
 ///
-/// Two occupancy-word kernels ride on top of the gallop (both behind
-/// [`kernel::block_skip_enabled`]; the result is identical either way):
-/// a probe whose bucket the other side's directory proves empty is
-/// answered without touching the other stream at all (credit-gated, see
-/// [`PROBE_CREDIT_START`]), and when the two cursors' current sample
-/// blocks have disjoint occupancy words, the earlier-ending block is
-/// skipped whole — its codes are never decoded.
+/// An occupancy-word kernel rides on top of the gallop: a probe whose
+/// bucket the other side's directory proves empty is answered without
+/// touching the other stream at all (credit-gated, see
+/// [`PROBE_CREDIT_START`]). The result is identical either way; a stream
+/// whose directory carries no occupancy information (`occ = 0` entries,
+/// as append paths persist them) simply gallops every probe.
 fn leapfrog_and(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
-    let skip = kernel::block_skip_enabled();
-    let mut credit = if skip { PROBE_CREDIT_START } else { 0 };
-    let (mut galloped, mut probe_skips, mut block_skips) = (0u64, 0u64, 0u64);
+    let mut credit = PROBE_CREDIT_START;
+    let (mut galloped, mut probe_skips) = (0u64, 0u64);
     let mut out = Vec::with_capacity(a.count().min(b.count()) as usize);
     let mut ac = a.cursor();
     let mut bc = b.cursor();
@@ -342,38 +281,16 @@ fn leapfrog_and(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
                         None => break,
                     }
                 }
-                Some(mut y) => {
-                    if skip {
-                        // Whole-block skipping: `b` proved it has nothing
-                        // in `[x, y)`, so while the cursors' current
-                        // blocks are provably disjoint, the one ending
-                        // first can be jumped without decoding any of its
-                        // codes. (The earlier-ending block's elements all
-                        // lie below the other block's end, so the other
-                        // side's later blocks cannot reach them.)
-                        while let (Some(ba), Some(bb)) = (block_occ(a, &ac), block_occ(b, &bc)) {
-                            if !blocks_disjoint(&ba, &bb) {
-                                break;
-                            }
-                            block_skips += 1;
-                            if ba.end <= bb.end {
-                                x = ac.seat_at(ba.j + 1);
-                                continue 'leapfrog;
-                            }
-                            y = bc.seat_at(bb.j + 1);
-                        }
-                    }
-                    match ac.next_geq(y) {
-                        Some(v) => x = v,
-                        None => break,
-                    }
-                }
+                Some(y) => match ac.next_geq(y) {
+                    Some(v) => x = v,
+                    None => break,
+                },
             }
         }
     }
-    kernel::INTERSECT_GALLOP.add(galloped);
-    kernel::INTERSECT_BLOCK_SKIP.add(probe_skips);
-    kernel::INTERSECT_BLOCK_AND.add(block_skips);
+    let m = kernel::metrics();
+    m.intersect_gallop.add(galloped);
+    m.intersect_block_skip.add(probe_skips);
     GapBitmap::from_sorted(&out, universe)
 }
 
@@ -381,11 +298,10 @@ fn leapfrog_and(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
 /// `a` is checked by galloping `b`'s cursor forward, so runs of `b`
 /// between consecutive `a`-elements are skipped, not decoded. An element
 /// whose bucket `b`'s occupancy words prove empty is kept without
-/// touching `b` (behind [`kernel::block_skip_enabled`] and the same
-/// credit gate as [`leapfrog_and`]; identical result either way).
+/// touching `b` (behind the same credit gate as [`leapfrog_and`];
+/// identical result either way).
 fn leapfrog_diff(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
-    let skip = kernel::block_skip_enabled();
-    let mut credit = if skip { PROBE_CREDIT_START } else { 0 };
+    let mut credit = PROBE_CREDIT_START;
     let (mut galloped, mut probe_skips) = (0u64, 0u64);
     let mut out = Vec::with_capacity(a.count() as usize);
     let mut bc = b.cursor();
@@ -405,8 +321,9 @@ fn leapfrog_diff(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
             _ => out.push(p),
         }
     }
-    kernel::INTERSECT_GALLOP.add(galloped);
-    kernel::INTERSECT_BLOCK_SKIP.add(probe_skips);
+    let m = kernel::metrics();
+    m.intersect_gallop.add(galloped);
+    m.intersect_block_skip.add(probe_skips);
     GapBitmap::from_sorted(&out, universe)
 }
 
@@ -414,14 +331,11 @@ fn leapfrog_diff(a: &GapBitmap, b: &GapBitmap, universe: u64) -> GapBitmap {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use psi_bits::{SkipDirectory, SkipEntry};
 
     fn gap(positions: &[u64], n: u64) -> GapBitmap {
         GapBitmap::from_sorted(positions, n)
     }
-
-    /// Serializes the tests that toggle the process-global block-skip
-    /// switch (and assert on the global kernel counters).
-    static BLOCK_SKIP_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn positions_variant_roundtrip() {
@@ -517,8 +431,27 @@ mod tests {
             .collect()
     }
 
+    /// A copy of `r` whose directory entries carry no occupancy
+    /// information (`occ = 0`, as append paths persist them): probes
+    /// against it can never be ruled out, so every one gallops.
+    fn occupancy_free(r: &RidSet) -> RidSet {
+        let bm = r.stored();
+        let dir = bm.skip_dir();
+        let blind = dir
+            .entries()
+            .iter()
+            .map(|&e| SkipEntry { occ: 0, ..e })
+            .collect();
+        RidSet::from_positions(GapBitmap::from_code_bits_indexed(
+            bm.code_bits().clone(),
+            bm.count(),
+            bm.universe(),
+            SkipDirectory::from_entries(dir.k(), blind),
+        ))
+    }
+
     #[test]
-    fn occupancy_probe_skip_matches_forced_scalar() {
+    fn occupancy_probe_skip_matches_occupancy_free_copy() {
         // B: 1000 clusters of 100 contiguous positions every 4000. A:
         // one probe per cluster, mostly in the inter-cluster dead space
         // (provably empty buckets within the occupancy window), some
@@ -529,54 +462,31 @@ mod tests {
             .map(|c| c * 4000 + if c % 10 == 0 { c % 100 } else { 2000 + c % 64 })
             .collect();
         let a = RidSet::from_positions(gap(&a_pos, n));
-        let _guard = BLOCK_SKIP_LOCK.lock().unwrap();
-        let skips_before = psi_bits::kernel::INTERSECT_BLOCK_SKIP.get();
+        let blind = occupancy_free(&b);
+        assert!(b.stored().skip_dir().rules_out(4000 + 2001));
+        assert!(!blind.stored().skip_dir().rules_out(4000 + 2001));
+        let skips = || kernel::metrics().intersect_block_skip.get();
+        let skips_before = skips();
         let fast = a.intersect(&b);
         assert!(
-            psi_bits::kernel::INTERSECT_BLOCK_SKIP.get() > skips_before,
+            skips() > skips_before,
             "occupancy probe skip never fired on the miss-heavy workload"
         );
         // Mixed representation exercises the difference kernel's skip.
         let fast_diff = a.intersect(&b.clone().negate());
-        psi_bits::kernel::set_block_skip(false);
-        let scalar = a.intersect(&b);
-        let scalar_diff = a.intersect(&b.clone().negate());
-        psi_bits::kernel::set_block_skip(true);
-        assert_eq!(fast, scalar, "block-skip intersection diverged");
-        assert_eq!(fast_diff, scalar_diff, "block-skip difference diverged");
+        assert_eq!(
+            fast,
+            a.intersect(&blind),
+            "block-skip intersection diverged"
+        );
+        assert_eq!(
+            fast_diff,
+            a.intersect(&blind.negate()),
+            "block-skip difference diverged"
+        );
         assert_eq!(fast.to_vec(), a.intersect_reference(&b).to_vec());
         assert_eq!(fast.cardinality(), 100, "every c % 10 == 0 probe hits");
         assert_eq!(fast_diff.cardinality(), 900);
-    }
-
-    #[test]
-    fn occupancy_block_and_skips_disjoint_clusters() {
-        // Interleaved clusters: A on even cluster slots, B on odd — the
-        // intersection is empty, and whole sample blocks (64 elements
-        // inside one 256-long cluster) AND away without decoding.
-        let n = 8192 * 400 + 1;
-        let a = RidSet::from_positions(gap(&clusters(0, 2, 200, 256, 8192), n));
-        let b = RidSet::from_positions(gap(&clusters(1, 2, 200, 256, 8192), n));
-        let _guard = BLOCK_SKIP_LOCK.lock().unwrap();
-        let ands_before = psi_bits::kernel::INTERSECT_BLOCK_AND.get();
-        let fast = a.intersect(&b);
-        assert!(
-            psi_bits::kernel::INTERSECT_BLOCK_AND.get() > ands_before,
-            "whole-block AND skip never fired on disjoint clusters"
-        );
-        psi_bits::kernel::set_block_skip(false);
-        let scalar = a.intersect(&b);
-        psi_bits::kernel::set_block_skip(true);
-        assert_eq!(fast, scalar);
-        assert!(fast.is_empty());
-        // Overlapping clusters still produce every match.
-        let c = RidSet::from_positions(gap(&clusters(0, 1, 400, 128, 8192), n));
-        let ac = a.intersect(&c);
-        psi_bits::kernel::set_block_skip(false);
-        let ac_scalar = a.intersect(&c);
-        psi_bits::kernel::set_block_skip(true);
-        assert_eq!(ac, ac_scalar);
-        assert_eq!(ac.cardinality(), 200 * 128);
     }
 
     #[test]
@@ -585,6 +495,18 @@ mod tests {
         let a = RidSet::from_positions(gap(&(0..n / 3).map(|i| i * 3).collect::<Vec<_>>(), n));
         let b = RidSet::from_positions(gap(&(0..n / 7).map(|i| i * 7).collect::<Vec<_>>(), n));
         assert_eq!(a.intersect(&b).to_vec(), a.intersect_reference(&b).to_vec());
+        // Clusters of 256 on alternate slots of 8192 (disjoint), and
+        // clusters of 128 on every slot (overlapping the first set).
+        let n = 8192 * 400 + 1;
+        let even = RidSet::from_positions(gap(&clusters(0, 2, 200, 256, 8192), n));
+        let odd = RidSet::from_positions(gap(&clusters(1, 2, 200, 256, 8192), n));
+        let every = RidSet::from_positions(gap(&clusters(0, 1, 400, 128, 8192), n));
+        let disjoint = even.intersect(&odd);
+        assert!(disjoint.is_empty());
+        assert_eq!(disjoint, even.intersect_reference(&odd));
+        let overlapping = even.intersect(&every);
+        assert_eq!(overlapping.cardinality(), 200 * 128);
+        assert_eq!(overlapping, even.intersect_reference(&every));
     }
 
     proptest! {

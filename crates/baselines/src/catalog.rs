@@ -8,12 +8,11 @@
 //!
 //! Alongside the payload extent, a side extent persists one **skip
 //! directory** per bitmap ([`psi_bits::SKIP_SAMPLE`]-spaced samples; see
-//! `psi_bits::skip`): charged reads buy directory-assisted seeks
-//! ([`BitmapCatalog::seek_decoder`]) and indexed verbatim copies whose
+//! `psi_bits::skip`): charged reads buy indexed verbatim copies whose
 //! results gallop ([`BitmapCatalog::copy_bitmap_indexed`]).
 
-use psi_bits::skip::{self, SkipDirectory, SkipEntry, SKIP_LIFT_MIN};
-use psi_bits::{BitBuf, GapBitmap, GapDecoder, GapEncoder, SKIP_ENTRY_BITS, SKIP_SAMPLE};
+use psi_bits::skip::{SkipDirectory, SkipEntry, SKIP_LIFT_MIN};
+use psi_bits::{BitBuf, GapBitmap, GapDecoder, GapEncoder, SKIP_SAMPLE};
 use psi_io::{cost, Disk, DiskReader, ExtentId, IoSession};
 
 pub use psi_bits::skip::DIR_MIN_COUNT;
@@ -186,36 +185,6 @@ impl BitmapCatalog {
         }
     }
 
-    /// A decoder over bitmap `idx` fast-forwarded past every sampled
-    /// element below `min_pos`: a binary search over the persisted
-    /// directory (charging only the probed blocks) re-seats the decoder
-    /// at the latest sample with position `< min_pos`, so the skipped
-    /// stream prefix is never read. Returns the decoder plus the number
-    /// of skipped elements; the first up-to-`K − 1` decoded elements may
-    /// still be below `min_pos`.
-    pub fn seek_decoder<'a>(
-        &self,
-        disk: &'a Disk,
-        idx: usize,
-        io: &'a IoSession,
-        min_pos: u64,
-    ) -> (GapDecoder<DiskReader<'a>>, u64) {
-        let e = &self.entries[idx];
-        let mut r = disk.reader(self.dir_ext, e.dir_off, io);
-        let hit = skip::search_persisted(e.dir_entries, min_pos, |j| {
-            r.skip_to(e.dir_off + j * SKIP_ENTRY_BITS);
-            SkipEntry::read_from(&mut r)
-        });
-        match hit {
-            None => (self.decoder(disk, idx, io), 0),
-            Some((j, s)) => {
-                let rank = j * u64::from(SKIP_SAMPLE);
-                let src = disk.reader(self.ext, e.bit_off + s.bit_off, io);
-                (GapDecoder::resume(src, e.count - rank - 1, s.pos), rank + 1)
-            }
-        }
-    }
-
     /// Compressed payload size in bits.
     pub fn payload_bits(&self, disk: &Disk) -> u64 {
         disk.extent_bits(self.ext)
@@ -298,6 +267,7 @@ impl BitmapCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psi_bits::SKIP_ENTRY_BITS;
     use psi_io::IoConfig;
 
     #[test]
@@ -368,34 +338,6 @@ mod tests {
         );
         assert!(indexed.contains(2396) && !indexed.contains(2395));
         assert_eq!(indexed.rank(1200), 300);
-    }
-
-    #[test]
-    fn seek_decoder_reads_strictly_fewer_blocks() {
-        let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let positions: Vec<u64> = (0..5000u64).map(|i| i * 3).collect();
-        let cat = BitmapCatalog::build(&mut disk, 15_001, vec![positions.clone()]);
-        let full_io = IoSession::new();
-        let full: Vec<u64> = cat.decoder(&disk, 0, &full_io).collect();
-        assert_eq!(full, positions);
-        let min_pos = 3 * 4800;
-        let seek_io = IoSession::new();
-        let (dec, skipped) = cat.seek_decoder(&disk, 0, &seek_io, min_pos);
-        assert!(skipped >= 4800 - u64::from(psi_bits::SKIP_SAMPLE) && skipped <= 4800);
-        let tail: Vec<u64> = dec.filter(|&p| p >= min_pos).collect();
-        assert_eq!(tail, positions[4800..]);
-        assert!(
-            seek_io.stats().reads < full_io.stats().reads,
-            "seek {} blocks vs full {}",
-            seek_io.stats().reads,
-            full_io.stats().reads
-        );
-        // Tiny bitmaps have no directory: the seek degenerates gracefully.
-        let tiny = BitmapCatalog::build(&mut disk, 100, vec![vec![7u64, 9]]);
-        let untracked = IoSession::untracked();
-        let (dec, skipped) = tiny.seek_decoder(&disk, 0, &untracked, 9);
-        assert_eq!(skipped, 0);
-        assert_eq!(dec.collect::<Vec<_>>(), vec![7, 9]);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! E20 — kernel-layer microbenchmarks and their correctness gate.
 //!
-//! The full run times batch gamma decode in its three dispatch regimes
-//! (dual-chain sparse, quad-chain wide, burst dense) and the occupancy
-//! block-skipping intersection against its forced-scalar arm, asserting
-//! along the way that the fast paths actually ran (kernel counters),
-//! that skip-on equals skip-off element for element, and that the
-//! sparse-probe-vs-dense workload beats forced scalar by ≥2×. `--smoke`
-//! shrinks the workloads and loosens the speedup gate to 1.5× so shared
-//! CI runners gate on correctness and gross regressions without flaking
-//! on noise. The machine-readable `kernel/*` rows land in
-//! `BENCH_NNNN.json` via `all_experiments --json`.
+//! The full run times batch gamma decode in its two dispatch regimes
+//! (dual-chain sparse without the run-of-ones test, burst dense) and the
+//! occupancy probe rule-out against an occupancy-free copy of the probed
+//! stream, asserting along the way that the fast paths actually ran
+//! (kernel counters), that both probe arms return the same elements,
+//! and that the sparse-probe-vs-dense workload beats the occupancy-free
+//! arm by ≥2×. `--smoke` shrinks the workloads and loosens the speedup
+//! gate to 1.5× so shared CI runners gate on correctness and gross
+//! regressions without flaking on noise. The machine-readable `kernel/*`
+//! rows land in `BENCH_NNNN.json` via `all_experiments --json`.
 
 fn main() {
     match std::env::args().nth(1).as_deref() {

@@ -1134,14 +1134,21 @@ pub fn e15_sweep(threads: &[usize]) {
             .expect("conjunctive")
         })
         .collect();
-    let reference = indexed.execute_batch(&batch, 1).expect("sequential");
+    let run = |t: usize| -> Vec<psi_query::QueryOutcome> {
+        indexed
+            .execute_batch_settled(&batch, t)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("batch")
+    };
+    let reference = run(1);
     let mut base = None;
     for &t in threads {
         let start = std::time::Instant::now();
         let rounds = 5usize;
         let mut last = None;
         for _ in 0..rounds {
-            last = Some(indexed.execute_batch(&batch, t).expect("batch"));
+            last = Some(run(t));
         }
         let qps = (batch.len() * rounds) as f64 / start.elapsed().as_secs_f64();
         let base = *base.get_or_insert(qps);
@@ -2121,10 +2128,10 @@ pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult
     out
 }
 
-/// E20 — kernel layer: the multi-chain SWAR/accelerated gamma decoder
-/// and the occupancy-word block-skipping intersection, measured against
-/// their forced references in one process. Full-size run; returns the
-/// `kernel/*` rows for `BENCH_NNNN.json`.
+/// E20 — kernel layer: the dual-chain SWAR/accelerated gamma decoder
+/// and the occupancy-word probe rule-out, the latter measured against an
+/// occupancy-free copy of the same stream in one process. Full-size run;
+/// returns the `kernel/*` rows for `BENCH_NNNN.json`.
 pub fn e20() -> Vec<jsonout::JsonResult> {
     e20_run(100_000, 2_000, 2.0)
 }
@@ -2132,31 +2139,28 @@ pub fn e20() -> Vec<jsonout::JsonResult> {
 /// [`e20`] with explicit sizes (the CI smoke run shrinks both and
 /// loosens the speedup gate for shared-runner noise).
 ///
-/// Emitted rows: `kernel/decode_{sparse13,wide4093,dense}` (batch decode
-/// through whatever kernel dispatch picks — single/dual/quad chain, SWAR
-/// or CPU-accelerated — with `per_element_ns` carrying the headline
-/// number) and `kernel/intersect_{probe,blockand}_{skip,scalar}` (the
-/// same workload with occupancy skipping on vs. forced off via
-/// [`psi_bits::kernel::set_block_skip`]).
+/// Emitted rows: `kernel/decode_{sparse13,dense}` (batch decode through
+/// whatever kernel dispatch picks — one or two chains, run-of-ones test
+/// compiled in or out, SWAR or CPU-accelerated — with `per_element_ns`
+/// carrying the headline number) and
+/// `kernel/intersect_probe_{skip,occfree}` (one probe workload against
+/// the dense stream as built, and against the occupancy-free copy: the
+/// same stream and directory with every entry's occupancy word zeroed,
+/// the no-information value append paths persist).
 ///
 /// The run is also a correctness gate, not just a stopwatch: every
-/// decode is compared against its source positions, both intersection
-/// workloads assert skip-on equals forced-scalar element for element,
-/// the kernel counters must show the fast paths actually ran (dispatch
-/// silently falling back to scalar would otherwise read as a mysterious
-/// slowdown), and the sparse-probe-vs-dense intersection must beat its
-/// forced-scalar arm by `min_speedup`. The block-AND pair is tracked at
-/// parity, not gated: across far-apart clusters the scalar arm's
-/// directory gallop crosses each gap in one jump, so whole-block
-/// skipping saves decode work (the counter proves it fired) rather than
-/// wall clock.
+/// decode is compared against its source positions, both probe arms
+/// must return the same elements, the kernel counters must show the
+/// fast paths actually ran (dispatch silently falling back to scalar
+/// would otherwise read as a mysterious slowdown), and the skip arm must
+/// beat the occupancy-free arm by `min_speedup`.
 pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout::JsonResult> {
     use psi_api::RidSet;
-    use psi_bits::{kernel, GapBitmap};
+    use psi_bits::{kernel, GapBitmap, SkipDirectory, SkipEntry};
 
     head(
         "E20",
-        "kernel layer: multi-chain gamma decode and occupancy block-skip intersection vs forced references",
+        "kernel layer: dual-chain gamma decode and occupancy probe rule-out vs an occupancy-free copy",
     );
     let mut out: Vec<jsonout::JsonResult> = Vec::new();
     let push = |rows: &mut Vec<jsonout::JsonResult>,
@@ -2176,16 +2180,15 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
             ..Default::default()
         });
     };
+    let counters = kernel::metrics();
     let decode_kernel_ops =
-        || kernel::DECODE_SWAR.get() + kernel::DECODE_SIMD.get() + kernel::DECODE_SCALAR.get();
+        || counters.decode_swar.get() + counters.decode_simd.get() + counters.decode_scalar.get();
 
-    // --- batch decode: the three regimes the chain dispatch splits on.
-    // sparse13 (7-bit codes) takes the dual-chain path, wide4093 (~23-bit
-    // codes) qualifies for quad chains, dense exercises the burst loop.
+    // --- batch decode: sparse13 (7-bit codes) takes the dual-chain path
+    // with the run-of-ones test compiled out, dense the burst loop.
     let n = decode_n as u64;
-    let shapes: [(&str, Vec<u64>); 3] = [
+    let shapes: [(&str, Vec<u64>); 2] = [
         ("sparse13", (0..n).map(|i| i * 13).collect()),
-        ("wide4093", (0..n).map(|i| i * 4093).collect()),
         ("dense", (0..n).map(|i| i + i / 7).collect()),
     ];
     let mut buf = Vec::with_capacity(decode_n);
@@ -2211,7 +2214,9 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
     // positions at stride 4000 (well inside one occupancy window), A
     // probes once per cluster — 1 in 10 hits, the misses land in the
     // covered-but-empty gap where `rules_out` answers from the occupancy
-    // word alone, skipping B's gallop and tail decode entirely.
+    // word alone, skipping B's gallop and tail decode entirely. Against
+    // the occupancy-free copy no probe is ruled out, the credit gate
+    // stops consulting, and every probe gallops.
     let b_pos: Vec<u64> = (0..clusters)
         .flat_map(|c| (0..100).map(move |j| c * 4000 + j))
         .collect();
@@ -2220,78 +2225,46 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
         .collect();
     let universe = clusters * 4000 + 1;
     let a = RidSet::from_positions(GapBitmap::from_sorted(&a_pos, universe));
-    let b = RidSet::from_positions(GapBitmap::from_sorted(&b_pos, universe));
-    let probe =
-        |rows: &mut Vec<jsonout::JsonResult>, skip: bool| -> (jsonout::Measured, Vec<u64>) {
-            kernel::set_block_skip(skip);
-            let arm = if skip { "skip" } else { "scalar" };
-            let m = jsonout::measure(|| a.intersect(&b).cardinality());
-            let got = a.intersect(&b).to_vec();
-            push(rows, format!("kernel/intersect_probe_{arm}"), m, clusters);
-            (m, got)
-        };
-    let skips_before = kernel::INTERSECT_BLOCK_SKIP.get();
-    let (fast, fast_got) = probe(&mut out, true);
+    let b = GapBitmap::from_sorted(&b_pos, universe);
+    let dir = b.skip_dir();
+    let blind = dir
+        .entries()
+        .iter()
+        .map(|&e| SkipEntry { occ: 0, ..e })
+        .collect();
+    let b_occfree = RidSet::from_positions(GapBitmap::from_code_bits_indexed(
+        b.code_bits().clone(),
+        b.count(),
+        universe,
+        SkipDirectory::from_entries(dir.k(), blind),
+    ));
+    let b = RidSet::from_positions(b);
+    let probe = |rows: &mut Vec<jsonout::JsonResult>,
+                 arm: &str,
+                 other: &RidSet|
+     -> (jsonout::Measured, Vec<u64>) {
+        let m = jsonout::measure(|| a.intersect(other).cardinality());
+        let got = a.intersect(other).to_vec();
+        push(rows, format!("kernel/intersect_probe_{arm}"), m, clusters);
+        (m, got)
+    };
+    let skips_before = counters.intersect_block_skip.get();
+    let (fast, fast_got) = probe(&mut out, "skip", &b);
     assert!(
-        kernel::INTERSECT_BLOCK_SKIP.get() > skips_before,
+        counters.intersect_block_skip.get() > skips_before,
         "occupancy probe skip never fired on the probe workload"
     );
-    let (scalar, scalar_got) = probe(&mut out, false);
-    kernel::set_block_skip(true);
-    assert_eq!(fast_got, scalar_got, "block skip changed the intersection");
+    let (occfree, occfree_got) = probe(&mut out, "occfree", &b_occfree);
+    assert_eq!(
+        fast_got, occfree_got,
+        "occupancy words changed the intersection"
+    );
     assert_eq!(fast_got.len() as u64, clusters.div_ceil(10), "probe hits");
-    let speedup = scalar.ns / fast.ns;
-    println!("    probe-skip speedup over forced scalar: {speedup:.2}x");
+    let speedup = occfree.ns / fast.ns;
+    println!("    probe-skip speedup over the occupancy-free arm: {speedup:.2}x");
     assert!(
         speedup >= min_speedup,
-        "sparse-probe-vs-dense must be ≥{min_speedup}x with block skip (got {speedup:.2}x)"
-    );
-
-    // --- disjoint-cluster intersection: A and B alternate whole
-    // clusters, so every gallop lands both cursors on exactly-summarized
-    // blocks whose occupancy words AND to zero and entire sample blocks
-    // are seated past without decoding a code.
-    let cluster = |first: u64, step: u64, count: u64, len: u64, stride: u64| -> Vec<u64> {
-        (0..count)
-            .flat_map(move |c| (0..len).map(move |j| (first + c * step) * stride + j))
-            .collect()
-    };
-    let ca = cluster(0, 2, clusters.min(200), 256, 8192);
-    let cb = cluster(1, 2, clusters.min(200), 256, 8192);
-    let cu = 8192 * (2 * clusters.min(200) + 1);
-    let da = RidSet::from_positions(GapBitmap::from_sorted(&ca, cu));
-    let db = RidSet::from_positions(GapBitmap::from_sorted(&cb, cu));
-    let ands_before = kernel::INTERSECT_BLOCK_AND.get();
-    kernel::set_block_skip(true);
-    let m_and = jsonout::measure(|| da.intersect(&db).cardinality());
-    assert!(
-        kernel::INTERSECT_BLOCK_AND.get() > ands_before,
-        "block-AND skip never fired on the disjoint-cluster workload"
-    );
-    assert_eq!(da.intersect(&db).cardinality(), 0, "clusters are disjoint");
-    kernel::set_block_skip(false);
-    let m_and_scalar = jsonout::measure(|| da.intersect(&db).cardinality());
-    assert_eq!(da.intersect(&db).cardinality(), 0, "scalar agrees: empty");
-    kernel::set_block_skip(true);
-    push(
-        &mut out,
-        "kernel/intersect_blockand_skip".into(),
-        m_and,
-        ca.len() as u64,
-    );
-    push(
-        &mut out,
-        "kernel/intersect_blockand_scalar".into(),
-        m_and_scalar,
-        ca.len() as u64,
-    );
-    // No speedup gate here: on far-apart clusters the scalar arm's
-    // directory gallop already crosses each gap in one jump, so the
-    // block-AND arm buys decode avoidance (visible in the counter), not
-    // wall clock — the row pair tracks that it stays at parity.
-    println!(
-        "    block-AND arm vs forced scalar: {:.2}x (parity expected; the win is skipped decode work)",
-        m_and_scalar.ns / m_and.ns
+        "sparse-probe-vs-dense must be ≥{min_speedup}x with occupancy words (got {speedup:.2}x)"
     );
     out
 }

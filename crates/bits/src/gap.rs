@@ -115,7 +115,7 @@ impl GapBitmap {
             }
             enc.finish()
         };
-        kernel::ENCODE_BULK.add(1);
+        kernel::metrics().encode_bulk.inc();
         // The reservation bound is exact mathematics, not a guess: when
         // the hint matched the stream, encoding must have fit in place.
         debug_assert!(
@@ -198,7 +198,7 @@ impl GapBitmap {
             }
         }
         sink.finish();
-        kernel::REENCODE_BITSET.add(1);
+        kernel::metrics().reencode_bitset.inc();
         debug_assert_eq!(index, count);
         debug_assert!(bits.len() <= reserved.max(64));
         let cell = OnceLock::new();
@@ -341,7 +341,7 @@ impl GapBitmap {
             count += part.count;
             prev = Some(last);
         }
-        kernel::MERGE_CONCAT.add(1);
+        kernel::metrics().merge_concat.inc();
         Self::from_code_bits(bits, count, universe)
     }
 
@@ -443,7 +443,7 @@ impl GapBitmap {
     /// inside a register-resident 64-bit window is decoded with a shift,
     /// a `leading_zeros` and a shift-extract — one memory load per *word*
     /// of stream instead of per code, runs of unit gaps burst-emitted as
-    /// whole slices, and (with the `simd` feature on supporting CPUs) an
+    /// whole slices, and (on x86_64 CPUs that have the instructions) an
     /// `lzcnt`/BMI-compiled clone of the same loop. Codes longer than 64
     /// bits (gaps ≥ 2³²) take a word-scan fallback and re-synchronize the
     /// window.
@@ -476,8 +476,8 @@ impl GapBitmap {
     /// When the probed bucket's occupancy bit is clear the probe is
     /// answered absent from the directory alone — zero codes decoded.
     pub fn contains(&self, pos: u64) -> bool {
-        if kernel::block_skip_enabled() && self.skip_dir().rules_out(pos) {
-            kernel::CONTAINS_BLOCK_SKIP.add(1);
+        if self.skip_dir().rules_out(pos) {
+            kernel::metrics().contains_block_skip.inc();
             return false;
         }
         match self.skip_dir().seek(pos) {
@@ -576,29 +576,6 @@ impl<'a> GapCursor<'a> {
     /// The element most recently returned, if any.
     pub fn current(&self) -> Option<u64> {
         self.current
-    }
-
-    /// Elements decoded so far — the index of the next element
-    /// [`Self::next`] would yield (so `current()` is element
-    /// `consumed() - 1`).
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Re-seats the cursor *at* directory entry `j` (element index
-    /// `j · K`), so `current()` returns that sample and decoding resumes
-    /// behind it — the block-skipping jump: none of the skipped block's
-    /// codes are decoded. Must only move forward (`j · K ≥ consumed − 1`)
-    /// and `j` must be in range. Returns the sample's position.
-    pub fn seat_at(&mut self, j: usize) -> u64 {
-        let dir = self.bm.skip_dir();
-        let e = dir.entries()[j];
-        let k = u64::from(dir.k());
-        debug_assert!(j as u64 * k + 1 >= self.consumed, "cursor never rewinds");
-        self.src = self.bm.bits.reader_at(e.bit_off);
-        self.consumed = j as u64 * k + 1;
-        self.current = Some(e.pos);
-        e.pos
     }
 
     /// Advances to the next element.
@@ -743,7 +720,7 @@ pub struct GapDecoder<S: BitSource> {
 impl<S: BitSource> GapDecoder<S> {
     /// Decodes `count` positions from `src`.
     pub fn new(src: S, count: u64) -> Self {
-        crate::kernel::DECODE_SCALAR.add(1);
+        crate::kernel::metrics().decode_scalar.inc();
         GapDecoder {
             src,
             remaining: count,

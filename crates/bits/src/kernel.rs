@@ -1,137 +1,117 @@
-//! Kernel-path counters and switches.
+//! Kernel-path counters.
 //!
 //! The bits crate has several implementations of the same logical
 //! operation (window-SWAR vs. lzcnt-accelerated vs. cursor-scalar decode,
-//! occupancy block-skipping vs. plain galloping intersection). These
-//! process-wide relaxed counters record which path actually ran, so a
-//! live server's STATS reply shows the kernel mix and tests can assert a
-//! fast path was exercised (not silently skipped by dispatch). Hot loops
-//! accumulate locally and flush one `fetch_add` per *operation*, never
+//! occupancy block-skipping vs. plain galloping intersection), chosen
+//! only by what the code can observe: the stream's shape and the CPU.
+//! These [`psi_obs`] registry counters record which path actually ran,
+//! so a live server's STATS reply shows the kernel mix and tests can
+//! assert a fast path was exercised (not silently skipped by dispatch).
+//! Hot loops accumulate locally and record once per *operation*, never
 //! per element, so the counters cost nothing on the paths they observe.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// One named kernel counter.
+use psi_obs::{Counter, Registry};
+
+/// Shared handles for the kernel counters.
 #[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
-    value: AtomicU64,
+pub struct KernelMetrics {
+    /// `kernel/decode_swar` — batch decodes served by the portable SWAR
+    /// window kernel.
+    pub decode_swar: Arc<Counter>,
+    /// `kernel/decode_simd` — batch decodes served by the `lzcnt`/BMI
+    /// clone (x86_64 CPUs that have the instructions).
+    pub decode_simd: Arc<Counter>,
+    /// `kernel/decode_scalar` — streams decoded through the scalar
+    /// cursor decoder (`GapDecoder`).
+    pub decode_scalar: Arc<Counter>,
+    /// `kernel/encode_bulk` — encodes that ran through the
+    /// word-accumulating [`crate::BitWriter`].
+    pub encode_bulk: Arc<Counter>,
+    /// `kernel/reencode_bitset` — bitset-accumulate re-encodes
+    /// (`from_words`/`from_words_span`).
+    pub reencode_bitset: Arc<Counter>,
+    /// `kernel/merge_concat` — position-disjoint stored covers spliced
+    /// end to end ([`crate::GapBitmap::concat`]): no decode, no re-encode.
+    pub merge_concat: Arc<Counter>,
+    /// `kernel/intersect_gallop` — intersection probes resolved by
+    /// decoding the other stream (gallop).
+    pub intersect_gallop: Arc<Counter>,
+    /// `kernel/intersect_block_skip` — intersection probes resolved by an
+    /// occupancy word alone: the probed bucket's summary bit was clear,
+    /// so no codes were decoded.
+    pub intersect_block_skip: Arc<Counter>,
+    /// `kernel/contains_block_skip` — membership probes answered absent
+    /// by an occupancy word alone.
+    pub contains_block_skip: Arc<Counter>,
 }
 
-impl Counter {
-    const fn new(name: &'static str) -> Self {
-        Counter {
-            name,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `n` (relaxed; call once per operation with a locally
-    /// accumulated total).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if n > 0 {
-            self.value.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+impl KernelMetrics {
+    /// Every counter with its registry name, in declaration order.
+    fn named(&self) -> [(&'static str, &Counter); 9] {
+        [
+            ("kernel/decode_swar", &self.decode_swar),
+            ("kernel/decode_simd", &self.decode_simd),
+            ("kernel/decode_scalar", &self.decode_scalar),
+            ("kernel/encode_bulk", &self.encode_bulk),
+            ("kernel/reencode_bitset", &self.reencode_bitset),
+            ("kernel/merge_concat", &self.merge_concat),
+            ("kernel/intersect_gallop", &self.intersect_gallop),
+            ("kernel/intersect_block_skip", &self.intersect_block_skip),
+            ("kernel/contains_block_skip", &self.contains_block_skip),
+        ]
     }
 }
 
-/// Batch decodes served by the stable SWAR window kernel.
-pub static DECODE_SWAR: Counter = Counter::new("kernel/decode_swar");
-/// Batch decodes served by the `lzcnt`/BMI-accelerated kernel (requires
-/// the `simd` feature and runtime CPU support).
-pub static DECODE_SIMD: Counter = Counter::new("kernel/decode_simd");
-/// Streams decoded through the scalar cursor decoder (`GapDecoder`).
-pub static DECODE_SCALAR: Counter = Counter::new("kernel/decode_scalar");
-/// Encodes that ran through the word-accumulating [`crate::BitWriter`].
-pub static ENCODE_BULK: Counter = Counter::new("kernel/encode_bulk");
-/// Bitset-accumulate re-encodes (`from_words`/`from_words_span`).
-pub static REENCODE_BITSET: Counter = Counter::new("kernel/reencode_bitset");
-/// Position-disjoint stored covers spliced end to end
-/// ([`crate::GapBitmap::concat`]): no decode, no re-encode.
-pub static MERGE_CONCAT: Counter = Counter::new("kernel/merge_concat");
-/// Intersection probes resolved by decoding the other stream (gallop).
-pub static INTERSECT_GALLOP: Counter = Counter::new("kernel/intersect_gallop");
-/// Intersection probes resolved by an occupancy word alone — the probed
-/// bucket's summary bit was clear, so no codes were decoded.
-pub static INTERSECT_BLOCK_SKIP: Counter = Counter::new("kernel/intersect_block_skip");
-/// Whole sample blocks skipped because the two sides' occupancy words
-/// ANDed to zero (neither block's codes were decoded).
-pub static INTERSECT_BLOCK_AND: Counter = Counter::new("kernel/intersect_block_and");
-/// Membership probes answered absent by an occupancy word alone.
-pub static CONTAINS_BLOCK_SKIP: Counter = Counter::new("kernel/contains_block_skip");
-
-/// All kernel counters, for snapshot surfaces (the serve STATS op).
-pub fn counters() -> [&'static Counter; 10] {
-    [
-        &DECODE_SWAR,
-        &DECODE_SIMD,
-        &DECODE_SCALAR,
-        &ENCODE_BULK,
-        &REENCODE_BITSET,
-        &MERGE_CONCAT,
-        &INTERSECT_GALLOP,
-        &INTERSECT_BLOCK_SKIP,
-        &INTERSECT_BLOCK_AND,
-        &CONTAINS_BLOCK_SKIP,
-    ]
+/// The kernel counters, resolved together once per process from the
+/// global registry (so every one of them shows in a registry snapshot
+/// as soon as any kernel has run).
+pub fn metrics() -> &'static KernelMetrics {
+    static METRICS: OnceLock<KernelMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = Registry::global();
+        KernelMetrics {
+            decode_swar: r.counter("kernel/decode_swar"),
+            decode_simd: r.counter("kernel/decode_simd"),
+            decode_scalar: r.counter("kernel/decode_scalar"),
+            encode_bulk: r.counter("kernel/encode_bulk"),
+            reencode_bitset: r.counter("kernel/reencode_bitset"),
+            merge_concat: r.counter("kernel/merge_concat"),
+            intersect_gallop: r.counter("kernel/intersect_gallop"),
+            intersect_block_skip: r.counter("kernel/intersect_block_skip"),
+            contains_block_skip: r.counter("kernel/contains_block_skip"),
+        }
+    })
 }
 
 /// `(name, value)` snapshot of every kernel counter.
 pub fn snapshot() -> Vec<(&'static str, u64)> {
-    counters().iter().map(|c| (c.name, c.get())).collect()
-}
-
-/// Resets every counter to zero (test isolation).
-pub fn reset() {
-    for c in counters() {
-        c.value.store(0, Ordering::Relaxed);
-    }
-}
-
-static BLOCK_SKIP: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables occupancy-word block skipping in the intersection
-/// and membership kernels. The forced-scalar mode exists for differential
-/// tests and the E20 before/after measurement: results and simulated
-/// `IoStats` must be identical either way.
-pub fn set_block_skip(enabled: bool) {
-    BLOCK_SKIP.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether occupancy-word block skipping is enabled (default true).
-#[inline]
-pub fn block_skip_enabled() -> bool {
-    BLOCK_SKIP.load(Ordering::Relaxed)
+    metrics()
+        .named()
+        .iter()
+        .map(|&(name, c)| (name, c.get()))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // Global instruments are shared by every test in this binary, so
+    // assertions are on deltas, never absolute values.
     #[test]
-    fn counters_accumulate() {
-        // Deltas only: other tests in the process bump these counters
-        // concurrently, so absolute values are not stable.
-        let before = INTERSECT_BLOCK_AND.get();
-        INTERSECT_BLOCK_AND.add(3);
-        INTERSECT_BLOCK_AND.add(0); // no-op, no fetch_add
-        assert!(INTERSECT_BLOCK_AND.get() >= before + 3);
+    fn counters_are_the_registry_instruments() {
+        let m = metrics();
+        assert!(std::ptr::eq(m, metrics()));
+        let before = m.merge_concat.get();
+        m.merge_concat.add(3);
+        assert!(Registry::global().counter("kernel/merge_concat").get() >= before + 3);
         let snap = snapshot();
-        assert!(snap.iter().any(|&(n, _)| n == "kernel/intersect_block_and"));
-        assert_eq!(snap.len(), counters().len());
-    }
-
-    #[test]
-    fn block_skip_toggle_roundtrips() {
-        assert!(block_skip_enabled());
-        set_block_skip(false);
-        assert!(!block_skip_enabled());
-        set_block_skip(true);
+        assert_eq!(snap.len(), m.named().len());
+        let registered = Registry::global().snapshot();
+        for (name, _) in snap {
+            assert!(registered.counter(name).is_some(), "{name} not registered");
+        }
     }
 }

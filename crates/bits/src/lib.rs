@@ -24,15 +24,15 @@
 //!   streams without decoding them;
 //! * [`skip`] — skip directories: sampled `(position, bit offset,
 //!   occupancy word)` entries that make gap streams seekable, powering
-//!   galloping set operations, occupancy block-skipping and
-//!   directory-assisted decoder seeks;
-//! * [`kernel`] — kernel-path counters and switches (which decode /
-//!   intersect implementation actually ran);
+//!   galloping set operations, occupancy probe rule-outs and the
+//!   dual-chain batch decode;
+//! * [`kernel`] — kernel-path counters (which decode / intersect
+//!   implementation actually ran);
 //! * [`entropy`] — empirical 0th-order entropy of symbol strings.
 //!
-//! The `simd` cargo feature adds `lzcnt`/BMI-compiled clones of the
-//! batch-decode kernel, selected by runtime CPU detection; the stable
-//! SWAR code is always compiled and remains the fallback.
+//! On x86_64 the batch-decode kernel also compiles an `lzcnt`/BMI clone,
+//! selected once by runtime CPU detection; the portable SWAR code is
+//! always compiled and remains the fallback.
 
 #![warn(missing_docs)]
 

@@ -48,7 +48,7 @@ pub struct SkipEntry {
     /// *no information* — an exact summary always has bit 0 set (the
     /// sampled element itself) — which is how append paths persist
     /// entries whose blocks may still grow. Intersection and membership
-    /// kernels AND/test these words to rule out whole buckets without
+    /// kernels test these words to rule out whole buckets without
     /// decoding any codes.
     pub occ: u64,
 }
@@ -100,30 +100,6 @@ impl SkipEntry {
         let d = (target >> 6) - (self.pos >> 6);
         d < 64 && (self.occ >> d) & 1 == 0
     }
-}
-
-/// Latest persisted entry with `pos < min_pos` — the restart point for a
-/// directory-assisted seek — found by binary search through
-/// `read_entry(index)` (each probe charges only the blocks it touches).
-/// Returns `(entry_index, entry)`; `None` when decoding must start at
-/// the stream head. Shared by every layer that persists fixed-width
-/// entry arrays, so the off-by-one rank arithmetic lives in one place.
-pub fn search_persisted<F: FnMut(u64) -> SkipEntry>(
-    entries: u64,
-    min_pos: u64,
-    mut read_entry: F,
-) -> Option<(u64, SkipEntry)> {
-    let (mut lo, mut hi) = (0u64, entries);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if read_entry(mid).pos < min_pos {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    let j = lo.checked_sub(1)?;
-    Some((j, read_entry(j)))
 }
 
 /// Streams below this element count persist no skip directory: galloping

@@ -18,12 +18,15 @@
 //! one loop: the out-of-order core overlaps them for close to twice the
 //! throughput on one thread.
 //!
-//! Two bodies of the same `#[inline(always)]` core are compiled: the
-//! stable SWAR path (baseline x86-64 lowers `leading_zeros` to
-//! `bsr`+`cmov`), and — behind the `simd` cargo feature — an
-//! `lzcnt`/BMI-enabled clone selected once per process by runtime CPU
-//! detection. Both are differentially tested against the bit-by-bit
-//! reference decoders in `tests/differential.rs`.
+//! Every choice here depends only on what the code can observe. The
+//! stream's shape picks the chain count and whether the run-of-ones test
+//! is compiled into the drain; the CPU picks the body. On x86_64 an
+//! `lzcnt`/BMI-enabled clone of the same `#[inline(always)]` core is
+//! selected once per process by runtime detection; the portable SWAR
+//! body (baseline x86-64 lowers `leading_zeros` to `bsr`+`cmov`) runs on
+//! other CPUs and targets. Every body is differentially tested against
+//! the bit-by-bit reference decoders (the tests below and
+//! `tests/differential.rs`).
 
 use crate::kernel;
 use crate::skip::SkipDirectory;
@@ -32,16 +35,6 @@ use crate::skip::SkipDirectory;
 /// is available: the dual-chain setup is not worth it under a few
 /// hundred codes.
 const DUAL_MIN_COUNT: u64 = 512;
-
-/// Streams at least this long split four ways instead of two — but only
-/// when the codes are wide (see [`QUAD_MIN_BITS_PER_CODE`]).
-const QUAD_MIN_COUNT: u64 = 8192;
-
-/// Four-way splitting needs wide codes to pay off: with few codes per
-/// 64-bit window the per-window overhead dominates and overlaps across
-/// chains, while for narrow codes the extra chain state costs more in
-/// register pressure than the added overlap returns.
-const QUAD_MIN_BITS_PER_CODE: u64 = 16;
 
 /// Streams whose mean code is at least this wide decode with the
 /// run-of-ones burst test compiled out of the fast drain: runs of unit
@@ -71,55 +64,50 @@ pub(crate) fn decode_gaps(
         return;
     }
     out.reserve(count as usize);
-    let (plan, n) = dir.map_or(([(0usize, 0u64, 0u64); 3], 0), |d| {
-        split_points(d, bit_len, count)
-    });
-    let splits = &plan[..n];
+    let split = dir.and_then(|d| split_point(d, bit_len, count));
     // Unit-gap run bursts only pay when the mean code is short enough
     // for runs to show up at all; wider streams compile the run test out
     // of the hot drain (see `Chain::step` — a unit gap still decodes
     // correctly through the plain gamma path, the burst is only ever an
     // optimization).
     let burst = bit_len / count < BURST_MAX_BITS_PER_CODE;
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if lzcnt_available() {
         // SAFETY: `lzcnt`, `bmi1` and `bmi2` were runtime-detected above.
         let pos = unsafe {
             if burst {
-                decode_core_accel::<true>(words, bit_len, out, count as usize, splits)
+                decode_core_accel::<true>(words, bit_len, out, count as usize, split)
             } else {
-                decode_core_accel::<false>(words, bit_len, out, count as usize, splits)
+                decode_core_accel::<false>(words, bit_len, out, count as usize, split)
             }
         };
-        kernel::DECODE_SIMD.add(1);
+        kernel::metrics().decode_simd.inc();
         check_count(out, count, bit_len, pos);
         return;
     }
     let pos = if burst {
-        decode_core::<true>(words, bit_len, out, count as usize, splits)
+        decode_core::<true>(words, bit_len, out, count as usize, split)
     } else {
-        decode_core::<false>(words, bit_len, out, count as usize, splits)
+        decode_core::<false>(words, bit_len, out, count as usize, split)
     };
-    kernel::DECODE_SWAR.add(1);
+    kernel::metrics().decode_swar.inc();
     check_count(out, count, bit_len, pos);
 }
 
-/// Picks the directory entry nearest one bit-offset `target` of the
-/// stream (balancing decode work, not element counts), returning the
-/// resuming chain's `(element index, value, resume bit offset)`. `min_j`
-/// keeps successive split entries strictly increasing.
-fn split_at(
-    dir: &SkipDirectory,
-    bit_len: u64,
-    count: u64,
-    target: u64,
-    min_j: usize,
-) -> Option<(usize, (usize, u64, u64))> {
+/// Plans the chain split for one decode: the directory entry nearest the
+/// stream's bit midpoint (balancing decode work, not element counts), as
+/// the resuming chain's `(element index, value, resume bit offset)`.
+/// `None` — one chain — for streams under [`DUAL_MIN_COUNT`] codes or
+/// when no interior entry fits.
+fn split_point(dir: &SkipDirectory, bit_len: u64, count: u64) -> Option<(usize, u64, u64)> {
+    if count < DUAL_MIN_COUNT {
+        return None;
+    }
     let entries = dir.entries();
-    let j = entries.partition_point(|e| e.bit_off < target);
+    let j = entries.partition_point(|e| e.bit_off < bit_len / 2);
     // Entry 0 is the first element (offset past its code ≈ 0 bits in):
     // splitting there degenerates the leading chain.
-    if j <= min_j || j >= entries.len() {
+    if j == 0 || j >= entries.len() {
         return None;
     }
     let e = &entries[j];
@@ -129,43 +117,7 @@ fn split_at(
         // count checks still police the result.
         return None;
     }
-    Some((j, (idx as usize, e.pos, e.bit_off)))
-}
-
-/// Plans the chain splits for one decode: three quarter-point splits
-/// (four chains) for long streams, one midpoint split (two chains) for
-/// medium ones, none for short ones — returned as a fixed array plus
-/// the number of valid entries.
-fn split_points(dir: &SkipDirectory, bit_len: u64, count: u64) -> ([(usize, u64, u64); 3], usize) {
-    let mut splits = [(0usize, 0u64, 0u64); 3];
-    if count < DUAL_MIN_COUNT {
-        return (splits, 0);
-    }
-    if count >= QUAD_MIN_COUNT && bit_len / count >= QUAD_MIN_BITS_PER_CODE {
-        let mut j = 0usize;
-        let mut n = 0usize;
-        for t in 1..4u64 {
-            match split_at(dir, bit_len, count, bit_len / 4 * t, j) {
-                Some((nj, s)) => {
-                    splits[n] = s;
-                    n += 1;
-                    j = nj;
-                }
-                None => break,
-            }
-        }
-        if n == 3 {
-            return (splits, 3);
-        }
-        // Couldn't cut clean quarters — fall through to one midpoint cut.
-    }
-    match split_at(dir, bit_len, count, bit_len / 2, 0) {
-        Some((_, s)) => {
-            splits[0] = s;
-            (splits, 1)
-        }
-        None => (splits, 0),
-    }
+    Some((idx as usize, e.pos, e.bit_off))
 }
 
 /// The post-decode count check shared by both dispatch arms: `pos` is
@@ -181,7 +133,7 @@ fn check_count(out: &[u64], count: u64, bit_len: u64, pos: u64) {
 }
 
 /// Whether the accelerated clone may run, detected once per process.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn lzcnt_available() -> bool {
     use std::sync::OnceLock;
     static AVAILABLE: OnceLock<bool> = OnceLock::new();
@@ -195,27 +147,27 @@ fn lzcnt_available() -> bool {
 /// The lzcnt/BMI clone of [`decode_body`]. `leading_zeros` lowers to one
 /// `lzcnt`, variable shifts to `shlx`/`shrx` — same source, shorter
 /// dependency chain per codeword.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "lzcnt,bmi1,bmi2")]
 unsafe fn decode_core_accel<const BURST: bool>(
     words: &[u64],
     bit_len: u64,
     out: &mut Vec<u64>,
     cap: usize,
-    splits: &[(usize, u64, u64)],
+    split: Option<(usize, u64, u64)>,
 ) -> u64 {
-    decode_body::<BURST>(words, bit_len, out, cap, splits)
+    decode_body::<BURST>(words, bit_len, out, cap, split)
 }
 
-/// The stable-Rust SWAR entry point.
+/// The portable SWAR entry point.
 fn decode_core<const BURST: bool>(
     words: &[u64],
     bit_len: u64,
     out: &mut Vec<u64>,
     cap: usize,
-    splits: &[(usize, u64, u64)],
+    split: Option<(usize, u64, u64)>,
 ) -> u64 {
-    decode_body::<BURST>(words, bit_len, out, cap, splits)
+    decode_body::<BURST>(words, bit_len, out, cap, split)
 }
 
 /// One decode chain: an independent cursor over a half-open bit range of
@@ -388,25 +340,12 @@ fn boundary_ok(c: &Chain, split_pos: u64, split_off: u64) -> bool {
     c.idx == c.lim && gap != 0 && c.pos + u64::from(2 * (63 - gap.leading_zeros()) + 1) == split_off
 }
 
-/// Builds the chain that resumes at split `s` and runs to the next
-/// boundary `(end, lim)`.
-#[inline(always)]
-fn resume(s: (usize, u64, u64), end: u64, lim: usize) -> Chain {
-    Chain {
-        pos: s.2,
-        end,
-        idx: s.0 + 1,
-        lim,
-        prev: s.1,
-    }
-}
-
-/// The decode loop shared by both compilations. Emits through a raw
+/// The decode loop shared by both bodies. Emits through a raw
 /// pointer bounded by each chain's slot range (≤ the reserved capacity)
 /// — `Vec::push` would reload and store the length through memory on
-/// every element, which costs more than the decode itself. `splits`
-/// holds zero, one or three directory resume points, giving one, two or
-/// four interleaved chains. Returns the bit position where decoding
+/// every element, which costs more than the decode itself. A `split`
+/// (a directory resume point, see [`split_point`]) gives two interleaved
+/// chains, none gives one. Returns the bit position where decoding
 /// stopped (short of `bit_len` only if an output bound was hit first,
 /// i.e. the stream holds more codes than its count).
 #[inline(always)]
@@ -415,7 +354,7 @@ fn decode_body<const BURST: bool>(
     bit_len: u64,
     out: &mut Vec<u64>,
     cap: usize,
-    splits: &[(usize, u64, u64)],
+    split: Option<(usize, u64, u64)>,
 ) -> u64 {
     debug_assert!(out.is_empty() && out.capacity() >= cap);
     let base = out.as_mut_ptr();
@@ -426,61 +365,24 @@ fn decode_body<const BURST: bool>(
         lim: cap,
         prev: u64::MAX,
     };
-    let (pos, len) = match *splits {
-        // Each split element's value is recorded in the directory — it is
-        // written to its slot directly; the next chain resumes decoding
-        // just past its codeword. The interleaved hot loops run one
+    let (pos, len) = match split {
+        // The split element's value is recorded in the directory — it is
+        // written to its slot directly; the second chain resumes decoding
+        // just past its codeword. The interleaved hot loop runs one
         // window per chain per iteration with no dependency between
-        // them, so the out-of-order core overlaps the decode chains.
-        [s1, s2, s3] if s3.0 < cap => {
-            // SAFETY: `s1.0 < s2.0 < s3.0 < cap` (split indices are
-            // strictly increasing directory samples).
-            unsafe {
-                base.add(s1.0).write(s1.1);
-                base.add(s2.0).write(s2.1);
-                base.add(s3.0).write(s3.1);
-            }
-            a.end = s1.2;
-            a.lim = s1.0;
-            let mut b = resume(s1, s2.2, s2.0);
-            let mut c = resume(s2, s3.2, s3.0);
-            let mut d = resume(s3, bit_len, cap);
-            while a.live() && b.live() && c.live() && d.live() {
-                // SAFETY: each chain stays inside its own slot range.
-                unsafe {
-                    a.step::<BURST>(words, base);
-                    b.step::<BURST>(words, base);
-                    c.step::<BURST>(words, base);
-                    d.step::<BURST>(words, base);
-                }
-            }
-            // Tail drains: with quarter-point splits the chains finish
-            // near-together, so these are short.
-            for ch in [&mut a, &mut b, &mut c, &mut d] {
-                while ch.live() {
-                    // SAFETY: as above.
-                    unsafe { ch.step::<BURST>(words, base) };
-                }
-            }
-            // Validate every boundary front to back so a failure reports
-            // the first disagreeing chain's cursor (its slot prefix is
-            // the initialized one) and the count checks fire.
-            if !boundary_ok(&a, s1.1, s1.2) {
-                (a.pos.min(s1.2.saturating_sub(1)), a.idx)
-            } else if !boundary_ok(&b, s2.1, s2.2) {
-                (b.pos.min(s2.2.saturating_sub(1)), b.idx)
-            } else if !boundary_ok(&c, s3.1, s3.2) {
-                (c.pos.min(s3.2.saturating_sub(1)), c.idx)
-            } else {
-                (d.pos, d.idx)
-            }
-        }
-        [s1] if s1.0 < cap => {
+        // them, so the out-of-order core overlaps the two decode chains.
+        Some(s1) if s1.0 < cap => {
             // SAFETY: `s1.0 < cap`.
             unsafe { base.add(s1.0).write(s1.1) };
             a.end = s1.2;
             a.lim = s1.0;
-            let mut b = resume(s1, bit_len, cap);
+            let mut b = Chain {
+                pos: s1.2,
+                end: bit_len,
+                idx: s1.0 + 1,
+                lim: cap,
+                prev: s1.1,
+            };
             while a.live() && b.live() {
                 // SAFETY: each chain stays inside its own slot range.
                 unsafe {
@@ -513,8 +415,8 @@ fn decode_body<const BURST: bool>(
         }
     };
     // SAFETY: slots `0..len` were written by the chains above (`len`
-    // falls back to the first disagreeing chain's cursor on any early
-    // stop, so the exposed prefix is always initialized).
+    // falls back to the leading chain's cursor when its boundary
+    // disagrees, so the exposed prefix is always initialized).
     unsafe { out.set_len(len) };
     pos
 }
@@ -554,5 +456,100 @@ fn bits_at(words: &[u64], pos: u64, k: u32) -> u64 {
         let hi = words[w] << off >> (64 - k);
         let lo = words[w + 1] >> (64 - (k - avail));
         hi | lo
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{codes, GapBitmap};
+    use proptest::prelude::*;
+
+    type Split = Option<(usize, u64, u64)>;
+
+    /// Runs one decode body over `bm`'s stream into a fresh buffer,
+    /// returning the decoded values and where decoding stopped.
+    fn run(
+        bm: &GapBitmap,
+        split: Split,
+        body: impl FnOnce(&[u64], u64, &mut Vec<u64>, usize, Split) -> u64,
+    ) -> (Vec<u64>, u64) {
+        let mut out = Vec::with_capacity(bm.count() as usize);
+        let pos = body(
+            bm.code_bits().words(),
+            bm.size_bits(),
+            &mut out,
+            bm.count() as usize,
+            split,
+        );
+        (out, pos)
+    }
+
+    proptest! {
+        #[test]
+        fn every_body_equals_the_reference_decoder(
+            widths in proptest::collection::vec(0u32..24, 1..1500),
+            max_width in 0u32..24,
+            salt in any::<u64>(),
+            wide in proptest::collection::vec((0usize..1500, 32u32..61), 0..3),
+        ) {
+            // Gaps of random widths up to `max_width` bits (0: one long
+            // unit-gap run, the burst path), plus a few gaps ≥ 2³² whose
+            // codes outgrow the 64-bit window.
+            let mut gaps: Vec<u64> = widths
+                .iter()
+                .enumerate()
+                .map(|(i, &w)| {
+                    let w = w.min(max_width);
+                    (1u64 << w) | (salt.rotate_left(7 * i as u32) & ((1u64 << w) - 1))
+                })
+                .collect();
+            for &(at, w) in &wide {
+                let at = at % gaps.len();
+                gaps[at] = (1u64 << w) | (salt >> (64 - w));
+            }
+            let mut prev = u64::MAX;
+            let positions: Vec<u64> = gaps
+                .iter()
+                .map(|&g| {
+                    prev = prev.wrapping_add(g);
+                    prev
+                })
+                .collect();
+            let bm = GapBitmap::from_sorted(&positions, prev + 1);
+            let mut r = bm.code_bits().reader();
+            let mut p = u64::MAX;
+            let reference: Vec<u64> = (0..bm.count())
+                .map(|_| {
+                    p = p.wrapping_add(codes::get_gamma_reference(&mut r));
+                    p
+                })
+                .collect();
+            prop_assert_eq!(&reference, &positions);
+            // One chain, and the dual split the directory plans (streams
+            // of 512 or more codes).
+            let planned = split_point(bm.skip_dir(), bm.size_bits(), bm.count());
+            for split in [None, planned] {
+                let mut runs = vec![
+                    ("swar/burst", run(&bm, split, decode_core::<true>)),
+                    ("swar", run(&bm, split, decode_core::<false>)),
+                ];
+                #[cfg(target_arch = "x86_64")]
+                if lzcnt_available() {
+                    // SAFETY: the instructions were runtime-detected.
+                    runs.push(("accel/burst", run(&bm, split, |w, b, o, c, s| unsafe {
+                        decode_core_accel::<true>(w, b, o, c, s)
+                    })));
+                    // SAFETY: as above.
+                    runs.push(("accel", run(&bm, split, |w, b, o, c, s| unsafe {
+                        decode_core_accel::<false>(w, b, o, c, s)
+                    })));
+                }
+                for (body, (got, pos)) in runs {
+                    prop_assert_eq!(&got, &reference, "{} with split {:?}", body, split);
+                    prop_assert!(pos >= bm.size_bits(), "{} stopped at {}", body, pos);
+                }
+            }
+        }
     }
 }

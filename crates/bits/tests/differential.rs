@@ -224,13 +224,14 @@ proptest! {
     }
 
     #[test]
-    fn quad_chain_decode_equals_reference(
+    fn wide_code_dual_chain_decode_equals_reference(
         stride in 40_000u64..100_000,
         jitter in 1u64..1000,
         count in 8192u64..8600,
     ) {
-        // Wide codes (≥ 16 bits each) over ≥ 8192 elements select the
-        // four-chain split; every boundary residue must validate.
+        // Wide codes (≥ 16 bits each, no run-of-ones test in the drain)
+        // over a long stream split into two chains; the boundary residue
+        // must validate.
         let positions: Vec<u64> = (0..count).map(|i| i * stride + (i % jitter)).collect();
         let b = GapBitmap::from_sorted(&positions, count * stride + jitter);
         let _ = b.skip_dir();

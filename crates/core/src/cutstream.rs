@@ -15,8 +15,6 @@
 //! `(position, bit offset)` sample per [`SKIP_SAMPLE`] encoded elements —
 //! in a side extent, written at build/rebuild time and extended by
 //! appends. Directory reads are charged like any other read; they buy
-//! directory-assisted seeks ([`CutStream::seek_decoder`] reads only the
-//! probed directory blocks plus the stream blocks past the sample) and
 //! indexed verbatim copies ([`CutStream::copy_bitmap_indexed`] lifts the
 //! samples with the payload so the returned bitmap supports galloping set
 //! operations without a decode pass).
@@ -274,40 +272,6 @@ impl CutStream {
         assert!(!slot.dead, "directory read of dead slot");
         let mut r = disk.reader(self.dir_ext, slot.dir_off, io);
         SkipDirectory::read_from_source(&mut r, SKIP_SAMPLE, slot.dir_entries)
-    }
-
-    /// A decoder over slot `idx` fast-forwarded past every sampled element
-    /// below `min_pos`: a binary search over the persisted directory
-    /// (charging only the probed blocks) re-seats the decoder at the
-    /// latest sample with position `< min_pos`, so the skipped prefix of
-    /// the stream is never read. Returns the decoder plus the number of
-    /// skipped elements; the first up-to-`K − 1` decoded elements may
-    /// still be below `min_pos`.
-    pub fn seek_decoder<'a>(
-        &self,
-        disk: &'a Disk,
-        idx: usize,
-        io: &'a IoSession,
-        min_pos: u64,
-    ) -> (GapDecoder<DiskReader<'a>>, u64) {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "seek into dead slot");
-        let mut r = disk.reader(self.dir_ext, slot.dir_off, io);
-        let hit = skip::search_persisted(slot.dir_entries, min_pos, |j| {
-            r.skip_to(slot.dir_off + j * SKIP_ENTRY_BITS);
-            SkipEntry::read_from(&mut r)
-        });
-        match hit {
-            None => (self.decoder(disk, idx, io), 0),
-            Some((j, e)) => {
-                let rank = j * u64::from(SKIP_SAMPLE);
-                let src = disk.reader(self.ext, slot.off + e.bit_off, io);
-                (
-                    GapDecoder::resume(src, slot.count - rank - 1, e.pos),
-                    rank + 1,
-                )
-            }
-        }
     }
 
     /// Streaming decoder over slot `idx`, charging `io`.
@@ -634,38 +598,6 @@ mod tests {
         assert!(indexed.contains(3 * 499) && !indexed.contains(3 * 499 - 1));
         assert_eq!(indexed.rank(750), 250);
         assert_eq!(indexed.select(499), Some(1497));
-    }
-
-    #[test]
-    fn seek_decoder_reads_strictly_fewer_blocks() {
-        let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let io = IoSession::untracked();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::None);
-        let positions: Vec<u64> = (0..4000u64).map(|i| i * 5).collect();
-        let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
-        // Full decode charges every payload block.
-        let full_io = IoSession::new();
-        let full: Vec<u64> = cut.decoder(&disk, a, &full_io).collect();
-        assert_eq!(full, positions);
-        // Directory-assisted seek into the tail: decode only elements
-        // ≥ min_pos (after filtering the sample run-in).
-        let min_pos = 5 * 3900;
-        let seek_io = IoSession::new();
-        let (dec, skipped) = cut.seek_decoder(&disk, a, &seek_io, min_pos);
-        assert!(skipped >= 3900 - u64::from(SKIP_SAMPLE) && skipped <= 3900);
-        let tail: Vec<u64> = dec.filter(|&p| p >= min_pos).collect();
-        assert_eq!(tail, positions[3900..]);
-        assert!(
-            seek_io.stats().reads < full_io.stats().reads,
-            "seek {} blocks vs full {}",
-            seek_io.stats().reads,
-            full_io.stats().reads
-        );
-        assert!(seek_io.stats().bits_read < full_io.stats().bits_read);
-        // Seeking below the first element degenerates to the full stream.
-        let (dec, skipped) = cut.seek_decoder(&disk, a, &io, 0);
-        assert_eq!(skipped, 0);
-        assert_eq!(dec.count(), 4000);
     }
 
     #[test]

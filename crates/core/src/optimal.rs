@@ -251,12 +251,13 @@ mod tests {
             seen.insert(plan);
             // A fresh open per query: the pool starts cold.
             let opened = open::<OptimalIndex>(&path, &opts).expect("open");
-            let (concat0, bitset0) = (kernel::MERGE_CONCAT.get(), kernel::REENCODE_BITSET.get());
+            let m = kernel::metrics();
+            let (concat0, bitset0) = (m.merge_concat.get(), m.reencode_bitset.get());
             let io_open = IoSession::new();
             let got = opened.index.query(lo, hi, &io_open);
             let fired = match plan {
-                MergeStrategy::Concat => kernel::MERGE_CONCAT.get() > concat0,
-                MergeStrategy::Bitset => kernel::REENCODE_BITSET.get() > bitset0,
+                MergeStrategy::Concat => m.merge_concat.get() > concat0,
+                MergeStrategy::Bitset => m.reencode_bitset.get() > bitset0,
                 _ => true,
             };
             assert!(fired, "[{lo},{hi}] {plan:?} did not run");

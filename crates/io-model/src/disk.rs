@@ -624,10 +624,9 @@ impl<'a> DiskReader<'a> {
         // identical to the peek/consume path by construction. The
         // engine's covers avoid that path: they lift whole slots with
         // word reads and decode in memory. Decoders that still step
-        // codes through a pooled cursor are directory-assisted seeks
-        // (`seek_decoder`), rebuilds that decode leaf slots, and the
-        // cover merges of the baseline catalogs, the uniform tree and the
-        // approximate index's hashed streams.
+        // codes through a pooled cursor are rebuilds that decode leaf
+        // slots, and the cover merges of the baseline catalogs, the
+        // uniform tree and the approximate index's hashed streams.
         let off = (self.pos % 64) as u32;
         match self.words.get((self.pos / 64) as usize) {
             Some(&w) => (w << off, remaining.min(u64::from(64 - off)) as u32),

@@ -2,8 +2,9 @@
 //!
 //! The per-query read path is shared-state (`&self` all the way down, see
 //! `psi_api::SecondaryIndex`), so throughput over a batch of queries is a
-//! scheduling problem, not a locking one. [`IndexedTable::execute_batch`]
-//! runs a slice of normalized conjunctions on a scoped thread pool
+//! scheduling problem, not a locking one.
+//! [`IndexedTable::execute_batch_settled`] runs a slice of normalized
+//! conjunctions on a scoped thread pool
 //! (`std::thread::scope` — no extra dependencies, no detached threads):
 //!
 //! * the batch is **grouped by lead attribute** before being handed to
@@ -111,27 +112,6 @@ impl IndexedTable {
             .map(|slot| slot.into_inner().expect("every slot filled"))
             .collect()
     }
-
-    /// Executes every query of `batch` and returns the outcomes in input
-    /// order, using up to `threads` worker threads (clamped to the batch
-    /// size; `0` means [`std::thread::available_parallelism`]).
-    ///
-    /// Results are bit-identical to calling
-    /// [`IndexedTable::execute_conjunctive`] on each query in a loop —
-    /// queries never observe each other — and each outcome's `io` is the
-    /// same as its standalone cost. The whole batch is always attempted;
-    /// on failure the first error *in input order* is returned. Callers
-    /// that need the surviving sibling outcomes (one settled result per
-    /// query) should use [`IndexedTable::execute_batch_settled`].
-    pub fn execute_batch(
-        &self,
-        batch: &[ConjunctiveQuery],
-        threads: usize,
-    ) -> Result<Vec<QueryOutcome>, QueryError> {
-        self.execute_batch_settled(batch, threads)
-            .into_iter()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +206,11 @@ mod tests {
             .map(|q| t.execute_conjunctive(q).unwrap())
             .collect();
         for threads in [1, 2, 3, 8, 0] {
-            let parallel = t.execute_batch(&qs, threads).unwrap();
+            let parallel: Vec<QueryOutcome> = t
+                .execute_batch_settled(&qs, threads)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .unwrap();
             assert_eq!(parallel.len(), sequential.len());
             for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
                 assert_eq!(p.rows.to_vec(), s.rows.to_vec(), "query {i} rows");
@@ -243,8 +227,12 @@ mod tests {
             Predicate::point("a", 1).normalize().unwrap(),
             Predicate::point("missing", 1).normalize().unwrap(),
         ];
-        let err = t.execute_batch(&qs, 2).unwrap_err();
-        assert_eq!(err, QueryError::UnknownAttribute("missing".into()));
+        let settled = t.execute_batch_settled(&qs, 2);
+        assert!(settled[0].is_ok());
+        assert_eq!(
+            settled[1].as_ref().unwrap_err(),
+            &QueryError::UnknownAttribute("missing".into())
+        );
     }
 
     /// A panicking index implementation must not kill the worker thread
@@ -307,14 +295,11 @@ mod tests {
             let ok2 = settled[2].as_ref().expect("sibling after survives");
             assert_eq!(ok2.rows.to_vec(), direct_last, "{threads} threads");
         }
-        // The aggregate API reports the first error in input order.
-        let err = t.execute_batch(&qs, 2).unwrap_err();
-        assert!(matches!(err, QueryError::Panicked(_)), "got {err:?}");
     }
 
     #[test]
     fn empty_batch_is_empty() {
         let t = table();
-        assert!(t.execute_batch(&[], 4).unwrap().is_empty());
+        assert!(t.execute_batch_settled(&[], 4).is_empty());
     }
 }

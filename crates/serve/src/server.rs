@@ -325,12 +325,6 @@ impl Shared {
                 Value::Counter(cs.served),
             );
         }
-        // Which decode/intersect kernel paths actually ran: a live check
-        // that the dispatched fast paths (SWAR vs. CPU-accelerated,
-        // occupancy block-skip vs. gallop) are the ones serving queries.
-        for (name, value) in psi_bits::kernel::snapshot() {
-            snap.set(name, Value::Counter(value));
-        }
         for (attr, extents) in self.table.quarantine_snapshot() {
             snap.set(
                 &format!("quarantine/{attr}"),
@@ -400,6 +394,10 @@ impl Server {
         listener_poke: Poke,
         tcp_addr: Option<SocketAddr>,
     ) -> io::Result<Server> {
+        // The `kernel/*` counters (which decode/intersect paths ran) live
+        // in the global registry; resolving them here lists every one in
+        // STATS even before the first query has run a kernel.
+        psi_bits::kernel::metrics();
         let shared = Arc::new(Shared {
             table,
             cfg,

@@ -364,8 +364,9 @@ fn batch_executor_matches_sequential_for_every_family() {
             .map(|q| indexed.execute_conjunctive(q).expect("sequential"))
             .collect();
         for threads in [2, 4, 8] {
-            let parallel = indexed.execute_batch(&batch, threads).expect("batch");
+            let parallel = indexed.execute_batch_settled(&batch, threads);
             for (qi, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
+                let p = p.as_ref().expect("batch");
                 assert_eq!(
                     p.rows.to_vec(),
                     s.rows.to_vec(),
