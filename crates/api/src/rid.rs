@@ -1,12 +1,16 @@
 //! Compressed query results (RID sets).
 //!
 //! Set operations gallop: every [`GapBitmap`] carries (or lazily builds)
-//! a skip directory sampled every [`psi_bits::SKIP_SAMPLE`] elements, so
+//! a skip directory sampled every [`SKIP_SAMPLE`] elements, so
 //! membership, rank and select probe the directory and decode at most
 //! `K − 1` codes, and intersection leapfrogs both streams through
 //! [`psi_bits::GapCursor::next_geq`] instead of scanning `0..universe`.
+//! Where galloping cannot skip — a dense operand with no directory yet,
+//! or one the other side would probe at least once per sample —
+//! intersection decodes the dense operand once into a word bitset
+//! instead ([`RidSet::prefers_words`]).
 
-use psi_bits::{kernel, merge, GapBitmap};
+use psi_bits::{kernel, merge, GapBitmap, SKIP_SAMPLE};
 
 /// A compressed set of row ids (positions) returned by a range query.
 ///
@@ -166,6 +170,45 @@ impl RidSet {
         }
     }
 
+    /// Whether `probes` membership tests against this set — or filtering a
+    /// `probes`-element set through it — should read its word bitset
+    /// ([`Self::to_words`]) rather than its skip directory. Decided from
+    /// counts, the universe and directory state alone: the set must be
+    /// dense (`cardinality · BITSET_MAX_AVG_GAP ≥ universe`, at least one
+    /// element per word on average, so the words are no larger than the
+    /// decoded elements) and galloping must be unable to skip — either
+    /// the stored stream has no materialized directory (the first probe
+    /// would build one with the scalar decoder, slower than the SWAR
+    /// decode into words), or the probes would land at least once per
+    /// [`SKIP_SAMPLE`]-element block anyway. Zero probes never pay for
+    /// the decode.
+    pub fn prefers_words(&self, probes: u64) -> bool {
+        let z = self.cardinality();
+        probes > 0
+            && z.saturating_mul(merge::BITSET_MAX_AVG_GAP) >= self.universe()
+            && (!self.stored.has_skip_dir() || probes.saturating_mul(u64::from(SKIP_SAMPLE)) >= z)
+    }
+
+    /// The logical set as an LSB-first word bitset over the universe
+    /// (bit `p % 64` of word `p / 64`, the layout [`GapBitmap::from_words`]
+    /// reads): the stored stream decoded once by the SWAR kernel
+    /// ([`GapBitmap::or_into_words`]), inverted when complemented with the
+    /// bits past the universe cleared. Builds no skip directory.
+    pub fn to_words(&self) -> Vec<u64> {
+        let n = self.universe();
+        let mut words = vec![0u64; n.div_ceil(64) as usize];
+        self.stored.or_into_words(&mut words);
+        if self.complemented {
+            for w in &mut words {
+                *w = !*w;
+            }
+            if let Some(last) = words.last_mut().filter(|_| !n.is_multiple_of(64)) {
+                *last &= (1 << (n % 64)) - 1;
+            }
+        }
+        words
+    }
+
     /// Normalizes to a non-complemented compressed set (materializing the
     /// complement if needed).
     pub fn into_positions(self) -> GapBitmap {
@@ -179,14 +222,30 @@ impl RidSet {
     /// Intersects two results (RID intersection, the paper's §1 motivating
     /// use). Both must share a universe.
     ///
-    /// Galloping, complement-aware: plain ∧ plain leapfrogs both skip
-    /// directories, mixed representations leapfrog a difference, and
-    /// complement ∧ complement merges the two (small) stored streams and
-    /// stays complemented — never the reference implementation's
-    /// `O(universe)` scan (kept as [`Self::intersect_reference`]).
+    /// Complement-aware, never the reference implementation's
+    /// `O(universe)` scan (kept as [`Self::intersect_reference`]). The arm
+    /// depends only on counts, the universe and directory state:
+    ///
+    /// * when the larger operand [prefers words](Self::prefers_words) for
+    ///   the smaller one's cardinality, it is decoded once into a word
+    ///   bitset (`kernel/intersect_words`): a plain smaller operand's
+    ///   SWAR-decoded positions are filtered through it, a complemented
+    ///   one's words are ANDed in and the result re-encoded;
+    /// * otherwise plain ∧ plain leapfrogs both skip directories and
+    ///   mixed representations leapfrog a difference;
+    /// * complement ∧ complement always merges the two (small) stored
+    ///   streams and stays complemented.
     pub fn intersect(&self, other: &RidSet) -> RidSet {
         assert_eq!(self.universe(), other.universe(), "universe mismatch");
         let n = self.universe();
+        let (small, big) = if self.cardinality() <= other.cardinality() {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        if !(small.complemented && big.complemented) && big.prefers_words(small.cardinality()) {
+            return RidSet::from_positions(words_and(small, big));
+        }
         match (self.complemented, other.complemented) {
             (false, false) => RidSet::from_positions(leapfrog_and(&self.stored, &other.stored, n)),
             (false, true) => RidSet::from_positions(leapfrog_diff(&self.stored, &other.stored, n)),
@@ -224,6 +283,35 @@ impl RidSet {
         });
         RidSet::from_positions(GapBitmap::from_sorted_iter(positions, self.universe()))
     }
+}
+
+/// Word-bitset intersection: `big` decoded once into its logical words
+/// ([`RidSet::to_words`]), then a plain `small` operand's SWAR-decoded
+/// positions filtered through them, or a complemented one's words ANDed
+/// in before one re-encode ([`GapBitmap::from_words`]). Neither
+/// operand's skip directory is built.
+fn words_and(small: &RidSet, big: &RidSet) -> GapBitmap {
+    kernel::metrics().intersect_words.inc();
+    let n = big.universe();
+    let mut words = big.to_words();
+    if small.complemented {
+        for (w, s) in words.iter_mut().zip(small.to_words()) {
+            *w &= s;
+        }
+        return GapBitmap::from_words(&words, n);
+    }
+    let mut rows = small.stored.to_vec();
+    // Branch-free compaction: a kept row advances the write cursor, a
+    // dropped one is overwritten by the next (half the rows of a random
+    // dense filter miss, which a `retain` branch would mispredict).
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        let p = rows[i];
+        rows[kept] = p;
+        kept += ((words[(p >> 6) as usize] >> (p & 63)) & 1) as usize;
+    }
+    rows.truncate(kept);
+    GapBitmap::from_sorted(&rows, n)
 }
 
 /// Credit gate on per-probe occupancy consultation. Each
@@ -509,7 +597,119 @@ mod tests {
         assert_eq!(overlapping, even.intersect_reference(&every));
     }
 
+    /// `RidSet` over the positions `i < n` whose hash lands below
+    /// `per_1024 / 1024`: an unclustered set of the chosen density.
+    fn hashed(n: u64, seed: u64, per_1024: u64, complemented: bool) -> RidSet {
+        let stored = GapBitmap::from_sorted_iter(
+            (0..n).filter(|&i| {
+                let h = (i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (h >> 54) < per_1024
+            }),
+            n,
+        );
+        if complemented {
+            RidSet::from_complement(stored)
+        } else {
+            RidSet::from_positions(stored)
+        }
+    }
+
+    /// The same set with its directory left to build lazily, as
+    /// `GapBitmap::concat` splices leave results.
+    fn lazy(r: &RidSet) -> RidSet {
+        let bm = r.stored();
+        let stored = GapBitmap::from_code_bits(bm.code_bits().clone(), bm.count(), bm.universe());
+        if r.is_complemented() {
+            RidSet::from_complement(stored)
+        } else {
+            RidSet::from_positions(stored)
+        }
+    }
+
+    #[test]
+    fn dense_operands_without_a_directory_intersect_through_words() {
+        let words_runs = || kernel::metrics().intersect_words.get();
+        // Universes on and off a multiple of 64.
+        for n in [4096 + 37, 64 * 70, 5000 - 1] {
+            for (comp_big, comp_small) in [(false, false), (false, true), (true, false)] {
+                // ~47% and ~3% stored (a complemented operand's logical
+                // set is the other ~53% / ~97%): the second operand is
+                // the smaller logical set unless it is complemented.
+                let big = lazy(&hashed(n, 1, 480, comp_big));
+                let small = lazy(&hashed(n, 2, if comp_small { 990 } else { 30 }, comp_small));
+                assert!(small.cardinality() <= big.cardinality());
+                assert!(big.prefers_words(small.cardinality()));
+                let before = words_runs();
+                for got in [big.intersect(&small), small.intersect(&big)] {
+                    assert_eq!(
+                        got,
+                        big.intersect_reference(&small),
+                        "{comp_big} {comp_small}"
+                    );
+                }
+                assert!(words_runs() > before, "word arm never ran");
+                assert!(
+                    !big.stored().has_skip_dir() && !small.stored().has_skip_dir(),
+                    "the word arm built a skip directory"
+                );
+            }
+            // A complemented operand's words stop at the universe.
+            let r = hashed(n, 3, 100, true);
+            assert_eq!(GapBitmap::from_words(&r.to_words(), n).to_vec(), r.to_vec());
+        }
+    }
+
+    #[test]
+    fn dense_operands_with_a_directory_leapfrog_a_small_probe_side() {
+        let gallops = || kernel::metrics().intersect_gallop.get();
+        for n in [1 << 14, (1 << 14) + 21] {
+            for (comp_big, comp_small) in [(false, false), (true, false), (false, true)] {
+                // Encoded sets carry their directory: ~50% dense against
+                // ~0.4%, fewer than one probe per sample block.
+                let big = hashed(n, 4, 512, comp_big);
+                let small = hashed(n, 5, if comp_small { 1020 } else { 4 }, comp_small);
+                assert!(big.stored().has_skip_dir());
+                assert!(small.cardinality() * u64::from(SKIP_SAMPLE) < big.cardinality());
+                assert!(!big.prefers_words(small.cardinality()));
+                let before = gallops();
+                assert_eq!(big.intersect(&small), big.intersect_reference(&small));
+                assert!(gallops() > before, "leapfrog never galloped");
+                // Without its directory the same operand takes the words.
+                assert!(lazy(&big).prefers_words(small.cardinality()));
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn both_intersect_arms_match_the_reference(
+            n in 1u64..3000,
+            seeds in (any::<u64>(), any::<u64>()),
+            per_1024 in (0usize..6, 0usize..6),
+            comp in (any::<bool>(), any::<bool>()),
+            lazy_dir in (any::<bool>(), any::<bool>()),
+        ) {
+            // Densities from ~0.4% to ~98%, every complement combination,
+            // directories materialized or left lazy.
+            const DENSITY: [u64; 6] = [4, 16, 256, 512, 768, 1000];
+            let mk = |seed, d: usize, c, l| {
+                let r = hashed(n, seed, DENSITY[d], c);
+                if l { lazy(&r) } else { r }
+            };
+            let a = mk(seeds.0, per_1024.0, comp.0, lazy_dir.0);
+            let b = mk(seeds.1, per_1024.1, comp.1, lazy_dir.1);
+            let want = a.intersect_reference(&b);
+            let got = a.intersect(&b);
+            prop_assert_eq!(got.to_vec(), want.to_vec());
+            prop_assert_eq!(got.cardinality(), want.cardinality());
+            let (small, big) = if a.cardinality() <= b.cardinality() { (&a, &b) } else { (&b, &a) };
+            if !(comp.0 && comp.1) && big.prefers_words(small.cardinality()) {
+                for (r, l) in [(&a, lazy_dir.0), (&b, lazy_dir.1)] {
+                    prop_assert!(!l || !r.stored().has_skip_dir(), "word arm built a directory");
+                }
+            }
+        }
+
         #[test]
         fn set_ops_match_full_decode_reference(
             pos_a in proptest::collection::btree_set(0u64..2048, 0..300),

@@ -2139,10 +2139,10 @@ pub fn e20() -> Vec<jsonout::JsonResult> {
 /// [`e20`] with explicit sizes (the CI smoke run shrinks both and
 /// loosens the speedup gate for shared-runner noise).
 ///
-/// Emitted rows: `kernel/decode_{sparse13,dense}` (batch decode through
-/// whatever kernel dispatch picks — one or two chains, run-of-ones test
-/// compiled in or out, SWAR or CPU-accelerated — with `per_element_ns`
-/// carrying the headline number) and
+/// Emitted rows: `kernel/decode_{sparse13,dense,dense_random}` (batch
+/// decode through whatever kernel dispatch picks — one or two chains,
+/// run-of-ones test compiled in or out, SWAR or CPU-accelerated — with
+/// `per_element_ns` carrying the headline number) and
 /// `kernel/intersect_probe_{skip,occfree}` (one probe workload against
 /// the dense stream as built, and against the occupancy-free copy: the
 /// same stream and directory with every entry's occupancy word zeroed,
@@ -2160,7 +2160,7 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
 
     head(
         "E20",
-        "kernel layer: dual-chain gamma decode and occupancy probe rule-out vs an occupancy-free copy",
+        "kernel layer: dual-chain gamma decode, run-length burst rule, occupancy probe rule-out vs an occupancy-free copy",
     );
     let mut out: Vec<jsonout::JsonResult> = Vec::new();
     let push = |rows: &mut Vec<jsonout::JsonResult>,
@@ -2185,11 +2185,25 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
         || counters.decode_swar.get() + counters.decode_simd.get() + counters.decode_scalar.get();
 
     // --- batch decode: sparse13 (7-bit codes) takes the dual-chain path
-    // with the run-of-ones test compiled out, dense the burst loop.
+    // with the run-of-ones test compiled out; dense (regular runs of six
+    // unit gaps, ~1.3 bits/code) the burst loop; dense_random (gaps
+    // geometric with mean 2, ~2.3 bits/code — the shape of a served
+    // operand at half density, whose unit-gap runs average two codes)
+    // compiles the run test out again.
     let n = decode_n as u64;
-    let shapes: [(&str, Vec<u64>); 2] = [
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut at = 0u64;
+    let dense_random: Vec<u64> = (0..n)
+        .map(|_| {
+            let p = at;
+            at += 1 + u64::from(rng.gen::<u64>().trailing_zeros());
+            p
+        })
+        .collect();
+    let shapes: [(&str, Vec<u64>); 3] = [
         ("sparse13", (0..n).map(|i| i * 13).collect()),
         ("dense", (0..n).map(|i| i + i / 7).collect()),
+        ("dense_random", dense_random),
     ];
     let mut buf = Vec::with_capacity(decode_n);
     for (name, positions) in &shapes {

@@ -352,6 +352,13 @@ impl GapBitmap {
         self.skip.get_or_init(|| self.build_skip())
     }
 
+    /// Whether the skip directory is already materialized (supplied by a
+    /// constructor or a storage lift, or built by an earlier
+    /// [`Self::skip_dir`] call), so using it costs no decode pass.
+    pub fn has_skip_dir(&self) -> bool {
+        self.skip.get().is_some()
+    }
+
     fn build_skip(&self) -> SkipDirectory {
         let mut skip = SkipDirectory::new(SKIP_SAMPLE);
         let mut src = self.bits.reader();
@@ -443,7 +450,8 @@ impl GapBitmap {
     /// inside a register-resident 64-bit window is decoded with a shift,
     /// a `leading_zeros` and a shift-extract — one memory load per *word*
     /// of stream instead of per code, runs of unit gaps burst-emitted as
-    /// whole slices, and (on x86_64 CPUs that have the instructions) an
+    /// whole slices on run-heavy streams (mean code under 1.5 bits), and
+    /// (on x86_64 CPUs that have the instructions) an
     /// `lzcnt`/BMI-compiled clone of the same loop. Codes longer than 64
     /// bits (gaps ≥ 2³²) take a word-scan fallback and re-synchronize the
     /// window.
@@ -461,6 +469,32 @@ impl GapBitmap {
             self.count,
             self.skip.get(),
             out,
+        );
+    }
+
+    /// ORs the positions into `words` as an LSB-first word bitset over
+    /// the universe — bit `p % 64` of `words[p / 64]` for every element
+    /// `p`, the layout [`Self::from_words`] reads — through the same SWAR
+    /// kernel as [`Self::decode_all`], with no element-sized buffer in
+    /// between: runs of unit gaps set whole masks. Bits already set in
+    /// `words` stay set. Like `decode_all`, this never builds a skip
+    /// directory.
+    ///
+    /// # Panics
+    /// Panics if `words` holds fewer than `⌈universe / 64⌉` words.
+    pub fn or_into_words(&self, words: &mut [u64]) {
+        assert!(
+            words.len() as u64 >= self.universe.div_ceil(64),
+            "{} words cannot hold a universe of {}",
+            words.len(),
+            self.universe
+        );
+        swar::set_gaps(
+            self.bits.words(),
+            self.bits.len(),
+            self.count,
+            self.skip.get(),
+            words,
         );
     }
 
@@ -1019,6 +1053,37 @@ mod tests {
         assert_eq!(c.next_geq(1), Some(6517), "cursor never rewinds");
         assert_eq!(c.next_geq(99_999), None);
         assert_eq!(c.next(), None, "exhausted cursor stays exhausted");
+    }
+
+    #[test]
+    fn or_into_words_sets_the_positions_and_builds_no_directory() {
+        // Runs of unit gaps across word boundaries, isolated elements,
+        // and a universe ending mid-word.
+        let positions: Vec<u64> = (0..2000u64)
+            .filter(|i| i % 97 < 40 || i % 13 == 0)
+            .collect();
+        let universe = 2000 + 11;
+        let encoded = GapBitmap::from_sorted(&positions, universe);
+        assert!(encoded.has_skip_dir(), "encoders pre-fill the directory");
+        let wrapped =
+            GapBitmap::from_code_bits(encoded.code_bits().clone(), encoded.count(), universe);
+        assert!(!wrapped.has_skip_dir());
+        let mut words = vec![0u64; universe.div_ceil(64) as usize];
+        assert!(positions.binary_search(&50).is_err());
+        words[0] = 1 << 50; // not an element: bits already set stay set
+        wrapped.or_into_words(&mut words);
+        assert!(!wrapped.has_skip_dir(), "the word decode built a directory");
+        assert_eq!(words[0] & (1 << 50), 1 << 50);
+        words[0] &= !(1 << 50);
+        assert_eq!(GapBitmap::from_words(&words, universe), encoded);
+        let _ = wrapped.skip_dir();
+        assert!(wrapped.has_skip_dir());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn or_into_words_rejects_a_short_slice() {
+        GapBitmap::from_sorted(&[3, 200], 201).or_into_words(&mut [0u64; 3]);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Kernel-path counters.
 //!
-//! The bits crate has several implementations of the same logical
+//! The workspace has several implementations of the same logical
 //! operation (window-SWAR vs. lzcnt-accelerated vs. cursor-scalar decode,
-//! occupancy block-skipping vs. plain galloping intersection), chosen
-//! only by what the code can observe: the stream's shape and the CPU.
+//! occupancy block-skipping vs. plain galloping vs. word-bitset
+//! intersection), chosen only by what the code can observe: the stream's
+//! shape, whether its skip directory exists, and the CPU.
 //! These [`psi_obs`] registry counters record which path actually ran,
 //! so a live server's STATS reply shows the kernel mix and tests can
 //! assert a fast path was exercised (not silently skipped by dispatch).
@@ -38,6 +39,10 @@ pub struct KernelMetrics {
     /// `kernel/intersect_gallop` — intersection probes resolved by
     /// decoding the other stream (gallop).
     pub intersect_gallop: Arc<Counter>,
+    /// `kernel/intersect_words` — dense intersection operands decoded
+    /// once into a word bitset that the other side is filtered through,
+    /// instead of galloping their skip directories (one per operand).
+    pub intersect_words: Arc<Counter>,
     /// `kernel/intersect_block_skip` — intersection probes resolved by an
     /// occupancy word alone: the probed bucket's summary bit was clear,
     /// so no codes were decoded.
@@ -49,7 +54,7 @@ pub struct KernelMetrics {
 
 impl KernelMetrics {
     /// Every counter with its registry name, in declaration order.
-    fn named(&self) -> [(&'static str, &Counter); 9] {
+    fn named(&self) -> [(&'static str, &Counter); 10] {
         [
             ("kernel/decode_swar", &self.decode_swar),
             ("kernel/decode_simd", &self.decode_simd),
@@ -58,6 +63,7 @@ impl KernelMetrics {
             ("kernel/reencode_bitset", &self.reencode_bitset),
             ("kernel/merge_concat", &self.merge_concat),
             ("kernel/intersect_gallop", &self.intersect_gallop),
+            ("kernel/intersect_words", &self.intersect_words),
             ("kernel/intersect_block_skip", &self.intersect_block_skip),
             ("kernel/contains_block_skip", &self.contains_block_skip),
         ]
@@ -79,6 +85,7 @@ pub fn metrics() -> &'static KernelMetrics {
             reencode_bitset: r.counter("kernel/reencode_bitset"),
             merge_concat: r.counter("kernel/merge_concat"),
             intersect_gallop: r.counter("kernel/intersect_gallop"),
+            intersect_words: r.counter("kernel/intersect_words"),
             intersect_block_skip: r.counter("kernel/intersect_block_skip"),
             contains_block_skip: r.counter("kernel/contains_block_skip"),
         }

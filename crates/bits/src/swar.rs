@@ -1,13 +1,15 @@
 //! SWAR multi-codeword gamma decoding.
 //!
-//! The batch decode kernel behind [`crate::GapBitmap::decode_all`]. The
-//! stream is processed through a 64-bit register window: one (pair of)
-//! word loads per window, then every gamma codeword that lies entirely
-//! inside the register is decoded with a shift, a `leading_zeros` and a
-//! shift-extract — no cursor, no per-code memory traffic, and runs of
-//! unit gaps (leading 1-bits) burst-emitted as whole slices. Codes wider
-//! than the window (gaps ≥ 2³², > 64 code bits) take a word-scan unary
-//! fallback and re-synchronize the window.
+//! The batch decode kernel behind [`crate::GapBitmap::decode_all`] and
+//! [`crate::GapBitmap::or_into_words`]. The stream is processed through
+//! a 64-bit register window: one (pair of) word loads per window, then
+//! every gamma codeword that lies entirely inside the register is
+//! decoded with a shift, a `leading_zeros` and a shift-extract — no
+//! cursor, no per-code memory traffic, and on run-heavy streams runs of
+//! unit gaps (leading 1-bits) burst-emitted whole. Codes wider than the
+//! window (gaps ≥ 2³², > 64 code bits) take a word-scan unary fallback
+//! and re-synchronize the window. One chain loop serves two sinks: the
+//! slots of an output vector, or the bits of a word array.
 //!
 //! Gamma codes chain serially — each codeword's start depends on the
 //! previous one's length — so a single decode loop is bound by its
@@ -36,11 +38,16 @@ use crate::skip::SkipDirectory;
 /// hundred codes.
 const DUAL_MIN_COUNT: u64 = 512;
 
-/// Streams whose mean code is at least this wide decode with the
-/// run-of-ones burst test compiled out of the fast drain: runs of unit
-/// gaps need ~1 bit/code to arise, so past a few bits/code the per-code
-/// test never fires and only costs issue slots.
-const BURST_MAX_BITS_PER_CODE: u64 = 6;
+/// Streams whose mean code is under this many half-bits (1.5 bits) decode
+/// with the run-of-ones burst test compiled into the fast drain. A mean
+/// under 1.5 bits needs at least three quarters of the codes to be unit
+/// gaps (every other gamma code is ≥ 3 bits), so runs average four codes
+/// or more and the burst pays for its test. In random dense streams
+/// (gaps geometric with mean 2, ~2.3 bits/code) runs average two codes:
+/// the test and the burst's variable-length emit loop then mispredict,
+/// and plain gamma decoding of the unit gaps is faster (E20's
+/// `kernel/decode_dense_random` against `kernel/decode_dense`).
+const BURST_MAX_HALF_BITS_PER_CODE: u64 = 3;
 
 /// Decodes `count` gamma gap codes (`bit_len` valid bits of `words`,
 /// MSB-first; first code is `gamma(p₀ + 1)`, the rest gaps) into `out`,
@@ -59,39 +66,138 @@ pub(crate) fn decode_gaps(
     out: &mut Vec<u64>,
 ) {
     out.clear();
-    if count == 0 {
-        assert_eq!(bit_len, 0, "gap stream holds more codes than its count");
-        return;
-    }
     out.reserve(count as usize);
+    let (pos, len) = dispatch(words, bit_len, count, dir, &mut Slots(out.as_mut_ptr()));
+    // SAFETY: the chains wrote slots `0..len` (`len` falls back to the
+    // leading chain's cursor when its boundary disagrees, so the exposed
+    // prefix is always initialized), all within the reserved capacity.
+    unsafe { out.set_len(len) };
+    check_count(len, count, bit_len, pos);
+}
+
+/// Decodes the same stream as [`decode_gaps`], but ORs each element `p`
+/// into bit `p % 64` of `bits[p / 64]` (LSB-first) instead of writing it
+/// to a slot: the universe-aligned word bitset of the set, with no
+/// element-sized buffer in between. Runs of unit gaps are set as masks.
+///
+/// # Panics
+/// As [`decode_gaps`], and if an element lies past `64 · bits.len()`.
+pub(crate) fn set_gaps(
+    words: &[u64],
+    bit_len: u64,
+    count: u64,
+    dir: Option<&SkipDirectory>,
+    bits: &mut [u64],
+) {
+    let (pos, len) = dispatch(words, bit_len, count, dir, &mut Bits(bits));
+    check_count(len, count, bit_len, pos);
+}
+
+/// Picks the chain split, the burst specialization and the body for one
+/// decode of `count` codes into `sink`, returning where decoding stopped
+/// and how many elements it emitted. An empty stream runs no kernel.
+fn dispatch<S: Sink>(
+    words: &[u64],
+    bit_len: u64,
+    count: u64,
+    dir: Option<&SkipDirectory>,
+    sink: &mut S,
+) -> (u64, usize) {
+    if count == 0 {
+        return (0, 0);
+    }
     let split = dir.and_then(|d| split_point(d, bit_len, count));
-    // Unit-gap run bursts only pay when the mean code is short enough
-    // for runs to show up at all; wider streams compile the run test out
-    // of the hot drain (see `Chain::step` — a unit gap still decodes
-    // correctly through the plain gamma path, the burst is only ever an
-    // optimization).
-    let burst = bit_len / count < BURST_MAX_BITS_PER_CODE;
+    // The run-of-ones burst only pays on run-heavy streams; everywhere
+    // else the run test is compiled out of the hot drain (see
+    // `Chain::step` — a unit gap still decodes correctly through the
+    // plain gamma path, the burst is only ever an optimization).
+    let burst = 2 * bit_len < BURST_MAX_HALF_BITS_PER_CODE * count;
+    let cap = count as usize;
     #[cfg(target_arch = "x86_64")]
     if lzcnt_available() {
         // SAFETY: `lzcnt`, `bmi1` and `bmi2` were runtime-detected above.
-        let pos = unsafe {
+        let stop = unsafe {
             if burst {
-                decode_core_accel::<true>(words, bit_len, out, count as usize, split)
+                decode_core_accel::<true, S>(words, bit_len, sink, cap, split)
             } else {
-                decode_core_accel::<false>(words, bit_len, out, count as usize, split)
+                decode_core_accel::<false, S>(words, bit_len, sink, cap, split)
             }
         };
         kernel::metrics().decode_simd.inc();
-        check_count(out, count, bit_len, pos);
-        return;
+        return stop;
     }
-    let pos = if burst {
-        decode_core::<true>(words, bit_len, out, count as usize, split)
+    let stop = if burst {
+        decode_core::<true, S>(words, bit_len, sink, cap, split)
     } else {
-        decode_core::<false>(words, bit_len, out, count as usize, split)
+        decode_core::<false, S>(words, bit_len, sink, cap, split)
     };
     kernel::metrics().decode_swar.inc();
-    check_count(out, count, bit_len, pos);
+    stop
+}
+
+/// Where a decode chain puts its elements. Both methods are told the
+/// element's index in the stream; the chains guarantee every index is
+/// below the decode's `cap`.
+trait Sink {
+    /// Element `idx` of the stream, with value `v`.
+    ///
+    /// # Safety
+    /// `idx < cap`.
+    unsafe fn one(&mut self, idx: usize, v: u64);
+
+    /// Elements `idx .. idx + ones`, with values `prev + 1 ..= prev + ones`
+    /// (a run of `1 ≤ ones ≤ 64` unit gaps).
+    ///
+    /// # Safety
+    /// `idx + ones ≤ cap`.
+    unsafe fn run(&mut self, idx: usize, prev: u64, ones: u32);
+}
+
+/// Writes element `idx` to slot `idx` of storage with at least `cap`
+/// writable slots. A raw pointer, not `Vec::push`, which would reload
+/// and store the length through memory on every element — that costs
+/// more than the decode itself.
+struct Slots(*mut u64);
+
+impl Sink for Slots {
+    #[inline(always)]
+    unsafe fn one(&mut self, idx: usize, v: u64) {
+        // SAFETY: the caller keeps `idx < cap`.
+        unsafe { self.0.add(idx).write(v) };
+    }
+
+    #[inline(always)]
+    unsafe fn run(&mut self, idx: usize, prev: u64, ones: u32) {
+        for d in 0..u64::from(ones) {
+            // SAFETY: the caller keeps `idx + ones ≤ cap`.
+            unsafe { self.0.add(idx + d as usize).write(prev.wrapping_add(d + 1)) };
+        }
+    }
+}
+
+/// Sets bit `v % 64` of word `v / 64` for every element `v`; the element
+/// index is not needed. Indexing is bounds-checked, so a stream that
+/// strays past the slice panics instead of writing out of bounds.
+struct Bits<'a>(&'a mut [u64]);
+
+impl Sink for Bits<'_> {
+    #[inline(always)]
+    unsafe fn one(&mut self, _idx: usize, v: u64) {
+        self.0[(v >> 6) as usize] |= 1 << (v & 63);
+    }
+
+    #[inline(always)]
+    unsafe fn run(&mut self, _idx: usize, prev: u64, ones: u32) {
+        debug_assert!((1..=64).contains(&ones));
+        // Bits `start .. start + ones` span at most two words.
+        let start = prev.wrapping_add(1);
+        let (w, b) = ((start >> 6) as usize, (start & 63) as u32);
+        let mask = u64::MAX >> (64 - ones);
+        self.0[w] |= mask << b;
+        if b + ones > 64 {
+            self.0[w + 1] |= mask >> (64 - b);
+        }
+    }
 }
 
 /// Plans the chain split for one decode: the directory entry nearest the
@@ -120,15 +226,14 @@ fn split_point(dir: &SkipDirectory, bit_len: u64, count: u64) -> Option<(usize, 
     Some((idx as usize, e.pos, e.bit_off))
 }
 
-/// The post-decode count check shared by both dispatch arms: `pos` is
-/// where decoding stopped — short of `bit_len` only when an output
-/// bound was hit with stream left over.
-fn check_count(out: &[u64], count: u64, bit_len: u64, pos: u64) {
+/// The post-decode count check shared by both sinks: `pos` is where
+/// decoding stopped — short of `bit_len` only when an output bound was
+/// hit with stream left over — and `len` how many elements were emitted.
+fn check_count(len: usize, count: u64, bit_len: u64, pos: u64) {
     assert!(pos >= bit_len, "gap stream holds more codes than its count");
     assert!(
-        out.len() as u64 == count,
-        "gap stream ended early: {} of {count} codes in {bit_len} bits",
-        out.len()
+        len as u64 == count,
+        "gap stream ended early: {len} of {count} codes in {bit_len} bits"
     );
 }
 
@@ -149,25 +254,25 @@ fn lzcnt_available() -> bool {
 /// dependency chain per codeword.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "lzcnt,bmi1,bmi2")]
-unsafe fn decode_core_accel<const BURST: bool>(
+unsafe fn decode_core_accel<const BURST: bool, S: Sink>(
     words: &[u64],
     bit_len: u64,
-    out: &mut Vec<u64>,
+    sink: &mut S,
     cap: usize,
     split: Option<(usize, u64, u64)>,
-) -> u64 {
-    decode_body::<BURST>(words, bit_len, out, cap, split)
+) -> (u64, usize) {
+    decode_body::<BURST, S>(words, bit_len, sink, cap, split)
 }
 
 /// The portable SWAR entry point.
-fn decode_core<const BURST: bool>(
+fn decode_core<const BURST: bool, S: Sink>(
     words: &[u64],
     bit_len: u64,
-    out: &mut Vec<u64>,
+    sink: &mut S,
     cap: usize,
     split: Option<(usize, u64, u64)>,
-) -> u64 {
-    decode_body::<BURST>(words, bit_len, out, cap, split)
+) -> (u64, usize) {
+    decode_body::<BURST, S>(words, bit_len, sink, cap, split)
 }
 
 /// One decode chain: an independent cursor over a half-open bit range of
@@ -195,10 +300,9 @@ impl Chain {
     /// Decodes every codeword inside one 64-bit window at `self.pos`.
     ///
     /// # Safety
-    /// `base` must point at storage with at least `self.lim` writable
-    /// slots.
+    /// `sink` must accept element indices below `self.lim`.
     #[inline(always)]
-    unsafe fn step<const BURST: bool>(&mut self, words: &[u64], base: *mut u64) {
+    unsafe fn step<const BURST: bool, S: Sink>(&mut self, words: &[u64], sink: &mut S) {
         let pos = self.pos;
         let end = self.end;
         let lim = self.lim;
@@ -232,16 +336,14 @@ impl Chain {
                 // requirement: with `BURST` off a unit gap decodes
                 // through the gamma path below (`lz = 0` → `len = 1`,
                 // mantissa the 1-bit itself), and the per-code test
-                // disappears from streams whose mean code is too wide
-                // for runs to matter.
+                // disappears from streams whose runs are too short to
+                // pay for it.
                 if BURST && lz == 0 {
                     // Shifted-in zeros cap the run at `64 - used` — no
                     // clamp needed.
                     let ones = (!rest).leading_zeros();
-                    for d in 0..u64::from(ones) {
-                        // SAFETY: `idx + ones ≤ idx + 64 ≤ lim`.
-                        unsafe { base.add(idx + d as usize).write(prev.wrapping_add(d + 1)) };
-                    }
+                    // SAFETY: `idx + ones ≤ idx + 64 ≤ lim`.
+                    unsafe { sink.run(idx, prev, ones) };
                     idx += ones as usize;
                     prev = prev.wrapping_add(u64::from(ones));
                     used += ones;
@@ -258,7 +360,7 @@ impl Chain {
                 prev = prev.wrapping_add(rest >> (63 - 2 * lz));
                 // SAFETY: `idx < idx₀ + 64 ≤ lim` — at most 64 emits per
                 // window.
-                unsafe { base.add(idx).write(prev) };
+                unsafe { sink.one(idx, prev) };
                 idx += 1;
                 used += len;
                 rest <<= len;
@@ -274,10 +376,8 @@ impl Chain {
                         .leading_zeros()
                         .min(valid - used)
                         .min((lim - idx) as u32);
-                    for d in 0..u64::from(ones) {
-                        // SAFETY: `idx + ones ≤ lim` by the clamp above.
-                        unsafe { base.add(idx + d as usize).write(prev.wrapping_add(d + 1)) };
-                    }
+                    // SAFETY: `idx + ones ≤ lim` by the clamp above.
+                    unsafe { sink.run(idx, prev, ones) };
                     idx += ones as usize;
                     prev = prev.wrapping_add(u64::from(ones));
                     used += ones;
@@ -298,7 +398,7 @@ impl Chain {
                 prev = prev.wrapping_add(rest >> (63 - 2 * lz));
                 // SAFETY: `idx < lim` is a loop invariant (checked on entry
                 // and after every emit).
-                unsafe { base.add(idx).write(prev) };
+                unsafe { sink.one(idx, prev) };
                 idx += 1;
                 used += len;
                 if used >= valid || idx >= lim {
@@ -319,7 +419,7 @@ impl Chain {
             let tail = pos + u64::from(n) + 1;
             prev = prev.wrapping_add((1u64 << n) | bits_at(words, tail, n));
             // SAFETY: `idx < lim` checked just above.
-            unsafe { base.add(idx).write(prev) };
+            unsafe { sink.one(idx, prev) };
             idx += 1;
             self.pos = tail + u64::from(n);
         } else {
@@ -340,24 +440,21 @@ fn boundary_ok(c: &Chain, split_pos: u64, split_off: u64) -> bool {
     c.idx == c.lim && gap != 0 && c.pos + u64::from(2 * (63 - gap.leading_zeros()) + 1) == split_off
 }
 
-/// The decode loop shared by both bodies. Emits through a raw
-/// pointer bounded by each chain's slot range (≤ the reserved capacity)
-/// — `Vec::push` would reload and store the length through memory on
-/// every element, which costs more than the decode itself. A `split`
-/// (a directory resume point, see [`split_point`]) gives two interleaved
-/// chains, none gives one. Returns the bit position where decoding
-/// stopped (short of `bit_len` only if an output bound was hit first,
-/// i.e. the stream holds more codes than its count).
+/// The decode loop shared by both bodies and both sinks. Each chain
+/// emits only element indices inside its own slot range, all below
+/// `cap`. A `split` (a directory resume point, see [`split_point`])
+/// gives two interleaved chains, none gives one. Returns the bit
+/// position where decoding stopped (short of `bit_len` only if an
+/// output bound was hit first, i.e. the stream holds more codes than its
+/// count) and the number of leading elements emitted.
 #[inline(always)]
-fn decode_body<const BURST: bool>(
+fn decode_body<const BURST: bool, S: Sink>(
     words: &[u64],
     bit_len: u64,
-    out: &mut Vec<u64>,
+    sink: &mut S,
     cap: usize,
     split: Option<(usize, u64, u64)>,
-) -> u64 {
-    debug_assert!(out.is_empty() && out.capacity() >= cap);
-    let base = out.as_mut_ptr();
+) -> (u64, usize) {
     let mut a = Chain {
         pos: 0,
         end: bit_len,
@@ -365,7 +462,7 @@ fn decode_body<const BURST: bool>(
         lim: cap,
         prev: u64::MAX,
     };
-    let (pos, len) = match split {
+    match split {
         // The split element's value is recorded in the directory — it is
         // written to its slot directly; the second chain resumes decoding
         // just past its codeword. The interleaved hot loop runs one
@@ -373,7 +470,7 @@ fn decode_body<const BURST: bool>(
         // them, so the out-of-order core overlaps the two decode chains.
         Some(s1) if s1.0 < cap => {
             // SAFETY: `s1.0 < cap`.
-            unsafe { base.add(s1.0).write(s1.1) };
+            unsafe { sink.one(s1.0, s1.1) };
             a.end = s1.2;
             a.lim = s1.0;
             let mut b = Chain {
@@ -386,39 +483,35 @@ fn decode_body<const BURST: bool>(
             while a.live() && b.live() {
                 // SAFETY: each chain stays inside its own slot range.
                 unsafe {
-                    a.step::<BURST>(words, base);
-                    b.step::<BURST>(words, base);
+                    a.step::<BURST, S>(words, sink);
+                    b.step::<BURST, S>(words, sink);
                 }
             }
             while a.live() {
                 // SAFETY: as above.
-                unsafe { a.step::<BURST>(words, base) };
+                unsafe { a.step::<BURST, S>(words, sink) };
             }
             while b.live() {
                 // SAFETY: as above.
-                unsafe { b.step::<BURST>(words, base) };
+                unsafe { b.step::<BURST, S>(words, sink) };
             }
             if boundary_ok(&a, s1.1, s1.2) {
                 (b.pos, b.idx)
             } else {
                 // Chain A's region disagrees with the directory: report
-                // its cursor so the count checks fire.
+                // its cursor so the count checks fire, and only the
+                // prefix it emitted.
                 (a.pos.min(s1.2.saturating_sub(1)), a.idx)
             }
         }
         _ => {
             while a.live() {
                 // SAFETY: the single chain owns slots `0..cap`.
-                unsafe { a.step::<BURST>(words, base) };
+                unsafe { a.step::<BURST, S>(words, sink) };
             }
             (a.pos, a.idx)
         }
-    };
-    // SAFETY: slots `0..len` were written by the chains above (`len`
-    // falls back to the leading chain's cursor when its boundary
-    // disagrees, so the exposed prefix is always initialized).
-    unsafe { out.set_len(len) };
-    pos
+    }
 }
 
 /// Zeros before the next 1-bit at `pos` (the unary prefix), scanning
@@ -466,23 +559,51 @@ mod tests {
     use proptest::prelude::*;
 
     type Split = Option<(usize, u64, u64)>;
+    type Body<S> = fn(&[u64], u64, &mut S, usize, Split) -> (u64, usize);
 
-    /// Runs one decode body over `bm`'s stream into a fresh buffer,
-    /// returning the decoded values and where decoding stopped.
-    fn run(
-        bm: &GapBitmap,
-        split: Split,
-        body: impl FnOnce(&[u64], u64, &mut Vec<u64>, usize, Split) -> u64,
-    ) -> (Vec<u64>, u64) {
-        let mut out = Vec::with_capacity(bm.count() as usize);
-        let pos = body(
-            bm.code_bits().words(),
-            bm.size_bits(),
-            &mut out,
-            bm.count() as usize,
-            split,
-        );
-        (out, pos)
+    /// Every decode body for one sink: SWAR with and without the run
+    /// test, and the clone both ways when the CPU has it.
+    fn bodies<S: Sink>() -> Vec<(&'static str, Body<S>)> {
+        let mut out: Vec<(&'static str, Body<S>)> = vec![
+            ("swar/burst", decode_core::<true, S>),
+            ("swar", decode_core::<false, S>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if lzcnt_available() {
+            // SAFETY: the instructions were runtime-detected.
+            out.push(("accel/burst", |w, b, s, c, p| unsafe {
+                decode_core_accel::<true, S>(w, b, s, c, p)
+            }));
+            // SAFETY: as above.
+            out.push(("accel", |w, b, s, c, p| unsafe {
+                decode_core_accel::<false, S>(w, b, s, c, p)
+            }));
+        }
+        out
+    }
+
+    /// Gaps of random widths up to `max_width` bits (0: one long
+    /// unit-gap run, the burst path).
+    fn gaps(widths: &[u32], max_width: u32, salt: u64) -> Vec<u64> {
+        widths
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let w = w.min(max_width);
+                (1u64 << w) | (salt.rotate_left(7 * i as u32) & ((1u64 << w) - 1))
+            })
+            .collect()
+    }
+
+    /// The positions `gaps` code (the first gap is `p₀ + 1`).
+    fn positions(gaps: &[u64]) -> Vec<u64> {
+        let mut prev = u64::MAX;
+        gaps.iter()
+            .map(|&g| {
+                prev = prev.wrapping_add(g);
+                prev
+            })
+            .collect()
     }
 
     proptest! {
@@ -493,30 +614,14 @@ mod tests {
             salt in any::<u64>(),
             wide in proptest::collection::vec((0usize..1500, 32u32..61), 0..3),
         ) {
-            // Gaps of random widths up to `max_width` bits (0: one long
-            // unit-gap run, the burst path), plus a few gaps ≥ 2³² whose
-            // codes outgrow the 64-bit window.
-            let mut gaps: Vec<u64> = widths
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| {
-                    let w = w.min(max_width);
-                    (1u64 << w) | (salt.rotate_left(7 * i as u32) & ((1u64 << w) - 1))
-                })
-                .collect();
+            // Plus a few gaps ≥ 2³² whose codes outgrow the 64-bit window.
+            let mut gaps = gaps(&widths, max_width, salt);
             for &(at, w) in &wide {
                 let at = at % gaps.len();
                 gaps[at] = (1u64 << w) | (salt >> (64 - w));
             }
-            let mut prev = u64::MAX;
-            let positions: Vec<u64> = gaps
-                .iter()
-                .map(|&g| {
-                    prev = prev.wrapping_add(g);
-                    prev
-                })
-                .collect();
-            let bm = GapBitmap::from_sorted(&positions, prev + 1);
+            let positions = positions(&gaps);
+            let bm = GapBitmap::from_sorted(&positions, positions[positions.len() - 1] + 1);
             let mut r = bm.code_bits().reader();
             let mut p = u64::MAX;
             let reference: Vec<u64> = (0..bm.count())
@@ -529,24 +634,56 @@ mod tests {
             // One chain, and the dual split the directory plans (streams
             // of 512 or more codes).
             let planned = split_point(bm.skip_dir(), bm.size_bits(), bm.count());
+            let cap = bm.count() as usize;
             for split in [None, planned] {
-                let mut runs = vec![
-                    ("swar/burst", run(&bm, split, decode_core::<true>)),
-                    ("swar", run(&bm, split, decode_core::<false>)),
-                ];
-                #[cfg(target_arch = "x86_64")]
-                if lzcnt_available() {
-                    // SAFETY: the instructions were runtime-detected.
-                    runs.push(("accel/burst", run(&bm, split, |w, b, o, c, s| unsafe {
-                        decode_core_accel::<true>(w, b, o, c, s)
-                    })));
-                    // SAFETY: as above.
-                    runs.push(("accel", run(&bm, split, |w, b, o, c, s| unsafe {
-                        decode_core_accel::<false>(w, b, o, c, s)
-                    })));
-                }
-                for (body, (got, pos)) in runs {
+                for (body, decode) in bodies::<Slots>() {
+                    let mut got = Vec::with_capacity(cap);
+                    let (pos, len) = decode(
+                        bm.code_bits().words(),
+                        bm.size_bits(),
+                        &mut Slots(got.as_mut_ptr()),
+                        cap,
+                        split,
+                    );
+                    // SAFETY: the body wrote slots `0..len < cap`.
+                    unsafe { got.set_len(len) };
                     prop_assert_eq!(&got, &reference, "{} with split {:?}", body, split);
+                    prop_assert!(pos >= bm.size_bits(), "{} stopped at {}", body, pos);
+                }
+            }
+        }
+
+        #[test]
+        fn every_body_sets_the_reference_bits(
+            widths in proptest::collection::vec(0u32..10, 1..1500),
+            max_width in 0u32..10,
+            salt in any::<u64>(),
+            slack in 0u64..130,
+        ) {
+            // Universes end anywhere in a word, runs straddle word
+            // boundaries, and the dual split may start mid-word.
+            let positions = positions(&gaps(&widths, max_width, salt));
+            let universe = positions.last().unwrap() + 1 + slack;
+            let bm = GapBitmap::from_sorted(&positions, universe);
+            let mut reference = vec![0u64; universe.div_ceil(64) as usize];
+            for &p in &positions {
+                reference[(p / 64) as usize] |= 1 << (p % 64);
+            }
+            let planned = split_point(bm.skip_dir(), bm.size_bits(), bm.count());
+            for split in [None, planned] {
+                // One list per body: each borrows its own output words.
+                for k in 0..bodies::<Bits<'_>>().len() {
+                    let mut got = vec![0u64; reference.len()];
+                    let (body, decode) = bodies()[k];
+                    let (pos, len) = decode(
+                        bm.code_bits().words(),
+                        bm.size_bits(),
+                        &mut Bits(&mut got),
+                        bm.count() as usize,
+                        split,
+                    );
+                    prop_assert_eq!(&got, &reference, "{} with split {:?}", body, split);
+                    prop_assert_eq!(len as u64, bm.count());
                     prop_assert!(pos >= bm.size_bits(), "{} stopped at {}", body, pos);
                 }
             }

@@ -531,13 +531,33 @@ impl IndexedTable {
     }
 }
 
-/// Semi-join combine: stream the first (smallest) result and keep each
-/// row that every other result `contains` — one `O(lg z)` skip-directory
-/// probe per (row, condition), no intermediate re-encoding.
+/// Semi-join combine: decode the first (smallest) result and keep each
+/// row that every other result holds, with no intermediate re-encoding.
+/// A result that [prefers words](RidSet::prefers_words) for that many
+/// probes — dense, and unable to gallop — is decoded once into its word
+/// bitset and tested bit by bit (`kernel/intersect_words`); the others
+/// answer `contains` from their skip directories, one `O(lg z)` probe
+/// per (row, condition).
 fn probe_combine(results: &[RidSet], universe: u64) -> RidSet {
     let (first, rest) = results.split_first().expect("non-empty conjunction");
-    let positions = first.iter().filter(|&p| rest.iter().all(|r| r.contains(p)));
-    RidSet::from_positions(GapBitmap::from_sorted_iter(positions, universe))
+    let probes = first.cardinality();
+    let words: Vec<Option<Vec<u64>>> = rest
+        .iter()
+        .map(|r| {
+            r.prefers_words(probes).then(|| {
+                psi_bits::kernel::metrics().intersect_words.inc();
+                r.to_words()
+            })
+        })
+        .collect();
+    let mut rows = first.to_vec();
+    rows.retain(|&p| {
+        rest.iter().zip(&words).all(|(r, w)| match w {
+            Some(w) => (w[(p >> 6) as usize] >> (p & 63)) & 1 != 0,
+            None => r.contains(p),
+        })
+    });
+    RidSet::from_positions(GapBitmap::from_sorted(&rows, universe))
 }
 
 /// Linear k-way co-scan: advance all logical streams in lockstep,

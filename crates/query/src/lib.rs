@@ -14,7 +14,8 @@
 //!   [`psi_api::SecondaryIndex::cardinality_hint`] — prefix counts and
 //!   catalog directories, read before any payload decode) order the
 //!   intersection ascending and pick a [`CombineStrategy`]: galloping
-//!   intersection, semi-join `contains` probes, or a linear co-scan for
+//!   intersection, a semi-join probing each other result (its skip
+//!   directory, or its word bitset when dense), or a linear co-scan for
 //!   non-selective conjunctions.
 //! * [`IndexedTable`] — the executor: one [`psi_api::SecondaryIndex`]
 //!   per attribute (the paper's engine or any baseline), each condition

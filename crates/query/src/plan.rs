@@ -17,12 +17,15 @@
 pub enum CombineStrategy {
     /// Pairwise galloping intersection in plan order
     /// ([`psi_api::RidSet::intersect`]): each round leapfrogs the larger
-    /// stream through its skip directory. The general-purpose choice.
+    /// stream through its skip directory, or, where galloping cannot
+    /// skip, filters through its word bitset. The general-purpose choice.
     Gallop,
     /// Semi-join: materialize the smallest result, then filter it by
     /// `O(lg z)` [`psi_api::RidSet::contains`] probes against every other
-    /// result — no intermediate re-encoding. Wins when one condition is
-    /// far more selective than the rest.
+    /// result, or by bit tests against the word bitset of a result that
+    /// [prefers words](psi_api::RidSet::prefers_words) — no intermediate
+    /// re-encoding. Wins when one condition is far more selective than
+    /// the rest.
     Probe,
     /// Linear k-way co-scan of all logical streams. When every condition
     /// is non-selective the results are dense (mostly complement

@@ -14,7 +14,10 @@
 //! * **quarantine visibility** — quarantined extents appear as
 //!   `quarantine/<attr>` list entries in the live snapshot;
 //! * **splice visibility** — a position-disjoint cover is spliced, and
-//!   the splice shows live as `kernel/merge_concat`.
+//!   the splice shows live as `kernel/merge_concat`;
+//! * **word-arm visibility** — an intersection of two dense results
+//!   decodes one into a word bitset, and shows live as
+//!   `kernel/intersect_words`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -176,6 +179,38 @@ fn position_disjoint_covers_are_spliced_and_counted_live() {
     assert!(
         spliced(&mut client, 3) > before,
         "the cover was not spliced"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn dense_intersections_take_the_word_arm_and_are_counted_live() {
+    let server = Server::serve(Arc::new(table()), ServeConfig::default()).expect("serve");
+    let mut client = Client::connect(server.addr().expect("tcp addr")).expect("connect");
+    let word_runs = |client: &mut Client, id| {
+        client
+            .stats(id)
+            .expect("stats")
+            .counter("kernel/intersect_words")
+            .expect("kernel/intersect_words missing from the STATS reply")
+    };
+    // Sibling tests share the process-wide kernel counters, so only the
+    // increase is pinned.
+    let before = word_runs(&mut client, 1);
+    // 1500 and 2000 of 4000 rows: each operand is dense, and galloping
+    // one with the other would probe every sample block.
+    let q = Predicate::and([Predicate::range("a", 0, 5), Predicate::range("b", 0, 3)])
+        .normalize()
+        .expect("normalize");
+    let rows = client.call(2, &q).expect("call").body.expect("rows").rows;
+    let want: Vec<u64> = (0..4000u64)
+        .filter(|i| i % 16 <= 5 && (i * 7) % 8 <= 3)
+        .collect();
+    assert_eq!(rows, want);
+    assert!(
+        word_runs(&mut client, 3) > before,
+        "the dense intersection did not take the word arm"
     );
     drop(client);
     server.shutdown();

@@ -12,6 +12,7 @@
 #![allow(dead_code)]
 
 use std::path::PathBuf;
+use std::sync::Once;
 
 use psi::baselines::*;
 use psi::store::PersistIndex;
@@ -197,7 +198,17 @@ pub fn save_all() -> Vec<&'static str> {
 /// Ensures the store files exist (reopening in the same process when the
 /// suite runs standalone; the CI job runs `persistence_save` first in a
 /// separate process and pins `PSI_PERSIST_DIR`).
+///
+/// The check and the save run once per process: the test harness runs
+/// tests on parallel threads, and two concurrent saves of one family
+/// would race on the same temporary file. Later callers block until the
+/// first one has finished saving.
 pub fn ensure_saved() {
+    static SAVED: Once = Once::new();
+    SAVED.call_once(save_missing);
+}
+
+fn save_missing() {
     let missing = [
         "optimal",
         "uniform_tree",
