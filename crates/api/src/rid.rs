@@ -8,7 +8,10 @@
 //! Where galloping cannot skip — a dense operand with no directory yet,
 //! or one the other side would probe at least once per sample —
 //! intersection decodes the dense operand once into a word bitset
-//! instead ([`RidSet::prefers_words`]).
+//! instead ([`RidSet::prefers_words`]). A dense operand stored as plain
+//! words (dense slots are, see [`GapBitmap::from_plain_words`]) has no
+//! directory, so it takes the word bitset, and its words are a copy, not
+//! a decode.
 
 use psi_bits::{kernel, merge, GapBitmap, SKIP_SAMPLE};
 
@@ -179,9 +182,10 @@ impl RidSet {
     /// decoded elements) and galloping must be unable to skip — either
     /// the stored stream has no materialized directory (the first probe
     /// would build one with the scalar decoder, slower than the SWAR
-    /// decode into words), or the probes would land at least once per
-    /// [`SKIP_SAMPLE`]-element block anyway. Zero probes never pay for
-    /// the decode.
+    /// decode into words; a set stored as plain words never has one, and
+    /// its word bitset is a copy), or the probes would land at least once
+    /// per [`SKIP_SAMPLE`]-element block anyway. Zero probes never pay for
+    /// the words.
     pub fn prefers_words(&self, probes: u64) -> bool {
         let z = self.cardinality();
         probes > 0
@@ -191,9 +195,10 @@ impl RidSet {
 
     /// The logical set as an LSB-first word bitset over the universe
     /// (bit `p % 64` of word `p / 64`, the layout [`GapBitmap::from_words`]
-    /// reads): the stored stream decoded once by the SWAR kernel
-    /// ([`GapBitmap::or_into_words`]), inverted when complemented with the
-    /// bits past the universe cleared. Builds no skip directory.
+    /// reads): the stored words copied, or the stored stream decoded once
+    /// by the SWAR kernel ([`GapBitmap::or_into_words`]), inverted when
+    /// complemented with the bits past the universe cleared. Builds no
+    /// skip directory.
     pub fn to_words(&self) -> Vec<u64> {
         let n = self.universe();
         let mut words = vec![0u64; n.div_ceil(64) as usize];
@@ -227,10 +232,11 @@ impl RidSet {
     /// depends only on counts, the universe and directory state:
     ///
     /// * when the larger operand [prefers words](Self::prefers_words) for
-    ///   the smaller one's cardinality, it is decoded once into a word
-    ///   bitset (`kernel/intersect_words`): a plain smaller operand's
-    ///   SWAR-decoded positions are filtered through it, a complemented
-    ///   one's words are ANDed in and the result re-encoded;
+    ///   the smaller one's cardinality, it becomes a word bitset once
+    ///   (`kernel/intersect_words`): a gamma-coded plain smaller operand's
+    ///   SWAR-decoded positions are filtered through it, while a
+    ///   complemented or words-form one's words are ANDed in and the
+    ///   result kept as words where they pay, else re-encoded;
     /// * otherwise plain ∧ plain leapfrogs both skip directories and
     ///   mixed representations leapfrog a difference;
     /// * complement ∧ complement always merges the two (small) stored
@@ -285,11 +291,13 @@ impl RidSet {
     }
 }
 
-/// Word-bitset intersection: `big` decoded once into its logical words
-/// ([`RidSet::to_words`]), then a plain `small` operand's SWAR-decoded
-/// positions filtered through them, or a complemented one's words ANDed
-/// in before one re-encode ([`GapBitmap::from_words`]). Neither
-/// operand's skip directory is built.
+/// Word-bitset intersection: `big` turned once into its logical words
+/// ([`RidSet::to_words`]), then a gamma-coded plain `small` operand's
+/// SWAR-decoded positions filtered through them; a complemented `small`
+/// operand's words, or a words-form one's span, are ANDed in instead, and
+/// the result kept as plain words where they pay
+/// ([`GapBitmap::from_words_auto`]). Neither operand's skip directory is
+/// built.
 fn words_and(small: &RidSet, big: &RidSet) -> GapBitmap {
     kernel::metrics().intersect_words.inc();
     let n = big.universe();
@@ -298,7 +306,12 @@ fn words_and(small: &RidSet, big: &RidSet) -> GapBitmap {
         for (w, s) in words.iter_mut().zip(small.to_words()) {
             *w &= s;
         }
-        return GapBitmap::from_words(&words, n);
+        return GapBitmap::from_words_auto(words, 0, n);
+    }
+    if let Some((base, span)) = small.stored.plain_words() {
+        let at = (base / 64) as usize;
+        let and = span.iter().zip(&words[at..]).map(|(s, w)| s & w).collect();
+        return GapBitmap::from_words_auto(and, base, n);
     }
     let mut rows = small.stored.to_vec();
     // Branch-free compaction: a kept row advances the write cursor, a
@@ -680,7 +693,100 @@ mod tests {
         }
     }
 
+    /// The same set with its stored bitmap in the words form.
+    fn words(r: &RidSet) -> RidSet {
+        let n = r.universe();
+        let mut array = vec![0u64; n.div_ceil(64) as usize];
+        r.stored().or_into_words(&mut array);
+        let stored = GapBitmap::from_plain_words(array, 0, n);
+        if r.is_complemented() {
+            RidSet::from_complement(stored)
+        } else {
+            RidSet::from_positions(stored)
+        }
+    }
+
+    #[test]
+    fn dense_words_operands_take_the_word_arm() {
+        let words_runs = || kernel::metrics().intersect_words.get();
+        let n = 5000 - 3;
+        // A tiny operand would gallop a dense gamma operand's directory;
+        // a words operand has none, so the tiny one filters through a copy.
+        let big = words(&hashed(n, 6, 512, false));
+        let small = hashed(n, 7, 4, false);
+        assert!(big.stored().plain_words().is_some());
+        assert!(big.prefers_words(small.cardinality()));
+        assert!(!big.prefers_words(0));
+        let before = words_runs();
+        assert_eq!(big.intersect(&small), big.intersect_reference(&small));
+        assert!(words_runs() > before, "word arm never ran");
+        // A words operand sparse over the universe (a dense slot with a
+        // narrow span) leapfrogs, as a gamma one would.
+        let rows: Vec<u64> = (0..40).map(|i| 3 * i).collect();
+        let narrow = words(&RidSet::from_positions(GapBitmap::from_sorted(&rows, n)));
+        assert!(!narrow.prefers_words(small.cardinality()));
+        let before = words_runs();
+        assert_eq!(narrow.intersect(&small), narrow.intersect_reference(&small));
+        assert_eq!(words_runs(), before);
+        // Two words operands AND directly and stay words where they pay.
+        let other = words(&hashed(n, 8, 900, false));
+        let both = big.intersect(&other);
+        assert_eq!(both, big.intersect_reference(&other));
+        assert!(both.stored().plain_words().is_some());
+    }
+
     proptest! {
+        #[test]
+        fn words_operands_match_the_reference_for_every_operation(
+            n in 1u64..3000,
+            seeds in (any::<u64>(), any::<u64>()),
+            per_1024 in (0usize..7, 0usize..7),
+            comp in (any::<bool>(), any::<bool>()),
+            forms in (0u8..3, 0u8..3),
+        ) {
+            // Words, eager gamma and lazy gamma operands in every
+            // pairing, every complement combination, universes on and
+            // off a multiple of 64, densities from empty to full.
+            const DENSITY: [u64; 7] = [0, 4, 16, 256, 512, 900, 1024];
+            let mk = |seed, d: usize, c, form| {
+                let r = hashed(n, seed, DENSITY[d], c);
+                match form {
+                    0 => words(&r),
+                    1 => lazy(&r),
+                    _ => r,
+                }
+            };
+            let a = mk(seeds.0, per_1024.0, comp.0, forms.0);
+            let b = mk(seeds.1, per_1024.1, comp.1, forms.1);
+            let gamma_a = hashed(n, seeds.0, DENSITY[per_1024.0], comp.0);
+            let naive: Vec<u64> = gamma_a.iter().collect();
+            prop_assert_eq!(&a, &gamma_a);
+            prop_assert_eq!(a.to_vec(), naive.clone());
+            prop_assert_eq!(a.iter().collect::<Vec<_>>(), naive.clone());
+            prop_assert_eq!(a.cardinality(), naive.len() as u64);
+            prop_assert_eq!(a.to_words(), gamma_a.to_words());
+            for q in 0..=n {
+                prop_assert_eq!(a.rank(q), naive.partition_point(|&p| p < q) as u64);
+                if q < n {
+                    prop_assert_eq!(a.contains(q), naive.binary_search(&q).is_ok());
+                }
+            }
+            for (k, &p) in naive.iter().enumerate().step_by(7) {
+                prop_assert_eq!(a.select(k as u64), Some(p));
+            }
+            prop_assert_eq!(a.select(naive.len() as u64), None);
+            prop_assert_eq!(a.clone().into_positions().to_vec(), naive.clone());
+            let not_a = a.clone().negate();
+            prop_assert_eq!(not_a.cardinality(), n - naive.len() as u64);
+            for (x, y) in [(&a, &b), (&not_a, &b)] {
+                let want = x.intersect_reference(y);
+                let got = x.intersect(y);
+                prop_assert_eq!(got.to_vec(), want.to_vec());
+                prop_assert_eq!(got.cardinality(), want.cardinality());
+                prop_assert_eq!(y.intersect(x).to_vec(), want.to_vec());
+            }
+        }
+
         #[test]
         fn both_intersect_arms_match_the_reference(
             n in 1u64..3000,

@@ -148,9 +148,7 @@ impl BitmapCatalog {
     /// instead of decoding and re-encoding the positions.
     pub fn copy_bitmap(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
         let e = &self.entries[idx];
-        let mut r = disk.reader(self.ext, e.bit_off, io);
-        let mut bits = BitBuf::with_capacity(e.bit_len);
-        bits.extend_from_source(&mut r, e.bit_len);
+        let bits = BitBuf::lift(&mut disk.reader(self.ext, e.bit_off, io), e.bit_len);
         GapBitmap::from_code_bits(bits, e.count, self.universe)
     }
 
@@ -168,9 +166,7 @@ impl BitmapCatalog {
     pub fn copy_bitmap_indexed(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
         let e = &self.entries[idx];
         let skip = self.read_directory(disk, idx, io);
-        let mut r = disk.reader(self.ext, e.bit_off, io);
-        let mut bits = BitBuf::with_capacity(e.bit_len);
-        bits.extend_from_source(&mut r, e.bit_len);
+        let bits = BitBuf::lift(&mut disk.reader(self.ext, e.bit_off, io), e.bit_len);
         GapBitmap::from_code_bits_indexed(bits, e.count, self.universe, skip)
     }
 

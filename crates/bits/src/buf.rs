@@ -135,6 +135,25 @@ impl BitBuf {
         }
     }
 
+    /// Lifts `bit_len` bits from a disk cursor into a new buffer with
+    /// whole-word reads ([`psi_io::DiskReader::read_words`]): the blocks
+    /// and bits charged are those of reading the same bits field by field.
+    /// This is how stored bitmaps are copied into memory verbatim.
+    pub fn lift(src: &mut psi_io::DiskReader<'_>, bit_len: u64) -> BitBuf {
+        let mut words = Vec::with_capacity(bit_len.div_ceil(64) as usize);
+        src.read_words(&mut words, bit_len / 64);
+        let tail = (bit_len % 64) as u32;
+        if tail > 0 {
+            words.push(src.read_bits(tail) << (64 - tail));
+        }
+        BitBuf { words, bit_len }
+    }
+
+    /// The buffer's words, MSB-first (bits past [`Self::len`] are zero).
+    pub fn into_words(self) -> Vec<u64> {
+        self.words
+    }
+
     /// Appends `bits` bits drained from `src` (used to lift disk-resident
     /// code streams into memory; the source is charged as it is read).
     pub fn extend_from_source<S: BitSource>(&mut self, src: &mut S, bits: u64) {

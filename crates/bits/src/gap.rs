@@ -7,13 +7,18 @@
 //! run of `x` zeros costs `2⌊lg(x+1)⌋ + O(1)` bits, so a bitmap with `m`
 //! ones over `[n]` costs `O(m lg(n/m) + m)` bits — within a constant factor
 //! of the information-theoretic minimum `lg C(n, m)` (by concavity of `lg`).
+//!
+//! A set that is dense within its span is smaller as plain words: the
+//! storage layers record that choice per slot, and a [`GapBitmap`] can
+//! hold either form behind the same API ([`GapBitmap::from_plain_words`]).
 
 use std::sync::OnceLock;
 
 use crate::skip::{SkipDirectory, SKIP_SAMPLE};
 use crate::{codes, kernel, swar, BitBuf, BitBufReader, BitSink, BitSource, BitWriter};
 
-/// A compressed bitmap: gamma-coded gaps between consecutive 1-positions.
+/// A compressed bitmap: gamma-coded gaps between consecutive 1-positions,
+/// or plain words over the set's span where those are smaller.
 ///
 /// The element count and universe size are carried as plain metadata (the
 /// paper stores these as node weights in the tree structures); only the gap
@@ -23,33 +28,104 @@ use crate::{codes, kernel, swar, BitBuf, BitBufReader, BitSink, BitSource, BitWr
 /// by the storage layers, or built lazily by one decode pass otherwise —
 /// and makes [`Self::contains`], [`Self::rank`], [`Self::select`] and the
 /// galloping [`GapCursor`] `O(lg(z/K) + K)` instead of `O(z)`.
+///
+/// The words form ([`Self::from_plain_words`]) stores bit `p − base` of an
+/// LSB-first word array for every element `p`, from the word holding the
+/// first element to the word holding the last. It needs no directory:
+/// membership is a bit test, rank and select count bits, and
+/// [`Self::or_into_words`] is a word copy. Equality is by value across
+/// forms.
 #[derive(Debug, Clone, Default)]
 pub struct GapBitmap {
     universe: u64,
     count: u64,
-    bits: BitBuf,
-    /// Lazily materialized skip samples. Excluded from equality: the
-    /// directory is derived data, never part of the bitmap's value.
-    skip: OnceLock<SkipDirectory>,
+    form: Form,
+}
+
+/// How a [`GapBitmap`] holds its elements.
+#[derive(Debug, Clone)]
+enum Form {
+    /// Gamma codes of the gaps, plus lazily materialized skip samples
+    /// (derived data, never part of the bitmap's value).
+    Gaps {
+        bits: BitBuf,
+        skip: OnceLock<SkipDirectory>,
+    },
+    /// Bit `j` of `words[i]` set means position `base + 64i + j` is an
+    /// element. `base` is a multiple of 64, and the first and last words
+    /// are non-zero.
+    Words { base: u64, words: Vec<u64> },
+}
+
+impl Default for Form {
+    fn default() -> Self {
+        Form::Gaps {
+            bits: BitBuf::new(),
+            skip: OnceLock::new(),
+        }
+    }
 }
 
 impl PartialEq for GapBitmap {
     fn eq(&self, other: &Self) -> bool {
-        self.universe == other.universe && self.count == other.count && self.bits == other.bits
+        if self.universe != other.universe || self.count != other.count {
+            return false;
+        }
+        match (&self.form, &other.form) {
+            // Both forms are canonical for a given set.
+            (Form::Gaps { bits: a, .. }, Form::Gaps { bits: b, .. }) => a == b,
+            (Form::Words { base: a, words: x }, Form::Words { base: b, words: y }) => {
+                a == b && x == y
+            }
+            _ => self.iter().eq(other.iter()),
+        }
     }
 }
 
 impl Eq for GapBitmap {}
 
+/// The directory of a words-form bitmap: empty, so every directory
+/// consumer (occupancy rule-outs, gallops) falls through to the words.
+fn no_directory() -> &'static SkipDirectory {
+    static EMPTY: OnceLock<SkipDirectory> = OnceLock::new();
+    EMPTY.get_or_init(|| SkipDirectory::new(SKIP_SAMPLE))
+}
+
+/// Whether plain words over an inclusive position span hold `count`
+/// elements in no more bits than their gamma gaps are estimated to take:
+/// `⌈span/64⌉·64 ≤ count·(2⌊lg(span/count)⌋ + 1)`, the gamma cost of
+/// `count` equal gaps. Metadata only, so covers pick a union's form
+/// before decoding anything. A set denser than half its span is estimated
+/// at one bit per element, the cost of runs of unit gaps, so clustered
+/// runs stay gamma.
+pub fn words_pay(count: u64, first: u64, last: u64) -> bool {
+    if count == 0 {
+        return false;
+    }
+    let span = last - first + 1;
+    let word_bits = (last / 64 - first / 64 + 1) * 64;
+    let lg = u64::from(63 - (span / count).max(1).leading_zeros());
+    word_bits <= count.saturating_mul(2 * lg + 1)
+}
+
 impl GapBitmap {
     /// An empty bitmap over `[0, universe)`.
     pub fn empty(universe: u64) -> Self {
+        Self::gaps(universe, 0, BitBuf::new(), OnceLock::new())
+    }
+
+    fn gaps(universe: u64, count: u64, bits: BitBuf, skip: OnceLock<SkipDirectory>) -> Self {
         GapBitmap {
             universe,
-            count: 0,
-            bits: BitBuf::new(),
-            skip: OnceLock::new(),
+            count,
+            form: Form::Gaps { bits, skip },
         }
+    }
+
+    fn gaps_indexed(universe: u64, count: u64, bits: BitBuf, skip: SkipDirectory) -> Self {
+        let cell = OnceLock::new();
+        let _ = cell.set(skip);
+        Self::gaps(universe, count, bits, cell)
     }
 
     /// Builds from a strictly increasing slice of positions `< universe`.
@@ -123,14 +199,7 @@ impl GapBitmap {
             "encoded {} bits into a {reserved}-bit reservation for {count} elements",
             bits.len()
         );
-        let cell = OnceLock::new();
-        let _ = cell.set(skip);
-        GapBitmap {
-            universe,
-            count,
-            bits,
-            skip: cell,
-        }
+        Self::gaps_indexed(universe, count, bits, skip)
     }
 
     /// Builds from an LSB-first word array: bit `64i + j` of the array
@@ -201,13 +270,67 @@ impl GapBitmap {
         kernel::metrics().reencode_bitset.inc();
         debug_assert_eq!(index, count);
         debug_assert!(bits.len() <= reserved.max(64));
-        let cell = OnceLock::new();
-        let _ = cell.set(skip);
+        Self::gaps_indexed(universe, count, bits, skip)
+    }
+
+    /// Wraps an LSB-first word array as a words-form bitmap, with no
+    /// re-encode: bit `j` of `words[i]` set means position `base + 64i + j`
+    /// is an element. Zero words at either end are trimmed; an all-zero
+    /// array is the empty set.
+    ///
+    /// # Panics
+    /// Panics if `base` is not a multiple of 64 or a set bit lies at or
+    /// beyond `universe`.
+    pub fn from_plain_words(mut words: Vec<u64>, base: u64, universe: u64) -> Self {
+        assert!(base.is_multiple_of(64), "span base must be word-aligned");
+        let Some(first) = words.iter().position(|&w| w != 0) else {
+            return Self::empty(universe);
+        };
+        let last = words
+            .iter()
+            .rposition(|&w| w != 0)
+            .expect("a non-zero word");
+        words.truncate(last + 1);
+        words.drain(..first);
+        let base = base + 64 * first as u64;
+        let top = base + 64 * (words.len() as u64 - 1) + 63
+            - u64::from(words[words.len() - 1].leading_zeros());
+        assert!(top < universe, "position {top} outside universe {universe}");
+        let count = words.iter().map(|w| u64::from(w.count_ones())).sum();
         GapBitmap {
             universe,
             count,
-            bits,
-            skip: cell,
+            form: Form::Words { base, words },
+        }
+    }
+
+    /// Plain words when [`words_pay`], given the array's element count
+    /// and span, says they are no larger than the gamma gaps, else the
+    /// gamma re-encode ([`Self::from_words_span`]).
+    pub fn from_words_auto(words: Vec<u64>, base: u64, universe: u64) -> Self {
+        let count: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+        let first = words.iter().position(|&w| w != 0);
+        let last = words.iter().rposition(|&w| w != 0);
+        match first.zip(last) {
+            Some((f, l))
+                if words_pay(
+                    count,
+                    base + 64 * f as u64 + u64::from(words[f].trailing_zeros()),
+                    base + 64 * l as u64 + 63 - u64::from(words[l].leading_zeros()),
+                ) =>
+            {
+                Self::from_plain_words(words, base, universe)
+            }
+            _ => Self::from_words_span(&words, base, universe),
+        }
+    }
+
+    /// The words form's `(base, words)`: bit `j` of `words[i]` is position
+    /// `base + 64i + j`. `None` for the gamma form.
+    pub fn plain_words(&self) -> Option<(u64, &[u64])> {
+        match &self.form {
+            Form::Words { base, words } => Some((*base, words)),
+            Form::Gaps { .. } => None,
         }
     }
 
@@ -226,14 +349,23 @@ impl GapBitmap {
         self.count == 0
     }
 
-    /// Size of the compressed payload in bits.
+    /// Size of the payload in bits: the gamma codes, or the plain words.
     pub fn size_bits(&self) -> u64 {
-        self.bits.len()
+        match &self.form {
+            Form::Gaps { bits, .. } => bits.len(),
+            Form::Words { words, .. } => 64 * words.len() as u64,
+        }
     }
 
     /// The raw code stream.
+    ///
+    /// # Panics
+    /// Panics on a words-form bitmap, which has no code stream.
     pub fn code_bits(&self) -> &BitBuf {
-        &self.bits
+        match &self.form {
+            Form::Gaps { bits, .. } => bits,
+            Form::Words { .. } => panic!("a words-form bitmap has no gap code stream"),
+        }
     }
 
     /// Wraps an already-encoded gap code stream.
@@ -245,15 +377,9 @@ impl GapBitmap {
     /// copy instead of a decode-reencode round trip; debug builds verify
     /// the stream.
     pub fn from_code_bits(bits: BitBuf, count: u64, universe: u64) -> Self {
-        let b = GapBitmap {
-            universe,
-            count,
-            bits,
-            skip: OnceLock::new(),
-        };
         #[cfg(debug_assertions)]
         {
-            let mut dec = b.iter();
+            let mut dec = GapDecoder::new(bits.reader(), count);
             let mut prev = None;
             for p in dec.by_ref() {
                 debug_assert!(p < universe, "position {p} outside universe {universe}");
@@ -262,11 +388,11 @@ impl GapBitmap {
             }
             debug_assert_eq!(
                 dec.into_source().bit_pos(),
-                b.bits.len(),
+                bits.len(),
                 "code stream length mismatch"
             );
         }
-        b
+        Self::gaps(universe, count, bits, OnceLock::new())
     }
 
     /// [`Self::from_code_bits`] plus a skip directory lifted alongside the
@@ -280,10 +406,9 @@ impl GapBitmap {
         universe: u64,
         skip: SkipDirectory,
     ) -> Self {
-        let b = Self::from_code_bits(bits, count, universe);
         #[cfg(debug_assertions)]
         {
-            let reference = b.build_skip();
+            let reference = build_skip(&bits, count);
             debug_assert!(
                 skip.len() <= reference.len()
                     && skip
@@ -302,17 +427,22 @@ impl GapBitmap {
                 "lifted skip directory disagrees with the stream"
             );
         }
-        let _ = b.skip.set(skip);
+        let b = Self::from_code_bits(bits, count, universe);
+        let Form::Gaps { skip: cell, .. } = &b.form else {
+            unreachable!("from_code_bits builds the gamma form")
+        };
+        let _ = cell.set(skip);
         b
     }
 
     /// Splices non-empty bitmaps whose spans ascend without overlap into
-    /// one bitmap over `universe`, with no decode and no re-encode.
-    /// `spans[i]` is the first and last element of `parts[i]`, known from
-    /// storage metadata: each part's first code (`gamma(first + 1)`) is
-    /// re-coded as the gap from the previous part's last element, and the
-    /// rest of its stream is copied verbatim. The skip directory is left
-    /// to build lazily, as for [`Self::from_code_bits`].
+    /// one gamma-coded bitmap over `universe`, with no decode and no
+    /// re-encode of gamma parts. `spans[i]` is the first and last element
+    /// of `parts[i]`, known from storage metadata: each gamma part's first
+    /// code (`gamma(first + 1)`) is re-coded as the gap from the previous
+    /// part's last element, and the rest of its stream is copied verbatim.
+    /// A words-form part is walked by set bits and gamma-coded. The skip
+    /// directory is left to build lazily, as for [`Self::from_code_bits`].
     ///
     /// # Panics
     /// Panics if the slices differ in length, a part is empty, or a span
@@ -320,24 +450,33 @@ impl GapBitmap {
     pub fn concat(parts: &[GapBitmap], spans: &[(u64, u64)], universe: u64) -> Self {
         assert_eq!(parts.len(), spans.len(), "one span per part");
         // A re-coded first gap is never longer than the code it replaces
-        // (`first - prev ≤ first + 1`), so the summed sizes bound the splice.
-        let mut bits = BitBuf::with_capacity(parts.iter().map(|p| p.bits.len()).sum());
+        // (`first - prev ≤ first + 1`), so the summed sizes bound the
+        // splice of gamma parts.
+        let mut bits = BitBuf::with_capacity(parts.iter().map(GapBitmap::size_bits).sum());
         let mut count = 0u64;
         let mut prev: Option<u64> = None;
         for (part, &(first, last)) in parts.iter().zip(spans) {
             assert!(part.count > 0, "spliced parts must be non-empty");
             debug_assert_eq!(part.iter().next(), Some(first), "span start mismatch");
             debug_assert_eq!(part.iter().last(), Some(last), "span end mismatch");
-            let code = match prev {
-                None => first + 1,
-                Some(q) => {
-                    assert!(first > q, "spans must ascend without overlap");
-                    first - q
+            if let Some(q) = prev {
+                assert!(first > q, "spans must ascend without overlap");
+            }
+            match &part.form {
+                Form::Gaps { bits: codes, .. } => {
+                    codes::put_gamma(&mut bits, prev.map_or(first + 1, |q| first - q));
+                    let head = codes::gamma_len(first + 1);
+                    bits.extend_from_source(&mut codes.reader_at(head), codes.len() - head);
                 }
-            };
-            codes::put_gamma(&mut bits, code);
-            let head = codes::gamma_len(first + 1);
-            bits.extend_from_source(&mut part.bits.reader_at(head), part.bits.len() - head);
+                Form::Words { .. } => {
+                    let mut sink = BitWriter::new(&mut bits);
+                    let mut q = prev;
+                    for p in part.iter() {
+                        codes::put_gamma(&mut sink, q.map_or(p + 1, |q| p - q));
+                        q = Some(p);
+                    }
+                }
+            }
             count += part.count;
             prev = Some(last);
         }
@@ -347,38 +486,37 @@ impl GapBitmap {
 
     /// The skip directory, building it with one decode pass if no
     /// construction or storage path supplied it. CPU-only: the payload is
-    /// already in memory.
+    /// already in memory. A words-form bitmap has an empty directory: its
+    /// operations never need one.
     pub fn skip_dir(&self) -> &SkipDirectory {
-        self.skip.get_or_init(|| self.build_skip())
-    }
-
-    /// Whether the skip directory is already materialized (supplied by a
-    /// constructor or a storage lift, or built by an earlier
-    /// [`Self::skip_dir`] call), so using it costs no decode pass.
-    pub fn has_skip_dir(&self) -> bool {
-        self.skip.get().is_some()
-    }
-
-    fn build_skip(&self) -> SkipDirectory {
-        let mut skip = SkipDirectory::new(SKIP_SAMPLE);
-        let mut src = self.bits.reader();
-        let mut prev = u64::MAX;
-        for i in 0..self.count {
-            prev = prev.wrapping_add(codes::get_gamma(&mut src));
-            skip.observe(i, prev, src.bit_pos());
+        match &self.form {
+            Form::Gaps { bits, skip } => skip.get_or_init(|| build_skip(bits, self.count)),
+            Form::Words { .. } => no_directory(),
         }
-        skip
+    }
+
+    /// Whether a gamma-form skip directory is already materialized
+    /// (supplied by a constructor or a storage lift, or built by an
+    /// earlier [`Self::skip_dir`] call), so using it costs no decode pass.
+    /// Always `false` for the words form, which has no directory.
+    pub fn has_skip_dir(&self) -> bool {
+        match &self.form {
+            Form::Gaps { skip, .. } => skip.get().is_some(),
+            Form::Words { .. } => false,
+        }
     }
 
     /// A decoder re-seated just past sampled element `rank` (`entry` from
-    /// this bitmap's directory), ready to yield element `rank + 1`.
-    fn resume_after(
+    /// the directory of the gamma stream `bits`), ready to yield element
+    /// `rank + 1`.
+    fn resume_after<'a>(
         &self,
+        bits: &'a BitBuf,
         rank: u64,
         entry: crate::skip::SkipEntry,
-    ) -> GapDecoder<BitBufReader<'_>> {
+    ) -> GapDecoder<BitBufReader<'a>> {
         GapDecoder::resume(
-            self.bits.reader_at(entry.bit_off),
+            bits.reader_at(entry.bit_off),
             self.count - rank - 1,
             entry.pos,
         )
@@ -386,8 +524,23 @@ impl GapBitmap {
 
     /// Number of elements strictly below `pos` (`rank₁`), in
     /// `O(lg(z/K) + K)` via the skip directory (linear for directory-less
-    /// tiny sets).
+    /// tiny sets), or by counting the words' bits below `pos`.
     pub fn rank(&self, pos: u64) -> u64 {
+        let bits = match &self.form {
+            Form::Gaps { bits, .. } => bits,
+            Form::Words { base, words } => {
+                let rel = pos.saturating_sub(*base);
+                let full = ((rel / 64) as usize).min(words.len());
+                let head: u64 = words[..full]
+                    .iter()
+                    .map(|w| u64::from(w.count_ones()))
+                    .sum();
+                let part = words
+                    .get(full)
+                    .map_or(0, |w| (w & ((1u64 << (rel % 64)) - 1)).count_ones());
+                return head + u64::from(part);
+            }
+        };
         match self.skip_dir().seek(pos) {
             None => {
                 // Either the first element exceeds `pos`, or a lifted
@@ -401,7 +554,7 @@ impl GapBitmap {
             Some((r, e)) if e.pos >= pos => r,
             Some((r, e)) => {
                 let mut rank = r + 1;
-                for p in self.resume_after(r, e) {
+                for p in self.resume_after(bits, r, e) {
                     if p >= pos {
                         break;
                     }
@@ -414,33 +567,75 @@ impl GapBitmap {
 
     /// The `k`-th element (0-indexed), or `None` when `k ≥ count`, in
     /// `O(lg(z/K) + K)` via the skip directory (linear for directory-less
-    /// tiny sets).
+    /// tiny sets), or by counting the words' bits up to the element.
     pub fn select(&self, k: u64) -> Option<u64> {
         if k >= self.count {
             return None;
         }
+        let bits = match &self.form {
+            Form::Gaps { bits, .. } => bits,
+            Form::Words { base, words } => {
+                let mut left = k;
+                for (i, &w) in words.iter().enumerate() {
+                    let ones = u64::from(w.count_ones());
+                    if left < ones {
+                        let mut w = w;
+                        for _ in 0..left {
+                            w &= w - 1;
+                        }
+                        return Some(base + 64 * i as u64 + u64::from(w.trailing_zeros()));
+                    }
+                    left -= ones;
+                }
+                unreachable!("count covers every set bit")
+            }
+        };
         let Some((r, e)) = self.skip_dir().seek_rank(k) else {
             return self.iter().nth(k as usize); // empty lifted directory
         };
         if r == k {
             return Some(e.pos);
         }
-        self.resume_after(r, e).nth((k - r - 1) as usize)
+        self.resume_after(bits, r, e).nth((k - r - 1) as usize)
+    }
+
+    /// The smallest element `≥ from`, for the words form.
+    fn words_from(base: u64, words: &[u64], from: u64) -> Option<u64> {
+        let rel = from.saturating_sub(base);
+        let mut i = (rel / 64) as usize;
+        let mut w = words.get(i)? & (u64::MAX << (rel % 64));
+        while w == 0 {
+            i += 1;
+            w = *words.get(i)?;
+        }
+        Some(base + 64 * i as u64 + u64::from(w.trailing_zeros()))
     }
 
     /// A galloping cursor over the elements (see [`GapCursor`]).
     pub fn cursor(&self) -> GapCursor<'_> {
         GapCursor {
             bm: self,
-            src: self.bits.reader(),
+            src: match &self.form {
+                Form::Gaps { bits, .. } => Some(bits.reader()),
+                Form::Words { .. } => None,
+            },
             consumed: 0,
             current: None,
         }
     }
 
     /// Iterates the 1-positions in increasing order.
-    pub fn iter(&self) -> GapDecoder<BitBufReader<'_>> {
-        GapDecoder::new(self.bits.reader(), self.count)
+    pub fn iter(&self) -> GapIter<'_> {
+        GapIter(match &self.form {
+            Form::Gaps { bits, .. } => Walk::Gaps(GapDecoder::new(bits.reader(), self.count)),
+            Form::Words { base, words } => Walk::Words {
+                base: *base,
+                words,
+                idx: 0,
+                word: words.first().copied().unwrap_or(0),
+                remaining: self.count,
+            },
+        })
     }
 
     /// Decodes all positions into `out` (cleared first) — the batch
@@ -461,24 +656,27 @@ impl GapBitmap {
     /// independent, interleaved chains — gamma codes chain serially, so
     /// two dependency chains nearly double one core's decode throughput.
     /// (A directory is never *built* for this: absent one, the decode is
-    /// single-chain.)
+    /// single-chain.) The words form walks its set bits instead.
     pub fn decode_all(&self, out: &mut Vec<u64>) {
-        swar::decode_gaps(
-            self.bits.words(),
-            self.bits.len(),
-            self.count,
-            self.skip.get(),
-            out,
-        );
+        match &self.form {
+            Form::Gaps { bits, skip } => {
+                swar::decode_gaps(bits.words(), bits.len(), self.count, skip.get(), out);
+            }
+            Form::Words { .. } => {
+                out.clear();
+                out.reserve(self.count as usize);
+                out.extend(self.iter());
+            }
+        }
     }
 
     /// ORs the positions into `words` as an LSB-first word bitset over
     /// the universe — bit `p % 64` of `words[p / 64]` for every element
-    /// `p`, the layout [`Self::from_words`] reads — through the same SWAR
-    /// kernel as [`Self::decode_all`], with no element-sized buffer in
-    /// between: runs of unit gaps set whole masks. Bits already set in
-    /// `words` stay set. Like `decode_all`, this never builds a skip
-    /// directory.
+    /// `p`, the layout [`Self::from_words`] reads. A gamma stream runs
+    /// through the same SWAR kernel as [`Self::decode_all`], with no
+    /// element-sized buffer in between: runs of unit gaps set whole masks.
+    /// The words form is ORed in word by word, with no shift. Bits already
+    /// set in `words` stay set. This never builds a skip directory.
     ///
     /// # Panics
     /// Panics if `words` holds fewer than `⌈universe / 64⌉` words.
@@ -489,13 +687,39 @@ impl GapBitmap {
             words.len(),
             self.universe
         );
-        swar::set_gaps(
-            self.bits.words(),
-            self.bits.len(),
-            self.count,
-            self.skip.get(),
-            words,
-        );
+        self.or_into_span(words, 0);
+    }
+
+    /// [`Self::or_into_words`] into the word-aligned span starting at
+    /// `base`: element `p` sets bit `(p − base) % 64` of
+    /// `words[(p − base) / 64]`.
+    ///
+    /// # Panics
+    /// Panics if `base` is not a multiple of 64, or an element lies
+    /// outside the span.
+    pub fn or_into_span(&self, words: &mut [u64], base: u64) {
+        assert!(base.is_multiple_of(64), "span base must be word-aligned");
+        match &self.form {
+            Form::Gaps { bits, skip } => {
+                swar::set_gaps(
+                    bits.words(),
+                    bits.len(),
+                    self.count,
+                    skip.get(),
+                    words,
+                    base,
+                );
+            }
+            Form::Words {
+                base: at,
+                words: own,
+            } => {
+                let start = ((at - base) / 64) as usize;
+                for (w, &x) in words[start..start + own.len()].iter_mut().zip(own) {
+                    *w |= x;
+                }
+            }
+        }
     }
 
     /// Decodes all positions into a vector.
@@ -508,8 +732,18 @@ impl GapBitmap {
     /// Membership test: a directory probe plus at most `K − 1` decoded
     /// codes (`O(lg(z/K) + K)` instead of the pre-directory `O(z)` scan).
     /// When the probed bucket's occupancy bit is clear the probe is
-    /// answered absent from the directory alone — zero codes decoded.
+    /// answered absent from the directory alone — zero codes decoded. The
+    /// words form tests one bit.
     pub fn contains(&self, pos: u64) -> bool {
+        let bits = match &self.form {
+            Form::Gaps { bits, .. } => bits,
+            Form::Words { base, words } => {
+                return pos >= *base
+                    && words
+                        .get(((pos - base) / 64) as usize)
+                        .is_some_and(|w| (w >> ((pos - base) % 64)) & 1 == 1);
+            }
+        };
         if self.skip_dir().rules_out(pos) {
             kernel::metrics().contains_block_skip.inc();
             return false;
@@ -522,7 +756,7 @@ impl GapBitmap {
             }
             Some((_, e)) if e.pos == pos => true,
             Some((r, e)) => {
-                for p in self.resume_after(r, e) {
+                for p in self.resume_after(bits, r, e) {
                     if p >= pos {
                         return p == pos;
                     }
@@ -532,19 +766,28 @@ impl GapBitmap {
         }
     }
 
-    /// Appends this bitmap's raw code stream to a sink (used when
+    /// Appends this bitmap's gap code stream to a sink (used when
     /// concatenating per-node bitmaps into a level stream on disk). A
-    /// 64-bit-aligned sink receives a whole-word copy.
+    /// 64-bit-aligned sink receives a whole-word copy of a gamma stream;
+    /// the words form is gamma-coded on the way out.
     pub fn write_codes_to<S: BitSink>(&self, sink: &mut S) {
-        sink.put_bits_bulk(self.bits.words(), self.bits.len());
+        match &self.form {
+            Form::Gaps { bits, .. } => sink.put_bits_bulk(bits.words(), bits.len()),
+            Form::Words { .. } => {
+                let mut enc = GapEncoder::new(sink);
+                for p in self.iter() {
+                    enc.push(p);
+                }
+            }
+        }
     }
 
     /// The complement set over the same universe (used by Theorem 1's
     /// `z > n/2` trick when a materialized complement is required).
     ///
-    /// Walks the gap stream run by run: each decoded 1-position closes a
-    /// run of complement elements, whose encoding is one gap code followed
-    /// by unit gaps — appended as whole words of 1-bits rather than
+    /// Walks the elements run by run: each 1-position closes a run of
+    /// complement elements, whose encoding is one gap code followed by
+    /// unit gaps — appended as whole words of 1-bits rather than
     /// re-encoding every element through the generic path.
     pub fn complement(&self) -> GapBitmap {
         let universe = self.universe;
@@ -580,13 +823,20 @@ impl GapBitmap {
             }
             emit_run(&mut sink, &mut prev, next_free, universe);
         }
-        GapBitmap {
-            universe,
-            count: universe - self.count,
-            bits,
-            skip: OnceLock::new(),
-        }
+        Self::gaps(universe, universe - self.count, bits, OnceLock::new())
     }
+}
+
+/// Builds the skip directory of `count` gamma codes with one decode pass.
+fn build_skip(bits: &BitBuf, count: u64) -> SkipDirectory {
+    let mut skip = SkipDirectory::new(SKIP_SAMPLE);
+    let mut src = bits.reader();
+    let mut prev = u64::MAX;
+    for i in 0..count {
+        prev = prev.wrapping_add(codes::get_gamma(&mut src));
+        skip.observe(i, prev, src.bit_pos());
+    }
+    skip
 }
 
 /// A forward-only cursor with galloping seeks.
@@ -596,11 +846,14 @@ impl GapBitmap {
 /// the cursor, using the skip directory to jump over sampled runs of
 /// smaller elements (re-seating the decoder at a sample costs one binary
 /// search and no decoding), then decoding at most `K − 1` codes linearly.
+/// Over the words form, a seek scans words from the target's word.
 #[derive(Debug)]
 pub struct GapCursor<'a> {
     bm: &'a GapBitmap,
-    src: BitBufReader<'a>,
-    /// Elements decoded so far (index of the next element to decode).
+    /// The gamma stream's reader (`None` for the words form).
+    src: Option<BitBufReader<'a>>,
+    /// Elements decoded so far (index of the next element to decode);
+    /// the words form only records whether the cursor has started.
     consumed: u64,
     /// The element most recently returned.
     current: Option<u64>,
@@ -612,14 +865,31 @@ impl<'a> GapCursor<'a> {
         self.current
     }
 
+    /// Moves a words-form cursor to the smallest element `≥ from`.
+    fn seek_words(&mut self, from: u64) -> Option<u64> {
+        let Form::Words { base, words } = &self.bm.form else {
+            unreachable!("gamma cursors decode")
+        };
+        self.consumed = 1;
+        self.current = GapBitmap::words_from(*base, words, from);
+        self.current
+    }
+
     /// Advances to the next element.
     #[allow(clippy::should_implement_trait)] // iterator-like, but `next_geq` is the point
     pub fn next(&mut self) -> Option<u64> {
+        let Some(src) = self.src.as_mut() else {
+            return match self.current {
+                Some(p) => self.seek_words(p + 1),
+                None if self.consumed == 0 => self.seek_words(0),
+                None => None,
+            };
+        };
         if self.consumed >= self.bm.count {
             self.current = None;
             return None;
         }
-        let code = codes::get_gamma(&mut self.src);
+        let code = codes::get_gamma(src);
         let pos = match self.current {
             None if self.consumed == 0 => code - 1,
             None => return None, // exhausted earlier
@@ -646,6 +916,10 @@ impl<'a> GapCursor<'a> {
         } else if self.consumed > 0 {
             return None; // exhausted
         }
+        let bits = match self.src {
+            Some(_) => self.bm.code_bits(),
+            None => return self.seek_words(target),
+        };
         let dir = self.bm.skip_dir();
         let k = u64::from(dir.k());
         // First sample whose jump would advance the cursor.
@@ -656,7 +930,7 @@ impl<'a> GapCursor<'a> {
             let ahead = &dir.entries()[j0..];
             let j = j0 + ahead.partition_point(|e| e.pos <= target) - 1;
             let e = dir.entries()[j];
-            self.src = self.bm.bits.reader_at(e.bit_off);
+            self.src = Some(bits.reader_at(e.bit_off));
             self.consumed = j as u64 * k + 1;
             self.current = Some(e.pos);
             if e.pos >= target {
@@ -672,9 +946,93 @@ impl<'a> GapCursor<'a> {
     }
 }
 
+/// Iterator over a [`GapBitmap`]'s elements in increasing order: a
+/// streaming gamma decode, or a walk over the set bits of the words form.
+#[derive(Debug)]
+pub struct GapIter<'a>(Walk<'a>);
+
+#[derive(Debug)]
+enum Walk<'a> {
+    Gaps(GapDecoder<BitBufReader<'a>>),
+    Words {
+        base: u64,
+        words: &'a [u64],
+        /// Index of `word` in `words`.
+        idx: usize,
+        /// The bits of `words[idx]` not yet returned.
+        word: u64,
+        remaining: u64,
+    },
+}
+
+impl Iterator for GapIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        match &mut self.0 {
+            Walk::Gaps(dec) => dec.next(),
+            Walk::Words {
+                base,
+                words,
+                idx,
+                word,
+                remaining,
+            } => {
+                while *word == 0 {
+                    *idx += 1;
+                    *word = *words.get(*idx)?;
+                }
+                let p = *base + 64 * *idx as u64 + u64::from(word.trailing_zeros());
+                *word &= *word - 1;
+                *remaining -= 1;
+                Some(p)
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            Walk::Gaps(dec) => dec.size_hint(),
+            Walk::Words { remaining, .. } => (*remaining as usize, Some(*remaining as usize)),
+        }
+    }
+
+    fn fold<B, F>(self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, u64) -> B,
+    {
+        match self.0 {
+            Walk::Gaps(dec) => dec.fold(init, f),
+            Walk::Words {
+                base,
+                words,
+                idx,
+                mut word,
+                ..
+            } => {
+                let mut acc = init;
+                for (i, &next) in words.iter().enumerate().skip(idx) {
+                    if i > idx {
+                        word = next;
+                    }
+                    let at = base + 64 * i as u64;
+                    while word != 0 {
+                        acc = f(acc, at + u64::from(word.trailing_zeros()));
+                        word &= word - 1;
+                    }
+                }
+                acc
+            }
+        }
+    }
+}
+
+impl ExactSizeIterator for GapIter<'_> {}
+
 impl<'a> IntoIterator for &'a GapBitmap {
     type Item = u64;
-    type IntoIter = GapDecoder<BitBufReader<'a>>;
+    type IntoIter = GapIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
@@ -951,7 +1309,7 @@ mod tests {
         let b = GapBitmap::from_sorted(&positions, (1 << 62) + 1);
         assert_eq!(b.to_vec(), positions);
         let mut batch = [0u64; 2];
-        let mut dec = b.iter();
+        let mut dec = GapDecoder::new(b.code_bits().reader(), b.count());
         assert_eq!(dec.next_batch(&mut batch), 2);
         assert_eq!(batch, [3, 1 << 33]);
         assert_eq!(dec.next_batch(&mut batch), 2);
@@ -1172,6 +1530,147 @@ mod tests {
             10_000,
         );
         assert_eq!(sized, b);
+    }
+
+    /// `positions` in the words form, over the universe's full word range
+    /// (the constructor trims it to the set's span).
+    fn plain(positions: &[u64], universe: u64) -> GapBitmap {
+        let mut words = vec![0u64; universe.div_ceil(64) as usize];
+        for &p in positions {
+            words[(p / 64) as usize] |= 1 << (p % 64);
+        }
+        GapBitmap::from_plain_words(words, 0, universe)
+    }
+
+    #[test]
+    fn plain_words_trim_to_the_span_and_equal_gamma() {
+        let positions = vec![130u64, 131, 190, 300];
+        let b = plain(&positions, 1000);
+        assert_eq!(
+            b.plain_words().map(|(base, w)| (base, w.len())),
+            Some((128, 3))
+        );
+        assert_eq!(b.size_bits(), 3 * 64);
+        assert_eq!(b.count(), 4);
+        assert_eq!(b, GapBitmap::from_sorted(&positions, 1000));
+        assert_eq!(GapBitmap::from_sorted(&positions, 1000), b);
+        assert_ne!(b, plain(&positions[..3], 1000));
+        assert!(plain(&[], 1000).is_empty());
+        assert!(plain(&[], 1000).plain_words().is_none());
+        assert!(!b.has_skip_dir() && b.skip_dir().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside universe")]
+    fn plain_words_reject_bits_past_the_universe() {
+        let _ = GapBitmap::from_plain_words(vec![1 << 10], 0, 10);
+    }
+
+    #[test]
+    fn words_pay_matches_the_span_rule() {
+        // Half the positions of a span: 2 bits each as words, 3 as gamma.
+        assert!(words_pay(500, 0, 999));
+        // One in 16: 16 bits each as words, 9 as gamma.
+        assert!(!words_pay(64, 0, 1023));
+        assert!(!words_pay(0, 0, 0));
+        // A run of 64 fills one word either way; a longer run is one bit
+        // per element as gamma.
+        assert!(words_pay(64, 64, 127));
+        assert!(!words_pay(1500, 1000, 2499));
+    }
+
+    #[test]
+    fn from_words_auto_picks_the_smaller_form() {
+        let dense: Vec<u64> = (0..4000u64).filter(|p| p % 5 < 2).collect();
+        let sparse: Vec<u64> = (0..4000u64).step_by(97).collect();
+        for (set, words) in [(dense, true), (sparse, false)] {
+            let mut array = vec![0u64; 63];
+            for &p in &set {
+                array[(p / 64) as usize] |= 1 << (p % 64);
+            }
+            let b = GapBitmap::from_words_auto(array, 0, 4000);
+            assert_eq!(b.plain_words().is_some(), words);
+            assert_eq!(b, GapBitmap::from_sorted(&set, 4000));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn words_form_agrees_with_gamma_on_every_operation(
+            universe in 1u64..3000,
+            seed in any::<u64>(),
+            per_1024 in 0u64..1025,
+            split in any::<u32>(),
+        ) {
+            // Densities from empty to full, universes on and off a
+            // multiple of 64.
+            let positions: Vec<u64> = (0..universe)
+                .filter(|&i| ((i ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) < per_1024)
+                .collect();
+            let gamma = GapBitmap::from_sorted(&positions, universe);
+            let words = plain(&positions, universe);
+            prop_assert_eq!(&words, &gamma);
+            prop_assert_eq!(words.count(), gamma.count());
+            prop_assert_eq!(words.to_vec(), positions.clone());
+            prop_assert_eq!(words.iter().collect::<Vec<_>>(), positions.clone());
+            prop_assert_eq!(words.iter().len(), positions.len());
+            prop_assert_eq!(words.iter().fold(0u64, |a, p| a ^ p), gamma.iter().fold(0u64, |a, p| a ^ p));
+            for q in 0..=universe {
+                prop_assert_eq!(words.rank(q), gamma.rank(q), "rank({})", q);
+                if q < universe {
+                    prop_assert_eq!(words.contains(q), gamma.contains(q), "contains({})", q);
+                }
+            }
+            for k in 0..=positions.len() as u64 {
+                prop_assert_eq!(words.select(k), gamma.select(k), "select({})", k);
+            }
+            // Cursors: interleaved steps and seeks.
+            let (mut cw, mut cg) = (words.cursor(), gamma.cursor());
+            let mut t = 0u64;
+            for step in 0..positions.len() + 2 {
+                if step % 3 == 0 {
+                    prop_assert_eq!(cw.next(), cg.next());
+                } else {
+                    t += 1 + (seed >> (step % 50)) % 40;
+                    prop_assert_eq!(cw.next_geq(t), cg.next_geq(t), "next_geq({})", t);
+                }
+                prop_assert_eq!(cw.current(), cg.current());
+            }
+            let mut ww = vec![0u64; universe.div_ceil(64) as usize];
+            let mut wg = ww.clone();
+            words.or_into_words(&mut ww);
+            gamma.or_into_words(&mut wg);
+            prop_assert_eq!(&ww, &wg);
+            if let (Some(&lo), Some(&hi)) = (positions.first(), positions.last()) {
+                let base = lo & !63;
+                let mut sw = vec![0u64; (hi / 64 - lo / 64 + 1) as usize];
+                let mut sg = sw.clone();
+                words.or_into_span(&mut sw, base);
+                gamma.or_into_span(&mut sg, base);
+                prop_assert_eq!(&sw, &sg);
+                prop_assert_eq!(words.size_bits(), 64 * sw.len() as u64);
+            }
+            prop_assert_eq!(words.complement(), gamma.complement());
+            let (mut bw, mut bg) = (BitBuf::new(), BitBuf::new());
+            words.write_codes_to(&mut bw);
+            gamma.write_codes_to(&mut bg);
+            prop_assert_eq!(bw, bg);
+            // Splices of mixed forms equal the whole set.
+            if positions.len() >= 2 {
+                let cut = 1 + split as usize % (positions.len() - 1);
+                let (a, b) = positions.split_at(cut);
+                for (pa, pb) in [
+                    (plain(a, universe), GapBitmap::from_sorted(b, universe)),
+                    (GapBitmap::from_sorted(a, universe), plain(b, universe)),
+                    (plain(a, universe), plain(b, universe)),
+                ] {
+                    let spans = [(a[0], a[a.len() - 1]), (b[0], b[b.len() - 1])];
+                    let spliced = GapBitmap::concat(&[pa, pb], &spans, universe);
+                    prop_assert!(spliced.plain_words().is_none());
+                    prop_assert_eq!(&spliced, &gamma);
+                }
+            }
+        }
     }
 
     fn sorted_unique(max: u64, len: usize) -> impl Strategy<Value = Vec<u64>> {

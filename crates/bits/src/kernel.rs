@@ -33,6 +33,9 @@ pub struct KernelMetrics {
     /// `kernel/reencode_bitset` — bitset-accumulate re-encodes
     /// (`from_words`/`from_words_span`).
     pub reencode_bitset: Arc<Counter>,
+    /// `kernel/lift_words` — stored slots in the words form lifted as a
+    /// word copy (no code stream, no decode).
+    pub lift_words: Arc<Counter>,
     /// `kernel/merge_concat` — position-disjoint stored covers spliced
     /// end to end ([`crate::GapBitmap::concat`]): no decode, no re-encode.
     pub merge_concat: Arc<Counter>,
@@ -54,13 +57,14 @@ pub struct KernelMetrics {
 
 impl KernelMetrics {
     /// Every counter with its registry name, in declaration order.
-    fn named(&self) -> [(&'static str, &Counter); 10] {
+    fn named(&self) -> [(&'static str, &Counter); 11] {
         [
             ("kernel/decode_swar", &self.decode_swar),
             ("kernel/decode_simd", &self.decode_simd),
             ("kernel/decode_scalar", &self.decode_scalar),
             ("kernel/encode_bulk", &self.encode_bulk),
             ("kernel/reencode_bitset", &self.reencode_bitset),
+            ("kernel/lift_words", &self.lift_words),
             ("kernel/merge_concat", &self.merge_concat),
             ("kernel/intersect_gallop", &self.intersect_gallop),
             ("kernel/intersect_words", &self.intersect_words),
@@ -83,6 +87,7 @@ pub fn metrics() -> &'static KernelMetrics {
             decode_scalar: r.counter("kernel/decode_scalar"),
             encode_bulk: r.counter("kernel/encode_bulk"),
             reencode_bitset: r.counter("kernel/reencode_bitset"),
+            lift_words: r.counter("kernel/lift_words"),
             merge_concat: r.counter("kernel/merge_concat"),
             intersect_gallop: r.counter("kernel/intersect_gallop"),
             intersect_words: r.counter("kernel/intersect_words"),

@@ -11,7 +11,8 @@
 //! * [`codes`] — Elias gamma and delta codes;
 //! * [`GapBitmap`] — a compressed bitmap: the positions of its 1s encoded
 //!   as gamma-coded gaps, within a constant factor of the
-//!   information-theoretic minimum `lg C(n, z)` bits (§1.2);
+//!   information-theoretic minimum `lg C(n, z)` bits (§1.2), or, where
+//!   that is smaller ([`words_pay`]), plain words over the set's span;
 //! * streaming [`GapEncoder`]/[`GapDecoder`] for encoding to and decoding
 //!   from disk without materializing;
 //! * [`PlainBitmap`] — an uncompressed bitmap with broadword rank/select
@@ -20,8 +21,8 @@
 //!   "compute the compressed bitmap of their union by merging", §2.1),
 //!   including the density-driven planner ([`merge::plan`]) and its
 //!   bitset-accumulate path for dense covers, and the stored-cover
-//!   planner ([`merge::plan_stored`]) that splices position-disjoint
-//!   streams without decoding them;
+//!   planner ([`merge::plan_stored`]) that ORs dense covers into plain
+//!   words and splices position-disjoint streams without decoding them;
 //! * [`skip`] — skip directories: sampled `(position, bit offset,
 //!   occupancy word)` entries that make gap streams seekable, powering
 //!   galloping set operations, occupancy probe rule-outs and the
@@ -47,7 +48,7 @@ pub mod skip;
 mod swar;
 
 pub use buf::{BitBuf, BitBufReader, BitWriter};
-pub use gap::{GapBitmap, GapCursor, GapDecoder, GapEncoder};
+pub use gap::{words_pay, GapBitmap, GapCursor, GapDecoder, GapEncoder, GapIter};
 pub use plain::{PlainBitmap, RankDirectory};
 pub use skip::{SkipDirectory, SkipEntry, SKIP_ENTRY_BITS, SKIP_SAMPLE};
 

@@ -11,7 +11,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-use crate::GapBitmap;
+use crate::{words_pay, GapBitmap};
 
 /// K-way merge of sorted streams into one sorted stream, assuming global
 /// distinctness (disjoint inputs). Duplicates are passed through unchanged;
@@ -74,7 +74,11 @@ pub enum MergeStrategy {
     /// once with a `trailing_zeros` word scan
     /// ([`GapBitmap::from_words_span`]). Exactly where the complement
     /// trick makes results dense, this turns `O(z lg k)` heap traffic
-    /// into straight-line word operations.
+    /// into straight-line word operations. Stored streams
+    /// ([`union_stored`]) OR each part straight into the array, with no
+    /// element-sized buffer, and keep the array as the result, in the
+    /// words form, when plain words pay for it
+    /// ([`GapBitmap::from_words_auto`]).
     Bitset,
 }
 
@@ -125,34 +129,56 @@ pub fn plan(streams: usize, total: u64, span: Option<(u64, u64)>) -> MergeStrate
 }
 
 /// [`plan`] for stored streams, from their per-member metadata
-/// `(count, first_pos, last_pos)` in cover order: [`MergeStrategy::Concat`]
-/// when two or more members' spans ascend without overlap, else the
-/// density rule. Members out of position order never splice, so callers
-/// sort the cover by `first_pos` first.
+/// `(count, first_pos, last_pos)` in cover order. Two or more members
+/// take [`MergeStrategy::Bitset`] when plain words over the cover's span
+/// pay for the union ([`words_pay`]), else [`MergeStrategy::Concat`] when
+/// their spans ascend without overlap, else the density rule. Members out
+/// of position order never splice, so callers sort the cover by
+/// `first_pos` first.
 pub fn plan_stored(members: &[(u64, u64, u64)]) -> MergeStrategy {
-    if members.len() >= 2 && members.windows(2).all(|w| w[0].2 < w[1].1) {
-        return MergeStrategy::Concat;
-    }
     let (total, span) = cover_stats(members.iter().copied());
+    if members.len() >= 2 {
+        if span.is_some_and(|(lo, hi)| words_pay(total, lo, hi)) {
+            return MergeStrategy::Bitset;
+        }
+        if members.windows(2).all(|w| w[0].2 < w[1].1) {
+            return MergeStrategy::Concat;
+        }
+    }
     plan(members.len(), total, span)
 }
 
-/// Unions stored streams lifted verbatim (`parts[i]` holds the codes of
-/// the member described by `members[i]`) under a strategy from
-/// [`plan_stored`]: `Concat` splices the code streams; every other
-/// strategy decodes each part with the SWAR batch kernel
-/// ([`GapBitmap::decode_all`]) and merges the decoded runs.
+/// Unions stored streams lifted verbatim (`parts[i]` holds the member
+/// described by `members[i]`, in either form) under a strategy from
+/// [`plan_stored`]: `Concat` splices the code streams; `Bitset` ORs every
+/// part into one span-aligned word array ([`GapBitmap::or_into_span`]:
+/// the SWAR kernel, or a word copy) and keeps it as plain words where
+/// they pay ([`GapBitmap::from_words_auto`]); every other strategy
+/// decodes each part ([`GapBitmap::decode_all`]: the SWAR batch kernel,
+/// or a walk over a words part's set bits) and merges the decoded runs.
 pub fn union_stored(
     parts: &[GapBitmap],
     members: &[(u64, u64, u64)],
     universe: u64,
     strategy: MergeStrategy,
 ) -> GapBitmap {
-    if strategy == MergeStrategy::Concat {
-        let spans: Vec<(u64, u64)> = members.iter().map(|&(_, f, l)| (f, l)).collect();
-        return GapBitmap::concat(parts, &spans, universe);
-    }
     let (total, span) = cover_stats(members.iter().copied());
+    match strategy {
+        MergeStrategy::Concat => {
+            let spans: Vec<(u64, u64)> = members.iter().map(|&(_, f, l)| (f, l)).collect();
+            return GapBitmap::concat(parts, &spans, universe);
+        }
+        MergeStrategy::Bitset => {
+            let (lo, hi) = span.expect("bitset strategy requires a span");
+            let base = lo & !63;
+            let mut acc = vec![0u64; (hi / 64 - lo / 64 + 1) as usize];
+            for part in parts {
+                part.or_into_span(&mut acc, base);
+            }
+            return GapBitmap::from_words_auto(acc, base, universe);
+        }
+        _ => {}
+    }
     let decoded: Vec<std::vec::IntoIter<u64>> =
         parts.iter().map(|p| p.to_vec().into_iter()).collect();
     merge_with_strategy(decoded, universe, total, span, strategy)
@@ -400,6 +426,12 @@ mod tests {
             plan_stored(&[(100, 0, 99_999), (100, 1, 99_998), (100, 2, 99_997)]),
             MergeStrategy::Heap
         );
+        // A union dense enough for words ORs into them before any splice.
+        assert_eq!(
+            plan_stored(&[(500, 0, 999), (500, 1000, 1999)]),
+            MergeStrategy::Bitset
+        );
+        assert_eq!(plan_stored(&[(500, 0, 999)]), MergeStrategy::Passthrough);
         // Out of position order never splices.
         assert_eq!(
             plan_stored(&[(2, 10, 40), (3, 0, 9)]),
@@ -441,17 +473,90 @@ mod tests {
             if runs.len() >= 2 {
                 prop_assert_eq!(plan_stored(&members), MergeStrategy::Concat);
             }
-            for strategy in [
-                MergeStrategy::Concat,
-                MergeStrategy::Linear,
-                MergeStrategy::Heap,
-                MergeStrategy::Bitset,
-            ] {
-                let got = union_stored(&parts, &members, universe, strategy);
-                prop_assert_eq!(&got, &want, "{:?}", strategy);
-                prop_assert_eq!(got.to_vec(), all.clone());
+            // The same parts in the words form, and alternating forms.
+            let plain = |r: &[u64]| {
+                let mut words = vec![0u64; universe.div_ceil(64) as usize];
+                for &p in r {
+                    words[(p / 64) as usize] |= 1 << (p % 64);
+                }
+                GapBitmap::from_plain_words(words, 0, universe)
+            };
+            let words_parts: Vec<GapBitmap> = runs.iter().map(|r| plain(r)).collect();
+            let mixed: Vec<GapBitmap> = runs
+                .iter()
+                .enumerate()
+                .map(|(i, r)| if i % 2 == 0 { plain(r) } else { GapBitmap::from_sorted(r, universe) })
+                .collect();
+            for parts in [&parts, &words_parts, &mixed] {
+                for strategy in [
+                    MergeStrategy::Concat,
+                    MergeStrategy::Linear,
+                    MergeStrategy::Heap,
+                    MergeStrategy::Bitset,
+                ] {
+                    let got = union_stored(parts, &members, universe, strategy);
+                    prop_assert_eq!(&got, &want, "{:?}", strategy);
+                    prop_assert_eq!(got.to_vec(), all.clone());
+                    if strategy == MergeStrategy::Bitset {
+                        let pay = words_pay(all.len() as u64, all[0], all[all.len() - 1]);
+                        prop_assert_eq!(got.plain_words().is_some(), pay);
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn stored_bitset_union_keeps_words_only_where_they_pay() {
+        let n = 1 << 16;
+        let m = crate::kernel::metrics();
+        let bitset = |runs: &[Vec<u64>], words: bool| {
+            let parts: Vec<GapBitmap> = runs
+                .iter()
+                .map(|r| {
+                    let g = GapBitmap::from_sorted(r, n);
+                    if words {
+                        let mut array = vec![0u64; n.div_ceil(64) as usize];
+                        g.or_into_words(&mut array);
+                        GapBitmap::from_plain_words(array, 0, n)
+                    } else {
+                        g
+                    }
+                })
+                .collect();
+            let members: Vec<_> = runs
+                .iter()
+                .map(|r| (r.len() as u64, r[0], r[r.len() - 1]))
+                .collect();
+            let mut all: Vec<u64> = runs.concat();
+            all.sort_unstable();
+            assert_eq!(plan_stored(&members), MergeStrategy::Bitset);
+            let got = union_stored(&parts, &members, n, MergeStrategy::Bitset);
+            assert_eq!(got, GapBitmap::from_sorted(&all, n));
+            got
+        };
+        // 1000 elements at gaps alternating between `g` and `g + 1`, dealt
+        // round-robin to four interleaved parts.
+        let dealt = |g: u64| -> Vec<Vec<u64>> {
+            let all: Vec<u64> = (0..1000u64).map(|i| 70 + i * g + i / 2).collect();
+            (0..4)
+                .map(|k| all.iter().copied().skip(k).step_by(4).collect())
+                .collect()
+        };
+        // Mean gap 4.5: plain words pay, whatever the parts' form, and
+        // nothing is re-encoded.
+        let dense = dealt(4);
+        for words in [false, true] {
+            let before = m.reencode_bitset.get();
+            assert!(bitset(&dense, words).plain_words().is_some());
+            assert_eq!(m.reencode_bitset.get(), before);
+        }
+        // Mean gap 32.5 is bitset-dense for the planner but cheaper as
+        // gamma gaps: the word array is re-encoded.
+        let sparse = dealt(32);
+        let before = m.reencode_bitset.get();
+        assert!(bitset(&sparse, true).plain_words().is_none());
+        assert!(m.reencode_bitset.get() > before);
     }
 
     fn strided(streams: u64, per: u64, stride: u64, offset: u64) -> Vec<Vec<u64>> {

@@ -76,20 +76,27 @@ pub(crate) fn decode_gaps(
 }
 
 /// Decodes the same stream as [`decode_gaps`], but ORs each element `p`
-/// into bit `p % 64` of `bits[p / 64]` (LSB-first) instead of writing it
-/// to a slot: the universe-aligned word bitset of the set, with no
-/// element-sized buffer in between. Runs of unit gaps are set as masks.
+/// into bit `(p − base) % 64` of `bits[(p − base) / 64]` (LSB-first)
+/// instead of writing it to a slot: the word bitset of the set over the
+/// 64-aligned span starting at `base`, with no element-sized buffer in
+/// between. Runs of unit gaps are set as masks.
 ///
 /// # Panics
-/// As [`decode_gaps`], and if an element lies past `64 · bits.len()`.
+/// As [`decode_gaps`], and if an element lies outside the span.
 pub(crate) fn set_gaps(
     words: &[u64],
     bit_len: u64,
     count: u64,
     dir: Option<&SkipDirectory>,
     bits: &mut [u64],
+    base: u64,
 ) {
-    let (pos, len) = dispatch(words, bit_len, count, dir, &mut Bits(bits));
+    debug_assert!(base.is_multiple_of(64));
+    let sink = &mut Bits {
+        words: bits,
+        base_word: (base / 64) as usize,
+    };
+    let (pos, len) = dispatch(words, bit_len, count, dir, sink);
     check_count(len, count, bit_len, pos);
 }
 
@@ -175,15 +182,19 @@ impl Sink for Slots {
     }
 }
 
-/// Sets bit `v % 64` of word `v / 64` for every element `v`; the element
-/// index is not needed. Indexing is bounds-checked, so a stream that
-/// strays past the slice panics instead of writing out of bounds.
-struct Bits<'a>(&'a mut [u64]);
+/// Sets bit `v % 64` of word `v / 64 − base_word` for every element `v`;
+/// the element index is not needed. Indexing is bounds-checked, so a
+/// stream that strays outside the slice panics instead of writing out of
+/// bounds.
+struct Bits<'a> {
+    words: &'a mut [u64],
+    base_word: usize,
+}
 
 impl Sink for Bits<'_> {
     #[inline(always)]
     unsafe fn one(&mut self, _idx: usize, v: u64) {
-        self.0[(v >> 6) as usize] |= 1 << (v & 63);
+        self.words[(v >> 6) as usize - self.base_word] |= 1 << (v & 63);
     }
 
     #[inline(always)]
@@ -191,11 +202,11 @@ impl Sink for Bits<'_> {
         debug_assert!((1..=64).contains(&ones));
         // Bits `start .. start + ones` span at most two words.
         let start = prev.wrapping_add(1);
-        let (w, b) = ((start >> 6) as usize, (start & 63) as u32);
+        let (w, b) = ((start >> 6) as usize - self.base_word, (start & 63) as u32);
         let mask = u64::MAX >> (64 - ones);
-        self.0[w] |= mask << b;
+        self.words[w] |= mask << b;
         if b + ones > 64 {
-            self.0[w + 1] |= mask >> (64 - b);
+            self.words[w + 1] |= mask >> (64 - b);
         }
     }
 }
@@ -678,7 +689,10 @@ mod tests {
                     let (pos, len) = decode(
                         bm.code_bits().words(),
                         bm.size_bits(),
-                        &mut Bits(&mut got),
+                        &mut Bits {
+                            words: &mut got,
+                            base_word: 0,
+                        },
                         bm.count() as usize,
                         split,
                     );

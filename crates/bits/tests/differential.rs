@@ -169,7 +169,7 @@ proptest! {
         prop_assert_eq!(&batched, &positions);
         // next_batch in uneven chunks agrees too.
         let mut chunked = Vec::new();
-        let mut dec = gap_bitmap.iter();
+        let mut dec = GapDecoder::new(gap_bitmap.code_bits().reader(), gap_bitmap.count());
         let mut buf = [0u64; 7];
         loop {
             let n = dec.next_batch(&mut buf);

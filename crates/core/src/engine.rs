@@ -379,17 +379,21 @@ impl Engine {
     /// immediately below").
     ///
     /// Execution is lift, then decode. A single-slot cover is a verbatim
-    /// word copy (with the persisted skip directory lifted alongside once
-    /// the result is large enough to gallop over). A multi-slot cover
-    /// lifts every slot's code words whole ([`CutStream::copy_bitmap`],
+    /// copy in the slot's stored form: a words slot lifts as plain words,
+    /// a gamma slot as its code words (with the persisted skip directory
+    /// lifted alongside once the result is large enough to gallop over).
+    /// A multi-slot cover lifts every slot whole ([`CutStream::copy_bitmap`],
     /// which charges exactly the blocks and bits of a full decode, one
-    /// pinned block at a time on a pooled disk), then plans the union
-    /// from slot metadata alone ([`merge::plan_stored`]). Position-disjoint
-    /// covers — a character split over sibling leaves, and most
-    /// complement-trick covers — splice the lifted streams
-    /// ([`merge::MergeStrategy::Concat`]); the rest decode each lifted
-    /// stream with the SWAR batch kernel and merge linearly, by heap, or
-    /// by bitset accumulate. The blocks charged are identical across
+    /// pinned block at a time on a pooled disk), then plans the union from
+    /// slot metadata alone ([`merge::plan_stored`]). A union that is
+    /// smaller as plain words over its span, or dense enough for the
+    /// bitset path, ORs every part into one word array
+    /// ([`merge::MergeStrategy::Bitset`]), kept as the result where plain
+    /// words pay. Otherwise position-disjoint covers — a character split
+    /// over sibling leaves, and most complement-trick covers — splice the
+    /// lifted streams ([`merge::MergeStrategy::Concat`]); the rest decode
+    /// each lifted part (SWAR for gamma, a set-bit walk for words) and
+    /// merge linearly or by heap. The blocks charged are identical across
     /// strategies by construction.
     fn merge_canonical(&self, canonical: &[NodeId], io: &IoSession) -> GapBitmap {
         let mut slots = Vec::new();
@@ -1239,6 +1243,32 @@ mod tests {
             .all(|s| seen.contains(s)),
             "query set failed to exercise the planner branches: {seen:?}"
         );
+    }
+
+    #[test]
+    fn words_slot_lift_charges_exactly_its_span_blocks() {
+        // n = 8^4 and each char fills one child of the root: char 1's
+        // leaf holds every other row of the first 1024, 2 bits per
+        // element as words against 3 of gamma.
+        let symbols: Vec<u32> = (0..4096u32)
+            .map(|i| if i < 1024 { i % 2 } else { 2 + (i - 1024) % 6 })
+            .collect();
+        let engine = Engine::build(&symbols, 8, cfg(), DEFAULT_C, Slack::None);
+        let io = IoSession::new();
+        let r = engine.query(1, 1, &io);
+        assert_eq!(r.to_vec(), naive_query(&symbols, 1, 1).to_vec());
+        assert!(r.stored().plain_words().is_some());
+        // The decomposition alone, then the slot's own span.
+        let records = IoSession::new();
+        let slots = engine.cover_slots(1, 1, &records);
+        assert_eq!(slots.len(), 1);
+        let slot = engine.cuts[slots[0].0 as usize].slot(slots[0].1 as usize);
+        assert_eq!(slot.codec, crate::cutstream::SlotCodec::Words);
+        let b = engine.disk.block_bits();
+        let span_blocks = (slot.off + slot.len - 1) / b - slot.off / b + 1;
+        assert_eq!(io.stats().reads, records.stats().reads + span_blocks);
+        assert_eq!(io.stats().bits_read, records.stats().bits_read + slot.len);
+        assert_eq!(r.size_bits(), slot.len);
     }
 
     #[test]

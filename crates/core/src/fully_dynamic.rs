@@ -259,18 +259,23 @@ impl FullyDynamicIndex {
         self.counts[old as usize] -= 1;
         self.counts[symbol as usize] += 1;
         self.string[pos as usize] = symbol;
+        // A pending append lives only in the in-memory tail, which
+        // `query` scans from `string`: the edit above is the whole
+        // update, with no snapshot write and no epoch charge.
+        if self.snap.as_ref().is_some_and(|snap| pos >= snap.n0) {
+            return;
+        }
         self.changes_since_rebuild += 1;
         let needs_rebuild = match &self.snap {
             None => true,
             Some(snap) => {
-                pos >= snap.n0
-                    || self.changes_since_rebuild * 4 > snap.n0
+                self.changes_since_rebuild * 4 > snap.n0
                     || snap.route.iter().any(|r| r[symbol as usize].is_empty())
             }
         };
         if needs_rebuild {
-            // Pending-append edits and characters unknown to the snapshot
-            // are resolved by re-snapshotting (amortized against the epoch).
+            // Characters unknown to the snapshot are resolved by
+            // re-snapshotting (amortized against the epoch).
             self.rebuild();
             return;
         }
@@ -844,6 +849,42 @@ mod tests {
             current.push(s);
         }
         check_all(&idx, &current, sigma);
+    }
+
+    #[test]
+    fn edits_to_pending_appends_rewrite_the_tail_without_rebuilding() {
+        let sigma = 6u32;
+        let mut current = psi_workloads::uniform(800, sigma, 107);
+        let mut idx = FullyDynamicIndex::build(&current, sigma, cfg());
+        let io = IoSession::new();
+        let mut rng = StdRng::seed_from_u64(109);
+        let rebuilds = idx.global_rebuilds;
+        // Fewer appends than the n/4 that folds them in.
+        for &s in &psi_workloads::uniform(150, sigma, 111) {
+            idx.append(s, &io);
+            current.push(s);
+        }
+        assert_eq!(idx.global_rebuilds, rebuilds);
+        let before = io.stats();
+        // More edits than the n/4 epoch, all at pending positions.
+        for k in 0..600 {
+            let pos = rng.gen_range(800..current.len() as u64);
+            if k % 5 == 0 {
+                idx.delete(pos, &io);
+                current[pos as usize] = sigma;
+            } else {
+                let s = rng.gen_range(0..sigma);
+                idx.change(pos, s, &io);
+                current[pos as usize] = s;
+            }
+        }
+        assert_eq!(idx.global_rebuilds, rebuilds, "a tail edit rebuilt");
+        assert_eq!(io.stats(), before, "a tail edit touched the disk");
+        check_all(&idx, &current, sigma);
+        for c in 0..=sigma {
+            let want = current.iter().filter(|&&s| s == c).count() as u64;
+            assert_eq!(idx.counts[c as usize], want, "count of {c}");
+        }
     }
 
     #[test]

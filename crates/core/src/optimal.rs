@@ -216,9 +216,13 @@ mod tests {
         use psi_store::{open, save, Backend, OpenOptions};
         // n = 8^5, so the root's eight children hold 4096 multiset entries
         // each. Chars 0 and 1 alternate and fill the first two children
-        // exactly (one leaf each: copy, or a linear merge of the pair);
-        // a dense region (chars 2..10), a sparse one (10..1000) and a
-        // heavy char 1000 over two children reach the other plans.
+        // exactly (one words leaf each: copy, or a bitset union of the
+        // pair kept as words); a dense region (chars 2..10, a bitset union
+        // re-encoded as gamma), a sparse one (10..1000) and a heavy char
+        // 1000 over two children reach the other plans.
+        // Char 1 beside char 2 is a position-disjoint cover too sparse for
+        // words: it splices. In a second index every char fills one
+        // depth-2 leaf at position stride 64, so two chars merge linearly.
         let mut symbols: Vec<u32> = (0..8192u32).map(|i| i % 2).collect();
         let shifted = |len, sigma, seed, base| {
             psi_workloads::uniform(len, sigma, seed)
@@ -228,12 +232,9 @@ mod tests {
         symbols.extend(shifted(8192, 8, 51, 2));
         symbols.extend(shifted(8192, 990, 53, 10));
         symbols.extend(std::iter::repeat_n(1000u32, 8192));
-        let sigma = 1001u32;
-        let ram = OptimalIndex::build(&symbols, sigma, IoConfig::with_block_bits(1024));
+        let strided: Vec<u32> = (0..4096u32).map(|i| (i * 29 % 4096) % 64).collect();
         let dir = std::env::temp_dir().join(format!("psi_core_lift_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("optimal.psi");
-        save(&ram, &path).expect("save");
         let opts = OpenOptions {
             backend: Backend::File,
             pool_blocks: 1 << 16,
@@ -241,37 +242,76 @@ mod tests {
             verify: true,
         };
         let mut seen = std::collections::HashSet::new();
-        for (lo, hi) in [(0, 0), (0, 1), (3, 6), (100, 103), (1000, 1000), (0, 999)] {
-            // Plans come from metadata alone, identical in both builds.
-            let slots = ram.engine.cover_slots(lo, hi, &IoSession::untracked());
-            let plan = match slots.len() {
-                1 => MergeStrategy::Passthrough,
-                _ => ram.engine.plan_slots(&slots).1,
-            };
-            seen.insert(plan);
-            // A fresh open per query: the pool starts cold.
-            let opened = open::<OptimalIndex>(&path, &opts).expect("open");
-            let m = kernel::metrics();
-            let (concat0, bitset0) = (m.merge_concat.get(), m.reencode_bitset.get());
-            let io_open = IoSession::new();
-            let got = opened.index.query(lo, hi, &io_open);
-            let fired = match plan {
-                MergeStrategy::Concat => m.merge_concat.get() > concat0,
-                MergeStrategy::Bitset => m.reencode_bitset.get() > bitset0,
-                _ => true,
-            };
-            assert!(fired, "[{lo},{hi}] {plan:?} did not run");
-            assert_eq!(got.to_vec(), naive_query(&symbols, lo, hi).to_vec());
-            let io_ram = IoSession::new();
-            assert_eq!(got, ram.query(lo, hi, &io_ram), "[{lo},{hi}] {plan:?}");
-            assert_eq!(io_open.stats(), io_ram.stats(), "[{lo},{hi}] {plan:?} io");
-            assert_eq!(
-                opened.real_fetches(),
-                io_open.stats().reads,
-                "[{lo},{hi}] {plan:?}: cold real fetches must equal the charge"
-            );
+        let (mut lifted_words, mut bitset_words, mut bitset_gamma) = (false, false, false);
+        type Case<'a> = (&'a [u32], u32, &'a [(u32, u32)]);
+        let cases: [Case; 2] = [
+            (
+                &symbols,
+                1001,
+                &[
+                    (0, 0),
+                    (0, 1),
+                    (1, 2),
+                    (3, 6),
+                    (100, 103),
+                    (1000, 1000),
+                    (0, 999),
+                ],
+            ),
+            (&strided, 64, &[(0, 1)]),
+        ];
+        for (k, (symbols, sigma, queries)) in cases.into_iter().enumerate() {
+            let ram = OptimalIndex::build(symbols, sigma, IoConfig::with_block_bits(1024));
+            let path = dir.join(format!("optimal_{k}.psi"));
+            save(&ram, &path).expect("save");
+            for &(lo, hi) in queries {
+                // Plans come from metadata alone, identical in both builds.
+                let slots = ram.engine.cover_slots(lo, hi, &IoSession::untracked());
+                let plan = match slots.len() {
+                    1 => MergeStrategy::Passthrough,
+                    _ => ram.engine.plan_slots(&slots).1,
+                };
+                seen.insert(plan);
+                // A fresh open per query: the pool starts cold.
+                let opened = open::<OptimalIndex>(&path, &opts).expect("open");
+                let m = kernel::metrics();
+                let (concat0, bitset0) = (m.merge_concat.get(), m.reencode_bitset.get());
+                let io_open = IoSession::new();
+                let got = opened.index.query(lo, hi, &io_open);
+                let fired = match plan {
+                    // A words slot lifts from the store as plain words.
+                    MergeStrategy::Passthrough => {
+                        let (c, s) = slots[0];
+                        let codec = ram.engine.cuts[c as usize].slot(s as usize).codec;
+                        lifted_words |= codec == crate::cutstream::SlotCodec::Words;
+                        (codec == crate::cutstream::SlotCodec::Words)
+                            == got.stored().plain_words().is_some()
+                    }
+                    MergeStrategy::Concat => m.merge_concat.get() > concat0,
+                    // Plain words where they pay, else one re-encode.
+                    MergeStrategy::Bitset => {
+                        let words = got.stored().plain_words().is_some();
+                        bitset_words |= words;
+                        bitset_gamma |= !words;
+                        words != (m.reencode_bitset.get() > bitset0)
+                    }
+                    _ => true,
+                };
+                assert!(fired, "[{lo},{hi}] {plan:?} did not run");
+                assert_eq!(got.to_vec(), naive_query(symbols, lo, hi).to_vec());
+                let io_ram = IoSession::new();
+                assert_eq!(got, ram.query(lo, hi, &io_ram), "[{lo},{hi}] {plan:?}");
+                assert_eq!(io_open.stats(), io_ram.stats(), "[{lo},{hi}] {plan:?} io");
+                assert_eq!(
+                    opened.real_fetches(),
+                    io_open.stats().reads,
+                    "[{lo},{hi}] {plan:?}: cold real fetches must equal the charge"
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
+        assert!(lifted_words, "no single-slot cover lifted a words slot");
+        assert!(bitset_words && bitset_gamma, "bitset unions missed a form");
         for plan in [
             MergeStrategy::Passthrough,
             MergeStrategy::Concat,

@@ -597,6 +597,57 @@ impl<'a> DiskReader<'a> {
         value
     }
 
+    /// Reads `n` consecutive 64-bit fields, appending each to `out` as
+    /// [`Self::read_bits`]`(64)` would return it: the bulk path behind
+    /// verbatim slot lifts. Charges the same blocks and counts the same
+    /// bits as those `n` calls. A resident extent copies its words (with a
+    /// two-word shift when the cursor is not word-aligned); a pooled one
+    /// copies each block's words out of its pinned frame, charging and
+    /// fetching block by block.
+    ///
+    /// # Panics
+    /// Panics when reading past the end of the extent.
+    pub fn read_words(&mut self, out: &mut Vec<u64>, n: u64) {
+        if n == 0 {
+            return;
+        }
+        assert!(self.pos + 64 * n <= self.bit_len, "read past end of extent");
+        let first = self.pos / 64;
+        let off = (self.pos % 64) as u32;
+        // Raw words touched: one more than `n` when the fields straddle.
+        let end = first + n + u64::from(off != 0);
+        let start = out.len();
+        out.reserve((end - first) as usize);
+        let per_block = self.block_bits / 64;
+        let mut idx = first;
+        while idx < end {
+            let block = idx / per_block;
+            let stop = ((block + 1) * per_block).min(end);
+            self.charge_word(idx);
+            match self.words.get(idx as usize..stop as usize) {
+                Some(words) => out.extend_from_slice(words),
+                None => {
+                    // Pins (and fetches) the block, then copies from the
+                    // pinned frame.
+                    let _ = self.pooled_word(idx);
+                    let pinned = self.pinned.borrow();
+                    let (_, handle) = pinned.as_ref().expect("block pinned");
+                    let at = (idx - block * per_block) as usize;
+                    out.extend_from_slice(&handle.words()[at..at + (stop - idx) as usize]);
+                }
+            }
+            idx = stop;
+        }
+        if off != 0 {
+            for i in start..start + n as usize {
+                out[i] = (out[i] << off) | (out[i + 1] >> (64 - off));
+            }
+            out.truncate(start + n as usize);
+        }
+        self.pos += 64 * n;
+        self.session.add_bits_read(64 * n);
+    }
+
     /// Peeks at the next up-to-64 bits without consuming or charging:
     /// `(word, valid)` with the bits MSB-aligned and everything past
     /// `valid` zero. Pair with [`Self::consume_bits`], which performs the
@@ -1040,6 +1091,29 @@ mod tests {
         let mut r = disk.reader(ext, 120, &s);
         r.read_bits(16); // bits 120..136 straddle the 128-bit boundary
         assert_eq!(s.stats().reads, 2);
+    }
+
+    #[test]
+    fn read_words_matches_read_bits_and_its_charges() {
+        let mut disk = small_disk();
+        let ext = disk.alloc();
+        {
+            let s = IoSession::untracked();
+            let mut w = disk.writer(ext, &s);
+            for i in 0..40u64 {
+                w.write_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 64);
+            }
+        }
+        for (at, n) in [(0u64, 40u64), (64, 7), (5, 20), (127, 30), (1000, 0)] {
+            let (bulk_io, each_io) = (IoSession::new(), IoSession::new());
+            let mut bulk = vec![7u64];
+            disk.reader(ext, at, &bulk_io).read_words(&mut bulk, n);
+            let mut r = disk.reader(ext, at, &each_io);
+            let each: Vec<u64> = (0..n).map(|_| r.read_bits(64)).collect();
+            assert_eq!(bulk[0], 7, "appends after what is there");
+            assert_eq!(bulk[1..], each[..], "at {at}");
+            assert_eq!(bulk_io.stats(), each_io.stats(), "at {at}");
+        }
     }
 
     #[test]

@@ -167,6 +167,12 @@ impl PinnedBlock {
     pub fn word(&self, word_in_block: usize) -> u64 {
         self.data[word_in_block]
     }
+
+    /// The pinned frame's words.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.data
+    }
 }
 
 #[derive(Debug)]

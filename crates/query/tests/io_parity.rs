@@ -209,6 +209,35 @@ fn skip_directory_probe_reads_are_charged() {
     assert_eq!(outcome.rows.to_vec(), predicate.naive_rows(&table));
 }
 
+#[test]
+fn words_slot_lifts_are_charged_through_the_executor() {
+    // `sex` and `marital_status=0` are dense enough that their slots
+    // store as plain words: their lifts are word copies, charged like
+    // any read of those bits, through the conjunctive path as standalone.
+    let table = people_table(20_000, 9);
+    let indexed = IndexedTable::build(&table, |s, sigma| {
+        Box::new(OptimalIndex::build(s, sigma, cfg()))
+    });
+    let predicate = Predicate::and([
+        Predicate::point("sex", 0),
+        Predicate::point("marital_status", 0),
+    ]);
+    let outcome = indexed.execute(&predicate).unwrap();
+    assert_eq!(outcome.rows.to_vec(), predicate.naive_rows(&table));
+    let mut standalone = IoStats::default();
+    for (attr, value) in [("sex", 0), ("marital_status", 0)] {
+        let column = table.column(attr).unwrap();
+        let index = OptimalIndex::build(&column.data, column.sigma, cfg());
+        let (rows, stats) = index.query_measured(value, value);
+        assert!(
+            rows.stored().plain_words().is_some(),
+            "{attr}={value} did not lift as words"
+        );
+        standalone = standalone.merged(&stats);
+    }
+    assert_eq!(outcome.io, standalone);
+}
+
 /// Every family's engine path answers the conjunction exactly.
 #[test]
 fn every_family_executes_to_naive_rows() {

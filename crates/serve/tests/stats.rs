@@ -216,6 +216,42 @@ fn dense_intersections_take_the_word_arm_and_are_counted_live() {
     server.shutdown();
 }
 
+#[test]
+fn words_slots_lift_as_a_copy_and_are_counted_live() {
+    // 8^4 rows, each value filling one child of the root: value 1 holds
+    // every other row of the first 1024, so its leaf is smaller as plain
+    // words (2 bits per element) than as gamma codes (3).
+    let w: Vec<u32> = (0..4096u32)
+        .map(|i| if i < 1024 { i % 2 } else { 2 + (i - 1024) % 6 })
+        .collect();
+    let table = IndexedTable::from_columns(vec![IndexedColumn {
+        name: "w".into(),
+        sigma: 8,
+        index: Box::new(OptimalIndex::build(&w, 8, IoConfig::with_block_bits(512))),
+    }]);
+    let server = Server::serve(Arc::new(table), ServeConfig::default()).expect("serve");
+    let mut client = Client::connect(server.addr().expect("tcp addr")).expect("connect");
+    let lifts = |client: &mut Client, id| {
+        client
+            .stats(id)
+            .expect("stats")
+            .counter("kernel/lift_words")
+            .expect("kernel/lift_words missing from the STATS reply")
+    };
+    // Sibling tests share the process-wide kernel counters, so only the
+    // increase is pinned.
+    let before = lifts(&mut client, 1);
+    let q = Predicate::point("w", 1).normalize().expect("normalize");
+    let rows = client.call(2, &q).expect("call").body.expect("rows").rows;
+    assert_eq!(rows, (0..512u64).map(|i| 2 * i + 1).collect::<Vec<_>>());
+    assert!(
+        lifts(&mut client, 3) > before,
+        "the words slot was not lifted as words"
+    );
+    drop(client);
+    server.shutdown();
+}
+
 /// An index slow enough to force queue build-up.
 struct SlowScan {
     data: Vec<Symbol>,

@@ -729,3 +729,63 @@ fn auto_checkpoint_bounds_log_and_keeps_correctness() {
     let (rd, _) = recover::<SemiDynamicIndex>(&dir, DurableOptions::default()).expect("recover");
     check_all_ranges(rd.index(), &oracle_at(&[], &ops, 600), "auto checkpoint");
 }
+
+// ------------------------------------- edits to rows appended since a snapshot
+
+#[test]
+fn replayed_edits_to_pending_appends_never_rebuild() {
+    // Rows appended after the fully dynamic index's snapshot live in its
+    // in-memory tail: changing or deleting them rewrites the tail, with
+    // no global rebuild — live, and again when recovery replays the log.
+    let dir = test_dir("pending_append_edits");
+    let initial = initial_symbols(61, 400);
+    let idx = FullyDynamicIndex::build(&initial, SIGMA, cfg());
+    let rebuilds = idx.global_rebuilds;
+    let mut d = Durable::create(&dir, idx, DurableOptions::default()).expect("create");
+    let io = IoSession::untracked();
+    let mut g = Gen(67);
+    let mut ops = Vec::new();
+    let appended = 80u64; // under the n/4 that folds appends in
+    for _ in 0..appended {
+        ops.push(MutOp::Append {
+            symbol: (g.next() % SIGMA as u64) as u32,
+        });
+    }
+    let len = initial.len() as u64 + appended;
+    for k in 0..300 {
+        let r = g.next();
+        let pos = initial.len() as u64 + (r >> 8) % appended;
+        ops.push(if k % 4 == 0 {
+            MutOp::Delete { pos }
+        } else {
+            MutOp::Change {
+                pos,
+                symbol: ((r >> 40) % SIGMA as u64) as u32,
+            }
+        });
+    }
+    for op in &ops {
+        d.apply(op, &io).expect("apply");
+    }
+    assert_eq!(
+        d.index().global_rebuilds,
+        rebuilds,
+        "live tail edits rebuilt"
+    );
+    assert_eq!(d.index().len(), len);
+    d.commit().expect("commit");
+    drop(d);
+    let (rd, report) =
+        recover::<FullyDynamicIndex>(&dir, DurableOptions::default()).expect("recover");
+    assert_eq!(report.replayed, ops.len());
+    assert_eq!(
+        rd.index().global_rebuilds,
+        rebuilds,
+        "replayed tail edits rebuilt"
+    );
+    check_all_ranges(
+        rd.index(),
+        &oracle_at(&initial, &ops, ops.len()),
+        "replayed tail edits",
+    );
+}

@@ -29,12 +29,20 @@ pub fn cfg() -> IoConfig {
 
 /// Store directory: `PSI_PERSIST_DIR` when the driver pins one (the CI
 /// persistence job does, so save and reopen run in different processes
-/// against the same files), else a per-target temp dir.
+/// against the same files), else a per-target temp dir. Either way the
+/// files live in a subdirectory named for the store format versions, so
+/// files an older build left behind (a reused or cached target
+/// directory) are never mistaken for this build's and re-saved instead.
 pub fn suite_dir() -> PathBuf {
-    let dir = match std::env::var("PSI_PERSIST_DIR") {
+    let root = match std::env::var("PSI_PERSIST_DIR") {
         Ok(d) if !d.is_empty() => PathBuf::from(d),
         _ => PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("psi_persist"),
     };
+    let dir = root.join(format!(
+        "v{}-{}",
+        psi::store::VERSION,
+        psi::store::VERSION_CHECKPOINT
+    ));
     std::fs::create_dir_all(&dir).expect("create persist dir");
     dir
 }
