@@ -109,7 +109,7 @@ impl SecondaryIndex for BinnedBitmapIndex {
             return RidSet::from_positions(GapBitmap::empty(self.n));
         }
         if let [(catalog, idx)] = parts[..] {
-            return RidSet::from_positions(catalog.copy_bitmap_auto(&self.disk, idx, io));
+            return RidSet::from_positions(catalog.copy_bitmap(&self.disk, idx, io));
         }
         // Density-planned merge over the cover's catalog metadata.
         let (total, span) = merge::cover_stats(parts.iter().map(|&(catalog, idx)| {

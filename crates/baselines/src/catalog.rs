@@ -5,17 +5,11 @@
 //! bitmaps concatenated in one disk stream, with an in-memory directory of
 //! `(offset, length, cardinality)` triples — the paper's "for each node, we
 //! also store the position and length of its compressed bitmap" (§2.1).
-//!
-//! Alongside the payload extent, a side extent persists one **skip
-//! directory** per bitmap ([`psi_bits::SKIP_SAMPLE`]-spaced samples; see
-//! `psi_bits::skip`): charged reads buy indexed verbatim copies whose
-//! results gallop ([`BitmapCatalog::copy_bitmap_indexed`]).
+//! The extent holds the code streams and nothing beside them: a copied
+//! bitmap builds its skip directory in memory on first use.
 
-use psi_bits::skip::{SkipDirectory, SkipEntry, SKIP_LIFT_MIN};
-use psi_bits::{BitBuf, GapBitmap, GapDecoder, GapEncoder, SKIP_SAMPLE};
+use psi_bits::{BitBuf, GapBitmap, GapDecoder, GapEncoder};
 use psi_io::{cost, Disk, DiskReader, ExtentId, IoSession};
-
-pub use psi_bits::skip::DIR_MIN_COUNT;
 
 /// Directory entry for one bitmap in a [`BitmapCatalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,18 +25,12 @@ pub struct CatalogEntry {
     pub first_pos: Option<u64>,
     /// Largest encoded position.
     pub last_pos: Option<u64>,
-    /// Bit offset of the skip directory in the side extent.
-    pub dir_off: u64,
-    /// Persisted skip-directory entries.
-    pub dir_entries: u64,
 }
 
 /// A family of gap-compressed bitmaps concatenated in one extent.
 #[derive(Debug)]
 pub struct BitmapCatalog {
     ext: ExtentId,
-    /// Side extent holding every bitmap's skip directory.
-    dir_ext: ExtentId,
     universe: u64,
     entries: Vec<CatalogEntry>,
 }
@@ -56,57 +44,29 @@ impl BitmapCatalog {
         J: IntoIterator<Item = u64>,
     {
         let ext = disk.alloc();
-        let dir_ext = disk.alloc();
         let session = IoSession::untracked();
         let mut entries = Vec::new();
-        let mut directories: Vec<Vec<SkipEntry>> = Vec::new();
-        {
-            let mut writer = disk.writer(ext, &session);
-            for group in groups {
-                let bit_off = writer.pos();
-                let mut samples = Vec::new();
-                let mut first_pos = None;
-                let mut enc = GapEncoder::new(&mut writer);
-                for p in group {
-                    enc.push(p);
-                    if (enc.count() - 1).is_multiple_of(u64::from(SKIP_SAMPLE)) {
-                        samples.push(SkipEntry {
-                            pos: p,
-                            bit_off: enc.bit_pos() - bit_off,
-                            occ: SkipEntry::OCC_SELF,
-                        });
-                    } else if let Some(last) = samples.last_mut() {
-                        last.cover(p);
-                    }
-                    first_pos.get_or_insert(p);
-                }
-                let last_pos = enc.last();
-                let count = enc.finish();
-                if count < DIR_MIN_COUNT {
-                    samples.clear();
-                }
-                entries.push(CatalogEntry {
-                    bit_off,
-                    bit_len: writer.pos() - bit_off,
-                    count,
-                    first_pos,
-                    last_pos,
-                    dir_off: 0, // assigned below
-                    dir_entries: samples.len() as u64,
-                });
-                directories.push(samples);
+        let mut writer = disk.writer(ext, &session);
+        for group in groups {
+            let bit_off = writer.pos();
+            let mut first_pos = None;
+            let mut enc = GapEncoder::new(&mut writer);
+            for p in group {
+                enc.push(p);
+                first_pos.get_or_insert(p);
             }
-        }
-        let mut dw = disk.writer(dir_ext, &session);
-        for (entry, samples) in entries.iter_mut().zip(&directories) {
-            entry.dir_off = dw.pos();
-            for e in samples {
-                e.write_to(&mut dw);
-            }
+            let last_pos = enc.last();
+            let count = enc.finish();
+            entries.push(CatalogEntry {
+                bit_off,
+                bit_len: writer.pos() - bit_off,
+                count,
+                first_pos,
+                last_pos,
+            });
         }
         BitmapCatalog {
             ext,
-            dir_ext,
             universe,
             entries,
         }
@@ -152,35 +112,6 @@ impl BitmapCatalog {
         GapBitmap::from_code_bits(bits, e.count, self.universe)
     }
 
-    /// Reads bitmap `idx`'s persisted skip directory (sequential, charged).
-    pub fn read_directory(&self, disk: &Disk, idx: usize, io: &IoSession) -> SkipDirectory {
-        let e = &self.entries[idx];
-        let mut r = disk.reader(self.dir_ext, e.dir_off, io);
-        SkipDirectory::read_from_source(&mut r, SKIP_SAMPLE, e.dir_entries)
-    }
-
-    /// [`Self::copy_bitmap`] plus a lift of the persisted skip directory
-    /// (charged against the side extent): payload charges are identical,
-    /// the directory costs exactly its own blocks, and the returned
-    /// bitmap gallops without a decode pass.
-    pub fn copy_bitmap_indexed(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
-        let e = &self.entries[idx];
-        let skip = self.read_directory(disk, idx, io);
-        let bits = BitBuf::lift(&mut disk.reader(self.ext, e.bit_off, io), e.bit_len);
-        GapBitmap::from_code_bits_indexed(bits, e.count, self.universe, skip)
-    }
-
-    /// [`Self::copy_bitmap_indexed`] when the result is large enough for
-    /// galloping to repay the directory blocks ([`SKIP_LIFT_MIN`]), else
-    /// the plain verbatim copy.
-    pub fn copy_bitmap_auto(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
-        if self.entries[idx].count >= SKIP_LIFT_MIN {
-            self.copy_bitmap_indexed(disk, idx, io)
-        } else {
-            self.copy_bitmap(disk, idx, io)
-        }
-    }
-
     /// Compressed payload size in bits.
     pub fn payload_bits(&self, disk: &Disk) -> u64 {
         disk.extent_bits(self.ext)
@@ -195,14 +126,9 @@ impl BitmapCatalog {
         3 * field * self.entries.len() as u64
     }
 
-    /// Persisted skip-directory bits (the side extent).
-    pub fn skip_directory_bits(&self, disk: &Disk) -> u64 {
-        disk.extent_bits(self.dir_ext)
-    }
-
-    /// Payload plus directories (pointer fields and skip samples).
+    /// Payload plus [`Self::directory_bits`].
     pub fn size_bits(&self, disk: &Disk) -> u64 {
-        self.payload_bits(disk) + self.directory_bits(disk) + self.skip_directory_bits(disk)
+        self.payload_bits(disk) + self.directory_bits(disk)
     }
 }
 
@@ -213,7 +139,6 @@ impl BitmapCatalog {
     /// Serializes the in-memory directory (payload stays on disk).
     pub(crate) fn persist_meta(&self, out: &mut psi_store::MetaBuf) {
         out.put_u32(self.ext.0);
-        out.put_u32(self.dir_ext.0);
         out.put_u64(self.universe);
         out.put_len(self.entries.len());
         for e in &self.entries {
@@ -222,8 +147,6 @@ impl BitmapCatalog {
             out.put_u64(e.count);
             out.put_opt_u64(e.first_pos);
             out.put_opt_u64(e.last_pos);
-            out.put_u64(e.dir_off);
-            out.put_u64(e.dir_entries);
         }
     }
 
@@ -233,27 +156,28 @@ impl BitmapCatalog {
         disk: &Disk,
     ) -> Result<Self, psi_store::StoreError> {
         let ext = psi_store::check_extent(disk, meta.get_u32()?, "catalog")?;
-        let dir_ext = psi_store::check_extent(disk, meta.get_u32()?, "catalog directory")?;
         let universe = meta.get_u64()?;
-        // Minimum encoded entry: 5 u64 fields + two absent options = 42
+        // Minimum encoded entry: 3 u64 fields + two absent options = 26
         // bytes (an empty bitmap omits first/last_pos), so the length
-        // bound must use 42, not the fully-populated 58.
-        let n = meta.get_len(42)?;
+        // bound must use 26, not the fully-populated 42.
+        let n = meta.get_len(26)?;
         let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push(CatalogEntry {
+        for i in 0..n {
+            let e = CatalogEntry {
                 bit_off: meta.get_u64()?,
                 bit_len: meta.get_u64()?,
                 count: meta.get_u64()?,
                 first_pos: meta.get_opt_u64()?,
                 last_pos: meta.get_opt_u64()?,
-                dir_off: meta.get_u64()?,
-                dir_entries: meta.get_u64()?,
-            });
+            };
+            let span = (e.first_pos, e.last_pos);
+            psi_store::check_bitmap(disk, ext, (e.bit_off, e.bit_len), e.count, span, || {
+                format!("catalog entry {i}")
+            })?;
+            entries.push(e);
         }
         Ok(BitmapCatalog {
             ext,
-            dir_ext,
             universe,
             entries,
         })
@@ -263,7 +187,6 @@ impl BitmapCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psi_bits::SKIP_ENTRY_BITS;
     use psi_io::IoConfig;
 
     #[test]
@@ -291,8 +214,16 @@ mod tests {
     #[test]
     fn copy_bitmap_is_verbatim_and_charged_like_decode() {
         let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let groups = vec![vec![0u64, 5, 9], vec![2, 3, 4, 99]];
-        let cat = BitmapCatalog::build(&mut disk, 100, groups.clone());
+        let groups = vec![
+            vec![0u64, 5, 9],
+            vec![2, 3, 4, 99],
+            (0..600u64).map(|i| i * 4).collect(),
+        ];
+        let cat = BitmapCatalog::build(&mut disk, 2400, groups.clone());
+        assert_eq!(
+            (cat.entry(2).first_pos, cat.entry(2).last_pos),
+            (Some(0), Some(2396))
+        );
         for (i, g) in groups.iter().enumerate() {
             let decode_io = IoSession::new();
             let decoded: Vec<u64> = cat.decoder(&disk, i, &decode_io).collect();
@@ -300,40 +231,68 @@ mod tests {
             let copied = cat.copy_bitmap(&disk, i, &copy_io);
             assert_eq!(&decoded, g);
             assert_eq!(copied.to_vec(), decoded);
-            assert_eq!(copied.universe(), 100);
+            assert_eq!(copied.universe(), 2400);
             assert_eq!(copied.size_bits(), cat.entry(i).bit_len);
             assert_eq!(copy_io.stats().reads, decode_io.stats().reads);
             assert_eq!(copy_io.stats().bits_read, decode_io.stats().bits_read);
         }
+        // The copy builds its directory on first use.
+        let copied = cat.copy_bitmap(&disk, 2, &IoSession::new());
+        assert!(!copied.has_skip_dir());
+        assert!(copied.contains(2396) && !copied.contains(2395));
+        assert_eq!(copied.rank(1200), 300);
+        assert!(copied.has_skip_dir());
     }
 
     #[test]
-    fn copy_bitmap_indexed_charges_payload_parity_plus_directory() {
+    fn corrupt_entry_metadata_is_a_typed_error() {
         let mut disk = Disk::new(IoConfig::with_block_bits(256));
-        let positions: Vec<u64> = (0..600u64).map(|i| i * 4).collect();
-        let cat = BitmapCatalog::build(&mut disk, 2400, vec![positions.clone()]);
-        let e = *cat.entry(0);
-        assert_eq!(e.dir_entries, 600u64.div_ceil(64));
-        assert_eq!((e.first_pos, e.last_pos), (Some(0), Some(2396)));
-        let plain_io = IoSession::new();
-        let plain = cat.copy_bitmap(&disk, 0, &plain_io);
-        let indexed_io = IoSession::new();
-        let indexed = cat.copy_bitmap_indexed(&disk, 0, &indexed_io);
-        assert_eq!(indexed, plain);
-        let dir_blocks = {
-            let b = 256;
-            (e.dir_off + e.dir_entries * SKIP_ENTRY_BITS - 1) / b - e.dir_off / b + 1
+        let mut cat = BitmapCatalog::build(&mut disk, 2400, vec![(0..600u64).map(|i| i * 4)]);
+        let restore = |cat: &BitmapCatalog, disk: &Disk| {
+            let mut meta = psi_store::MetaBuf::new();
+            cat.persist_meta(&mut meta);
+            BitmapCatalog::restore_meta(&mut psi_store::MetaCursor::new(meta.bytes()), disk)
         };
-        assert_eq!(
-            indexed_io.stats().reads,
-            plain_io.stats().reads + dir_blocks
-        );
-        assert_eq!(
-            indexed_io.stats().bits_read,
-            plain_io.stats().bits_read + e.dir_entries * SKIP_ENTRY_BITS
-        );
-        assert!(indexed.contains(2396) && !indexed.contains(2395));
-        assert_eq!(indexed.rank(1200), 300);
+        assert!(restore(&cat, &disk).is_ok());
+        // An entry that reaches past the extent, or whose non-empty span
+        // is missing or reversed, is rejected: copies would panic on it,
+        // not fail.
+        let good = cat.entries[0];
+        let end = cat.payload_bits(&disk);
+        for (i, bad) in [
+            CatalogEntry {
+                bit_off: end,
+                ..good
+            },
+            CatalogEntry {
+                bit_len: good.bit_len + 1,
+                ..good
+            },
+            CatalogEntry {
+                bit_off: u64::MAX,
+                ..good
+            },
+            CatalogEntry {
+                first_pos: Some(2397),
+                ..good
+            },
+            CatalogEntry {
+                first_pos: None,
+                ..good
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            cat.entries[0] = bad;
+            assert!(
+                matches!(
+                    restore(&cat, &disk),
+                    Err(psi_store::StoreError::Meta { .. })
+                ),
+                "case {i} accepted"
+            );
+        }
     }
 
     #[test]

@@ -71,10 +71,9 @@ impl SecondaryIndex for CompressedScanIndex {
             return RidSet::from_positions(GapBitmap::empty(0));
         }
         // Point queries return the stored per-character bitmap as a
-        // verbatim word copy (with its skip directory when large enough
-        // to gallop over).
+        // verbatim word copy.
         if lo == hi {
-            return RidSet::from_positions(self.cat.copy_bitmap_auto(&self.disk, lo as usize, io));
+            return RidSet::from_positions(self.cat.copy_bitmap(&self.disk, lo as usize, io));
         }
         // Density-planned merge: counts and span come from the in-memory
         // catalog directory, before any decode.

@@ -145,9 +145,7 @@ impl SecondaryIndex for MultiResolutionIndex {
         // A one-bin cover (aligned ranges, single characters) is already
         // stored in the output encoding: return the word copy directly.
         if let [(j, b)] = cover[..] {
-            return RidSet::from_positions(
-                self.levels[j].copy_bitmap_auto(&self.disk, b as usize, io),
-            );
+            return RidSet::from_positions(self.levels[j].copy_bitmap(&self.disk, b as usize, io));
         }
         // Density-planned merge over the cover's catalog metadata.
         let (total, span) = merge::cover_stats(cover.iter().map(|&(j, b)| {

@@ -23,10 +23,10 @@ use crate::{codes, kernel, swar, BitBuf, BitBufReader, BitSink, BitSource, BitWr
 /// The element count and universe size are carried as plain metadata (the
 /// paper stores these as node weights in the tree structures); only the gap
 /// codes occupy the compressed payload. A [`SkipDirectory`] sampled every
-/// [`SKIP_SAMPLE`] elements rides alongside the code stream — filled for
-/// free by the encoding constructors, lifted from persisted side extents
-/// by the storage layers, or built lazily by one decode pass otherwise —
-/// and makes [`Self::contains`], [`Self::rank`], [`Self::select`] and the
+/// [`SKIP_SAMPLE`] elements rides alongside the code stream in memory —
+/// filled for free by the encoding constructors, or built lazily by one
+/// decode pass otherwise (a bitmap lifted from storage) — and makes
+/// [`Self::contains`], [`Self::rank`], [`Self::select`] and the
 /// galloping [`GapCursor`] `O(lg(z/K) + K)` instead of `O(z)`.
 ///
 /// The words form ([`Self::from_plain_words`]) stores bit `p − base` of an
@@ -395,11 +395,11 @@ impl GapBitmap {
         Self::gaps(universe, count, bits, OnceLock::new())
     }
 
-    /// [`Self::from_code_bits`] plus a skip directory lifted alongside the
-    /// stream (the storage layers persist one per slot; a query covered by
-    /// a single stored bitmap copies both verbatim, so the result supports
-    /// galloping set operations without a decode pass). Debug builds
-    /// verify every sample against a decode of the stream.
+    /// [`Self::from_code_bits`] plus a prepared skip directory, which
+    /// may be truncated or carry occupancy-free (`occ = 0`) entries — how
+    /// tests and the kernel experiments build a stream whose probes are
+    /// never ruled out. Debug builds verify every sample against a decode
+    /// of the stream.
     pub fn from_code_bits_indexed(
         bits: BitBuf,
         count: u64,
@@ -418,13 +418,12 @@ impl GapBitmap {
                         .all(|(s, r)| {
                             // Position and offset must match exactly; the
                             // occupancy word is either the exact summary or 0
-                            // ("no information" — how append paths persist
-                            // entries whose blocks were still growing).
+                            // ("no information").
                             s.pos == r.pos
                                 && s.bit_off == r.bit_off
                                 && (s.occ == 0 || s.occ == r.occ)
                         }),
-                "lifted skip directory disagrees with the stream"
+                "supplied skip directory disagrees with the stream"
             );
         }
         let b = Self::from_code_bits(bits, count, universe);
@@ -485,19 +484,22 @@ impl GapBitmap {
     }
 
     /// The skip directory, building it with one decode pass if no
-    /// construction or storage path supplied it. CPU-only: the payload is
-    /// already in memory. A words-form bitmap has an empty directory: its
-    /// operations never need one.
+    /// constructor supplied it (`kernel/skip_build`). CPU-only: the
+    /// payload is already in memory. A words-form bitmap has an empty
+    /// directory: its operations never need one.
     pub fn skip_dir(&self) -> &SkipDirectory {
         match &self.form {
-            Form::Gaps { bits, skip } => skip.get_or_init(|| build_skip(bits, self.count)),
+            Form::Gaps { bits, skip } => skip.get_or_init(|| {
+                kernel::metrics().skip_build.inc();
+                build_skip(bits, self.count)
+            }),
             Form::Words { .. } => no_directory(),
         }
     }
 
     /// Whether a gamma-form skip directory is already materialized
-    /// (supplied by a constructor or a storage lift, or built by an
-    /// earlier [`Self::skip_dir`] call), so using it costs no decode pass.
+    /// (supplied by a constructor, or built by an earlier
+    /// [`Self::skip_dir`] call), so using it costs no decode pass.
     /// Always `false` for the words form, which has no directory.
     pub fn has_skip_dir(&self) -> bool {
         match &self.form {
@@ -543,8 +545,8 @@ impl GapBitmap {
         };
         match self.skip_dir().seek(pos) {
             None => {
-                // Either the first element exceeds `pos`, or a lifted
-                // directory is empty (tiny slot): scan from the start.
+                // Either the first element exceeds `pos`, or a supplied
+                // directory is empty: scan from the start.
                 if self.skip_dir().is_empty() {
                     self.iter().take_while(|&p| p < pos).count() as u64
                 } else {
@@ -591,7 +593,7 @@ impl GapBitmap {
             }
         };
         let Some((r, e)) = self.skip_dir().seek_rank(k) else {
-            return self.iter().nth(k as usize); // empty lifted directory
+            return self.iter().nth(k as usize); // empty supplied directory
         };
         if r == k {
             return Some(e.pos);
@@ -750,7 +752,7 @@ impl GapBitmap {
         }
         match self.skip_dir().seek(pos) {
             None => {
-                // Empty lifted directory (tiny slot): linear scan.
+                // Empty supplied directory: linear scan.
                 self.skip_dir().is_empty()
                     && self.iter().take_while(|&p| p <= pos).any(|p| p == pos)
             }
@@ -1434,8 +1436,14 @@ mod tests {
         assert_eq!(words[0] & (1 << 50), 1 << 50);
         words[0] &= !(1 << 50);
         assert_eq!(GapBitmap::from_words(&words, universe), encoded);
+        // Other tests share the counter, so only its increase is pinned.
+        let builds = kernel::metrics().skip_build.get();
         let _ = wrapped.skip_dir();
         assert!(wrapped.has_skip_dir());
+        assert!(
+            kernel::metrics().skip_build.get() > builds,
+            "build not counted"
+        );
     }
 
     #[test]
@@ -1500,8 +1508,8 @@ mod tests {
 
     #[test]
     fn truncated_directory_stays_correct() {
-        // A directory cut off mid-stream (persisted slack exhausted) must
-        // still answer correctly via its linear tail.
+        // A directory cut off mid-stream must still answer correctly via
+        // its linear tail.
         let positions: Vec<u64> = (0..400u64).map(|i| 5 * i).collect();
         let full = GapBitmap::from_sorted(&positions, 2000);
         let mut copy = BitBuf::new();

@@ -53,11 +53,16 @@ pub struct KernelMetrics {
     /// `kernel/contains_block_skip` — membership probes answered absent
     /// by an occupancy word alone.
     pub contains_block_skip: Arc<Counter>,
+    /// `kernel/skip_build` — skip directories built by a decode pass on
+    /// first use (one per bitmap, however many elements it holds): a
+    /// gamma bitmap that no encoder sampled, such as a stored slot's
+    /// lift, meeting its first `contains`, `rank`, `select` or gallop.
+    pub skip_build: Arc<Counter>,
 }
 
 impl KernelMetrics {
     /// Every counter with its registry name, in declaration order.
-    fn named(&self) -> [(&'static str, &Counter); 11] {
+    fn named(&self) -> [(&'static str, &Counter); 12] {
         [
             ("kernel/decode_swar", &self.decode_swar),
             ("kernel/decode_simd", &self.decode_simd),
@@ -70,6 +75,7 @@ impl KernelMetrics {
             ("kernel/intersect_words", &self.intersect_words),
             ("kernel/intersect_block_skip", &self.intersect_block_skip),
             ("kernel/contains_block_skip", &self.contains_block_skip),
+            ("kernel/skip_build", &self.skip_build),
         ]
     }
 }
@@ -93,6 +99,7 @@ pub fn metrics() -> &'static KernelMetrics {
             intersect_words: r.counter("kernel/intersect_words"),
             intersect_block_skip: r.counter("kernel/intersect_block_skip"),
             contains_block_skip: r.counter("kernel/contains_block_skip"),
+            skip_build: r.counter("kernel/skip_build"),
         }
     })
 }

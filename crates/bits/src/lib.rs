@@ -50,7 +50,7 @@ mod swar;
 pub use buf::{BitBuf, BitBufReader, BitWriter};
 pub use gap::{words_pay, GapBitmap, GapCursor, GapDecoder, GapEncoder, GapIter};
 pub use plain::{PlainBitmap, RankDirectory};
-pub use skip::{SkipDirectory, SkipEntry, SKIP_ENTRY_BITS, SKIP_SAMPLE};
+pub use skip::{SkipDirectory, SkipEntry, SKIP_SAMPLE};
 
 /// A destination for bits (in-memory buffer or disk writer).
 pub trait BitSink {

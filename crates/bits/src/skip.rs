@@ -7,29 +7,19 @@
 //! rank and select restart decoding at the nearest sample — `O(lg(z/K))`
 //! for the probe plus at most `K − 1` codes of linear decode, instead of
 //! `O(z)`. This is the classical skip-pointer design of inverted indexes
-//! (cf. the perlin posting layout), applied to Pagh & Rao's cut streams:
-//! the directory lives *beside* the code stream (a side extent on disk,
-//! a small vector in memory) and never changes the stream encoding, so
-//! every existing bound on the payload is untouched.
+//! (cf. the perlin posting layout), applied to Pagh & Rao's cut streams.
+//! The directory lives only in memory, beside the code stream: the
+//! encoders fill it while they write the codes, and a bitmap lifted from
+//! storage builds it with one decode pass on first use. Storage holds the
+//! codes alone, so every bound on the payload is the bound on what is
+//! stored.
 
 /// Sampling interval: one directory entry per `SKIP_SAMPLE` elements.
 ///
-/// 64 keeps the directory at `z/64` entries (`≈ 144·z/64 = 2.25` bits per
-/// element persisted, 3 words per element in memory) while bounding
-/// every directory-assisted operation's linear tail at 63 codes.
+/// 64 keeps the directory at `z/64` entries (3 words per entry in
+/// memory) while bounding every directory-assisted operation's linear
+/// tail at 63 codes.
 pub const SKIP_SAMPLE: u32 = 64;
-
-/// Width of a persisted directory entry: 48-bit position + 32-bit offset
-/// + 64-bit occupancy word.
-///
-/// The position matches the engine's 48-bit node-weight fields; slot code
-/// streams are far below `2³²` bits.
-pub const SKIP_ENTRY_BITS: u64 = 144;
-
-/// Bit offset of the occupancy word within a persisted entry (past the
-/// position and offset fields) — append paths overwrite just this field
-/// to demote a stale exact summary to "no information".
-pub const SKIP_OCC_OFF: u64 = 80;
 
 /// One sample: the `(j·K)`-th decoded element (0-indexed) of a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,41 +36,20 @@ pub struct SkipEntry {
     /// elements more than 64 buckets past the sample are unsummarized
     /// (they cannot clear lower bits, so the word stays sound). `0` means
     /// *no information* — an exact summary always has bit 0 set (the
-    /// sampled element itself) — which is how append paths persist
-    /// entries whose blocks may still grow. Intersection and membership
-    /// kernels test these words to rule out whole buckets without
-    /// decoding any codes.
+    /// sampled element itself). Intersection and membership kernels test
+    /// these words to rule out whole buckets without decoding any codes.
     pub occ: u64,
 }
 
 impl SkipEntry {
     /// Exact occupancy seed for a freshly sampled element: its own bucket.
-    pub const OCC_SELF: u64 = 1;
-
-    /// Writes the fixed-width persisted form (48-bit position, 32-bit
-    /// offset, 64-bit occupancy word).
-    pub fn write_to<S: crate::BitSink>(&self, sink: &mut S) {
-        debug_assert!(self.pos < 1 << 48, "sample position exceeds 48 bits");
-        debug_assert!(self.bit_off < 1 << 32, "sample offset exceeds 32 bits");
-        sink.put_bits(self.pos, 48);
-        sink.put_bits(self.bit_off, 32);
-        sink.put_bits(self.occ, 64);
-    }
-
-    /// Reads the persisted form.
-    pub fn read_from<S: crate::BitSource>(src: &mut S) -> SkipEntry {
-        SkipEntry {
-            pos: src.get_bits(48),
-            bit_off: src.get_bits(32),
-            occ: src.get_bits(64),
-        }
-    }
+    const OCC_SELF: u64 = 1;
 
     /// Folds a later element of this entry's block into the occupancy
     /// word (no-op for elements past the 64-bucket window, which the
     /// summary cannot describe).
     #[inline]
-    pub fn cover(&mut self, pos: u64) {
+    fn cover(&mut self, pos: u64) {
         let d = (pos >> 6) - (self.pos >> 6);
         if d < 64 {
             self.occ |= 1 << d;
@@ -102,28 +71,12 @@ impl SkipEntry {
     }
 }
 
-/// Streams below this element count persist no skip directory: galloping
-/// over fewer than two sampling intervals is linear decode anyway, and
-/// the [`SKIP_ENTRY_BITS`]-wide entries would otherwise dominate the
-/// space of small stored bitmaps. Shared policy of every storage layer
-/// that persists directories.
-pub const DIR_MIN_COUNT: u64 = 2 * SKIP_SAMPLE as u64;
-
-/// Minimum single-cover result size at which storage layers lift the
-/// persisted skip directory alongside a verbatim copy. Below this,
-/// galloping over the result saves less than the directory's own block
-/// reads cost; above it, the directory is a rounding error next to the
-/// payload and turns every subsequent membership/rank/select on the
-/// result into `O(lg(z/K) + K)` work with no decode pass.
-pub const SKIP_LIFT_MIN: u64 = 4096;
-
 /// A sampled directory over one gap stream.
 ///
-/// Entry `j` describes element index `j · k`. The directory may be
-/// *truncated* (fewer entries than `count/k`, e.g. when a persisted
-/// slot's reserved directory slack filled up): operations past the last
-/// sample simply decode linearly from there, so truncation affects speed,
-/// never correctness.
+/// Entry `j` describes element index `j · k`. A directory supplied with
+/// [`SkipDirectory::from_entries`] may be *truncated* (fewer entries than
+/// `count/k`): operations past the last sample simply decode linearly
+/// from there, so truncation affects speed, never correctness.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SkipDirectory {
     k: u32,
@@ -143,7 +96,8 @@ impl SkipDirectory {
         }
     }
 
-    /// Wraps pre-read entries (the persisted-directory lift).
+    /// Wraps prepared entries (e.g. an occupancy-free copy of a built
+    /// directory, the comparator of the occupancy rule-out).
     pub fn from_entries(k: u32, entries: Vec<SkipEntry>) -> Self {
         assert!(k > 0, "sampling interval must be positive");
         debug_assert!(
@@ -151,12 +105,6 @@ impl SkipDirectory {
             "directory positions must be strictly increasing"
         );
         SkipDirectory { k, entries }
-    }
-
-    /// Reads `entries` consecutive persisted entries from `src` (the
-    /// storage layers' sequential directory lift).
-    pub fn read_from_source<S: crate::BitSource>(src: &mut S, k: u32, entries: u64) -> Self {
-        Self::from_entries(k, (0..entries).map(|_| SkipEntry::read_from(src)).collect())
     }
 
     /// The sampling interval `K`.
@@ -221,8 +169,8 @@ impl SkipDirectory {
     /// entry is the stream's first element, so anything below it is
     /// absent; an interior block is fully summarized by its entry (later
     /// blocks start above `target`, earlier ones end below its bucket);
-    /// and the *last* entry is never consulted, because a truncated or
-    /// append-grown tail block may hold elements its persisted word never
+    /// and the *last* entry is never consulted, because past a truncated
+    /// directory's last entry the stream holds elements its word never
     /// observed.
     pub fn rules_out(&self, target: u64) -> bool {
         let j = self.entries.partition_point(|e| e.pos <= target);
@@ -232,7 +180,7 @@ impl SkipDirectory {
             return !self.entries.is_empty();
         }
         if j >= self.entries.len() {
-            return false; // tail block: may have grown past its summary
+            return false; // tail block: may run past its summary
         }
         self.entries[j - 1].occ_rules_out(target)
     }

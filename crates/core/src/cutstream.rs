@@ -11,24 +11,17 @@
 //! rebuild machinery). All reads and writes are charged to the caller's
 //! [`IoSession`].
 //!
-//! Each gamma slot additionally persists a **skip directory** — one
-//! `(position, bit offset)` sample per [`SKIP_SAMPLE`] encoded elements —
-//! in a side extent, written at build/rebuild time and extended by
-//! appends. Directory reads are charged like any other read; they buy
-//! indexed verbatim copies ([`CutStream::copy_bitmap_indexed`] lifts the
-//! samples with the payload so the returned bitmap supports galloping set
-//! operations without a decode pass).
+//! The stream stores the slots' payload and nothing beside it. A gamma
+//! slot lifted by [`CutStream::copy_bitmap`] builds its skip directory in
+//! memory on first use ([`GapBitmap::skip_dir`]).
 //!
 //! Each slot of a static stream ([`Slack::None`]) records a **codec**
-//! chosen at build time ([`SlotCodec`]): gamma codes plus directory, or
-//! plain words over the slot's 64-aligned span when those take fewer
-//! bits than the gamma codes alone. Dense slots of low-cardinality
-//! columns store as words, which lift as a word copy and need no
-//! directory. Every reader dispatches on the codec, so no caller learns
-//! the format.
+//! chosen at build time ([`SlotCodec`]): gamma codes, or plain words over
+//! the slot's 64-aligned span when those take fewer bits. Dense slots of
+//! low-cardinality columns store as words, which lift as a word copy.
+//! Every reader dispatches on the codec, so no caller learns the format.
 
-use psi_bits::skip::{self, SkipDirectory, SkipEntry};
-use psi_bits::{codes, kernel, BitBuf, GapBitmap, GapDecoder, SKIP_ENTRY_BITS, SKIP_SAMPLE};
+use psi_bits::{codes, kernel, BitBuf, GapBitmap, GapDecoder};
 use psi_io::{Disk, DiskReader, ExtentId, IoSession};
 
 /// Allocation policy for slot slack.
@@ -48,47 +41,24 @@ impl Slack {
             Slack::Proportional => 2 * len + 256,
         }
     }
-
-    /// Reserved directory entries for a slot that starts with `entries`
-    /// samples (a little slack absorbs appended samples until the owning
-    /// subtree is rebuilt; an exhausted reservation merely truncates the
-    /// directory — operations past the last sample decode linearly).
-    /// Slots too small to earn a directory reserve nothing.
-    fn dir_cap_for(self, entries: u64) -> u64 {
-        match (self, entries) {
-            (_, 0) => 0,
-            (Slack::None, e) => e,
-            (Slack::Proportional, e) => e + 2,
-        }
-    }
 }
-
-/// Slot-size floor for persisting directories (the entropy bound
-/// `O(nH₀ + n)` must absorb them, so they are charged only where they
-/// pay: `≤ 1.25` bits per element on slots of 128+ elements).
-pub use psi_bits::skip::DIR_MIN_COUNT;
 
 /// How a slot stores its positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotCodec {
-    /// Gamma codes of the gaps (the first element as `gamma(p₀ + 1)`),
-    /// with a persisted skip directory once the slot holds
-    /// [`DIR_MIN_COUNT`] elements.
+    /// Gamma codes of the gaps (the first element as `gamma(p₀ + 1)`).
     Gamma,
     /// LSB-first 64-bit words covering universe words `⌊first/64⌋` to
     /// `⌊last/64⌋`: bit `j` of the `i`-th stored word set means position
-    /// `64(⌊first/64⌋ + i) + j` is in the slot. No directory.
+    /// `64(⌊first/64⌋ + i) + j` is in the slot.
     Words,
 }
 
 impl SlotCodec {
     /// The cheaper codec for strictly increasing `positions`, with their
     /// gamma payload bits: words when they take fewer bits than the gamma
-    /// codes alone (ties stay gamma). The gamma slot would persist a
-    /// directory on top, so a words slot stores fewer bits in every case;
-    /// comparing against the codes alone also keeps every lift's charge
-    /// from growing, since covers of several slots, and small single-slot
-    /// covers, lift the codes without the directory.
+    /// codes (ties stay gamma), so no slot stores, and no lift reads,
+    /// more bits than its gamma codes.
     ///
     /// # Panics
     /// Panics if the positions are not strictly increasing.
@@ -146,19 +116,6 @@ pub struct Slot {
     pub first_pos: Option<u64>,
     /// Last encoded position (needed to append the next gap code).
     pub last_pos: Option<u64>,
-    /// Bit offset of the skip directory in the side extent.
-    pub dir_off: u64,
-    /// Written directory entries.
-    pub dir_entries: u64,
-    /// Reserved directory entries (`≥ dir_entries`).
-    pub dir_cap: u64,
-    /// Whether the last persisted directory entry still carries the
-    /// *exact* occupancy word written at build time. Appends extend the
-    /// stream past that entry's summarized window, so the first append
-    /// zeroes the tail entry's occupancy on disk ("no information") and
-    /// clears this flag — at most one extra positioned write over the
-    /// slot's whole append lifetime.
-    pub dir_tail_exact: bool,
     /// Tombstone flag.
     pub dead: bool,
     /// How the payload is stored.
@@ -235,18 +192,14 @@ pub struct CutStream {
     /// Tree depth this cut materializes.
     pub level: u32,
     ext: ExtentId,
-    /// Side extent holding every slot's skip directory.
-    dir_ext: ExtentId,
     slots: Vec<Slot>,
     dead_bits: u64,
     slack: Slack,
-    /// Where the next slot, and its directory, would start if every slot
-    /// of this static stream were gamma-coded. Slots are placed there
-    /// less as many whole blocks as the space saved so far allows (see
-    /// [`place`]). Not persisted: a reopened stream continues from its
-    /// extent ends.
+    /// Where the next slot would start if every slot of this static
+    /// stream were gamma-coded. Slots are placed there less as many whole
+    /// blocks as the space saved so far allows (see [`place`]). Not
+    /// persisted: a reopened stream continues from its extent's end.
     gamma_end: u64,
-    gamma_dir_end: u64,
 }
 
 /// Offset for the next slot of `ext`: `gamma_at`, its offset had every
@@ -272,12 +225,10 @@ impl CutStream {
         CutStream {
             level,
             ext: disk.alloc(),
-            dir_ext: disk.alloc(),
             slots: Vec::new(),
             dead_bits: 0,
             slack,
             gamma_end: 0,
-            gamma_dir_end: 0,
         }
     }
 
@@ -309,18 +260,8 @@ impl CutStream {
         }
         let positions: Vec<u64> = positions.into_iter().collect();
         let (codec, gamma_bits) = SlotCodec::cheaper(&positions);
-        let count = positions.len() as u64;
-        let gamma_dir_bits = if count >= DIR_MIN_COUNT {
-            count.div_ceil(u64::from(SKIP_SAMPLE)) * SKIP_ENTRY_BITS
-        } else {
-            0
-        };
         place(disk, self.ext, self.gamma_end, io);
         self.gamma_end += gamma_bits;
-        if codec == SlotCodec::Gamma {
-            place(disk, self.dir_ext, self.gamma_dir_end, io);
-        }
-        self.gamma_dir_end += gamma_dir_bits;
         match codec {
             SlotCodec::Gamma => self.push_gamma(disk, positions, io),
             SlotCodec::Words => self.push_words(disk, &positions, io),
@@ -346,17 +287,13 @@ impl CutStream {
             count: positions.len() as u64,
             first_pos: Some(first),
             last_pos: Some(last),
-            dir_off: disk.extent_bits(self.dir_ext),
-            dir_entries: 0,
-            dir_cap: 0,
-            dir_tail_exact: false,
             dead: false,
             codec: SlotCodec::Words,
         });
         self.slots.len() - 1
     }
 
-    /// Writes a gamma slot (plus its directory, once large enough).
+    /// Writes a gamma slot.
     fn push_gamma<I: IntoIterator<Item = u64>>(
         &mut self,
         disk: &mut Disk,
@@ -368,7 +305,6 @@ impl CutStream {
         let mut count = 0u64;
         let mut first_pos = None;
         let mut last_pos = None;
-        let mut samples: Vec<SkipEntry> = Vec::new();
         for p in positions {
             match last_pos {
                 None => codes::put_gamma(&mut w, p + 1),
@@ -376,15 +312,6 @@ impl CutStream {
                     assert!(p > prev, "positions must be strictly increasing");
                     codes::put_gamma(&mut w, p - prev);
                 }
-            }
-            if count.is_multiple_of(u64::from(SKIP_SAMPLE)) {
-                samples.push(SkipEntry {
-                    pos: p,
-                    bit_off: w.pos() - off,
-                    occ: SkipEntry::OCC_SELF,
-                });
-            } else if let Some(last) = samples.last_mut() {
-                last.cover(p);
             }
             first_pos.get_or_insert(p);
             last_pos = Some(p);
@@ -395,21 +322,6 @@ impl CutStream {
         if cap > len {
             w.write_zeros(cap - len);
         }
-        // Persist the skip directory in the side extent, with entry slack
-        // mirroring the payload's policy. Tiny slots skip it entirely.
-        if count < DIR_MIN_COUNT {
-            samples.clear();
-        }
-        let dir_off = disk.extent_bits(self.dir_ext);
-        let dir_entries = samples.len() as u64;
-        let dir_cap = self.slack.dir_cap_for(dir_entries);
-        let mut dw = disk.writer(self.dir_ext, io);
-        for e in &samples {
-            e.write_to(&mut dw);
-        }
-        if dir_cap > dir_entries {
-            dw.write_zeros((dir_cap - dir_entries) * SKIP_ENTRY_BITS);
-        }
         self.slots.push(Slot {
             off,
             len,
@@ -417,10 +329,6 @@ impl CutStream {
             count,
             first_pos,
             last_pos,
-            dir_off,
-            dir_entries,
-            dir_cap,
-            dir_tail_exact: dir_entries > 0,
             dead: false,
             codec: SlotCodec::Gamma,
         });
@@ -461,52 +369,12 @@ impl CutStream {
         let at = slot.off + slot.len;
         let mut w = disk.writer_at(self.ext, at, io);
         codes::put_gamma(&mut w, code);
-        // The appended element's index is the old count; when it lands on
-        // a sampling boundary, extend the persisted directory (or let it
-        // truncate when the reservation is spent — rebuilds re-sample).
-        let sample_due = slot.count.is_multiple_of(u64::from(SKIP_SAMPLE));
         let slot = &mut self.slots[idx];
         slot.len += need;
         slot.count += 1;
         slot.first_pos.get_or_insert(pos);
         slot.last_pos = Some(pos);
-        // The appended element may fall inside the window summarized by
-        // the build-time tail entry, so its exact occupancy word is no
-        // longer trustworthy: demote it to "no information" on disk once.
-        if slot.dir_tail_exact {
-            slot.dir_tail_exact = false;
-            let occ_at =
-                slot.dir_off + (slot.dir_entries - 1) * SKIP_ENTRY_BITS + skip::SKIP_OCC_OFF;
-            let mut dw = disk.writer_at(self.dir_ext, occ_at, io);
-            dw.overwrite_bits(0, 64);
-        }
-        if sample_due && slot.dir_entries < slot.dir_cap {
-            let entry = SkipEntry {
-                pos,
-                bit_off: slot.len,
-                // Later appends land in this entry's window without
-                // touching the directory, so it can never claim exact
-                // coverage.
-                occ: 0,
-            };
-            let at = slot.dir_off + slot.dir_entries * SKIP_ENTRY_BITS;
-            slot.dir_entries += 1;
-            let mut dw = disk.writer_at(self.dir_ext, at, io);
-            entry.write_to(&mut dw);
-        }
         true
-    }
-
-    /// Reads slot `idx`'s persisted skip directory (sequential, charged).
-    /// A words slot has none: the empty directory, reading nothing.
-    pub fn read_directory(&self, disk: &Disk, idx: usize, io: &IoSession) -> SkipDirectory {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "directory read of dead slot");
-        if slot.codec == SlotCodec::Words {
-            return SkipDirectory::new(SKIP_SAMPLE);
-        }
-        let mut r = disk.reader(self.dir_ext, slot.dir_off, io);
-        SkipDirectory::read_from_source(&mut r, SKIP_SAMPLE, slot.dir_entries)
     }
 
     /// Streaming decoder over slot `idx`, charging `io`.
@@ -529,7 +397,8 @@ impl CutStream {
     /// charging `io` for the bits read. A query whose canonical cover is a
     /// single stored bitmap already holds its answer in the exact output
     /// encoding, so this replaces decode-merge-reencode with a word copy.
-    /// A words slot lifts into the words form (`kernel/lift_words`).
+    /// A words slot lifts into the words form (`kernel/lift_words`); a
+    /// gamma slot builds its skip directory in memory on first use.
     pub fn copy_bitmap(&self, disk: &Disk, idx: usize, io: &IoSession, universe: u64) -> GapBitmap {
         let slot = &self.slots[idx];
         assert!(!slot.dead, "copy of dead slot");
@@ -540,46 +409,6 @@ impl CutStream {
                 GapBitmap::from_plain_words(bits.into_words(), slot.words_base(), universe)
             }
             SlotCodec::Gamma => GapBitmap::from_code_bits(bits, slot.count, universe),
-        }
-    }
-
-    /// [`Self::copy_bitmap`] plus a lift of the persisted skip directory
-    /// (charged against the side extent), so the returned bitmap answers
-    /// membership/rank/select and gallops in `O(lg(z/K) + K)` without a
-    /// decode pass. Payload charges are identical to [`Self::copy_bitmap`];
-    /// the directory costs exactly its own blocks on top. A words slot
-    /// has no directory and lifts exactly as [`Self::copy_bitmap`].
-    pub fn copy_bitmap_indexed(
-        &self,
-        disk: &Disk,
-        idx: usize,
-        io: &IoSession,
-        universe: u64,
-    ) -> GapBitmap {
-        let slot = &self.slots[idx];
-        assert!(!slot.dead, "copy of dead slot");
-        if slot.codec == SlotCodec::Words {
-            return self.copy_bitmap(disk, idx, io, universe);
-        }
-        let skip = self.read_directory(disk, idx, io);
-        let bits = BitBuf::lift(&mut disk.reader(self.ext, slot.off, io), slot.len);
-        GapBitmap::from_code_bits_indexed(bits, slot.count, universe, skip)
-    }
-
-    /// [`Self::copy_bitmap_indexed`] when the result is large enough for
-    /// galloping to repay the directory blocks
-    /// ([`psi_bits::skip::SKIP_LIFT_MIN`]), else the plain verbatim copy.
-    pub fn copy_bitmap_auto(
-        &self,
-        disk: &Disk,
-        idx: usize,
-        io: &IoSession,
-        universe: u64,
-    ) -> GapBitmap {
-        if self.slots[idx].count >= skip::SKIP_LIFT_MIN {
-            self.copy_bitmap_indexed(disk, idx, io, universe)
-        } else {
-            self.copy_bitmap(disk, idx, io, universe)
         }
     }
 
@@ -616,11 +445,9 @@ impl CutStream {
     /// recreate cuts from scratch).
     pub fn clear(&mut self, disk: &mut Disk) {
         disk.free(self.ext);
-        disk.free(self.dir_ext);
         self.slots.clear();
         self.dead_bits = 0;
         self.gamma_end = 0;
-        self.gamma_dir_end = 0;
     }
 }
 
@@ -653,7 +480,6 @@ impl CutStream {
     pub(crate) fn persist_meta(&self, out: &mut psi_store::MetaBuf) {
         out.put_u32(self.level);
         out.put_u32(self.ext.0);
-        out.put_u32(self.dir_ext.0);
         out.put_u64(self.dead_bits);
         out.put_u8(self.slack.persist_tag());
         out.put_len(self.slots.len());
@@ -664,10 +490,6 @@ impl CutStream {
             out.put_u64(s.count);
             out.put_opt_u64(s.first_pos);
             out.put_opt_u64(s.last_pos);
-            out.put_u64(s.dir_off);
-            out.put_u64(s.dir_entries);
-            out.put_u64(s.dir_cap);
-            out.put_bool(s.dir_tail_exact);
             out.put_bool(s.dead);
             out.put_u8(s.codec.persist_tag());
         }
@@ -681,13 +503,12 @@ impl CutStream {
     ) -> Result<CutStream, psi_store::StoreError> {
         let level = meta.get_u32()?;
         let ext = psi_store::check_extent(disk, meta.get_u32()?, "cut")?;
-        let dir_ext = psi_store::check_extent(disk, meta.get_u32()?, "cut directory")?;
         let dead_bits = meta.get_u64()?;
         let slack = Slack::from_persist_tag(meta.get_u8()?)?;
-        // Minimum encoded slot: 7 u64 fields + two absent options + two
-        // flags + the codec tag = 61 bytes (an empty slot omits
+        // Minimum encoded slot: 4 u64 fields + two absent options + the
+        // tombstone flag + the codec tag = 36 bytes (an empty slot omits
         // first/last_pos).
-        let len = meta.get_len(61)?;
+        let len = meta.get_len(36)?;
         let mut slots = Vec::with_capacity(len);
         for i in 0..len {
             let slot = Slot {
@@ -697,17 +518,29 @@ impl CutStream {
                 count: meta.get_u64()?,
                 first_pos: meta.get_opt_u64()?,
                 last_pos: meta.get_opt_u64()?,
-                dir_off: meta.get_u64()?,
-                dir_entries: meta.get_u64()?,
-                dir_cap: meta.get_u64()?,
-                dir_tail_exact: meta.get_bool()?,
                 dead: meta.get_bool()?,
                 codec: SlotCodec::from_persist_tag(meta.get_u8()?)?,
             };
+            // A live slot's reservation lies within the extent and holds
+            // its payload.
+            if !slot.dead {
+                let span = (slot.first_pos, slot.last_pos);
+                psi_store::check_bitmap(disk, ext, (slot.off, slot.cap), slot.count, span, || {
+                    format!("slot {i}")
+                })?;
+                if slot.len > slot.cap {
+                    return Err(psi_store::StoreError::Meta {
+                        what: format!(
+                            "slot {i}: {} bits in a reservation of {}",
+                            slot.len, slot.cap
+                        ),
+                    });
+                }
+            }
             if slot.codec == SlotCodec::Words {
-                // A words slot holds exactly its span's words, no
-                // directory and no room to grow, in a stream that never
-                // appends; anything else would mis-decode or panic later.
+                // A words slot holds exactly its span's words and no room
+                // to grow, in a stream that never appends; anything else
+                // would mis-decode or panic later.
                 let span_words = match (slot.first_pos, slot.last_pos) {
                     (Some(f), Some(l)) if f <= l && slot.count > 0 => l / 64 - f / 64 + 1,
                     _ => 0,
@@ -715,15 +548,12 @@ impl CutStream {
                 if span_words == 0
                     || span_words.checked_mul(64) != Some(slot.len)
                     || slot.cap != slot.len
-                    || slot.dir_entries != 0
-                    || slot.dir_cap != 0
                     || slack != Slack::None
                 {
                     return Err(psi_store::StoreError::Meta {
                         what: format!(
-                            "words slot {i}: {} of {} bits for span {:?}..{:?}, \
-                             {} directory entries, slack {slack:?}",
-                            slot.len, slot.cap, slot.first_pos, slot.last_pos, slot.dir_entries
+                            "words slot {i}: {} of {} bits for span {:?}..{:?}, slack {slack:?}",
+                            slot.len, slot.cap, slot.first_pos, slot.last_pos
                         ),
                     });
                 }
@@ -733,12 +563,10 @@ impl CutStream {
         Ok(CutStream {
             level,
             ext,
-            dir_ext,
             slots,
             dead_bits,
             slack,
             gamma_end: disk.extent_bits(ext),
-            gamma_dir_end: disk.extent_bits(dir_ext),
         })
     }
 }
@@ -828,143 +656,77 @@ mod tests {
     #[test]
     fn copy_bitmap_is_verbatim_and_charged_like_decode() {
         let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::None);
-        let positions: Vec<u64> = (0..200u64).map(|i| i * 7).collect();
-        let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
-        let decode_io = IoSession::new();
-        let decoded: Vec<u64> = cut.decoder(&disk, a, &decode_io).collect();
-        let copy_io = IoSession::new();
-        let copied = cut.copy_bitmap(&disk, a, &copy_io, 1400);
-        assert_eq!(copied.to_vec(), decoded);
-        assert_eq!(copied.count(), 200);
-        assert_eq!(copied.universe(), 1400);
-        assert_eq!(copied.size_bits(), cut.slot(a).len);
-        // The copy reads the same stream, so it charges the same blocks.
-        assert_eq!(copy_io.stats().reads, decode_io.stats().reads);
-        assert_eq!(copy_io.stats().bits_read, decode_io.stats().bits_read);
-    }
-
-    #[test]
-    fn copy_bitmap_indexed_charges_payload_parity_plus_directory() {
-        let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::None);
-        // Gaps of 37: sparse enough that gamma plus directory is smaller
-        // than words over the span.
-        let positions: Vec<u64> = (0..500u64).map(|i| i * 37).collect();
-        let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
-        assert_eq!(cut.slot(a).codec, SlotCodec::Gamma);
-        let plain_io = IoSession::new();
-        let plain = cut.copy_bitmap(&disk, a, &plain_io, 18_500);
-        let indexed_io = IoSession::new();
-        let indexed = cut.copy_bitmap_indexed(&disk, a, &indexed_io, 18_500);
-        assert_eq!(indexed, plain);
-        // Payload parity: the extra charges are exactly the directory's
-        // blocks and bits, nothing else.
-        let slot = cut.slot(a);
-        let dir_blocks = {
-            let b = 256; // block bits of setup()
-            let first = slot.dir_off / b;
-            let last = (slot.dir_off + slot.dir_cap * SKIP_ENTRY_BITS - 1) / b;
-            last - first + 1
-        };
-        assert_eq!(
-            indexed_io.stats().reads,
-            plain_io.stats().reads + dir_blocks
-        );
-        assert_eq!(
-            indexed_io.stats().bits_read,
-            plain_io.stats().bits_read + slot.dir_entries * SKIP_ENTRY_BITS
-        );
-        // The lifted directory gallops without further decoding.
-        assert!(indexed.contains(37 * 499) && !indexed.contains(37 * 499 - 1));
-        assert_eq!(indexed.rank(37 * 250), 250);
-        assert_eq!(indexed.select(499), Some(37 * 499));
-    }
-
-    #[test]
-    fn appends_extend_the_persisted_directory() {
-        let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::Proportional);
-        let a = cut.push_bitmap(&mut disk, (0..180u64).map(|i| 2 * i), &io);
-        assert_eq!(cut.slot(a).dir_entries, 3); // samples at 0, 64, 128
-                                                // Push the count across the next sampling boundary (index 192).
-        for p in 0..30u64 {
-            assert!(cut.append_position(&mut disk, a, 400 + p, &io));
+        let fixed_positions: Vec<u64> = (0..200u64).map(|i| i * 7).collect();
+        let mut fixed = CutStream::new(&mut disk, 1, Slack::None);
+        let a = fixed.push_bitmap(&mut disk, fixed_positions.iter().copied(), &io);
+        // A stream with slack: a slot under two sampling intervals, and two
+        // whose appends run past the sampling boundaries of their pushed
+        // elements — 180 evens then a run of 30 (crossing element 192),
+        // and 128 sparse positions then a dense run until the slack is
+        // spent.
+        let mut grown = CutStream::new(&mut disk, 1, Slack::Proportional);
+        let tiny: Vec<u64> = (0..127u64).collect();
+        let b = grown.push_bitmap(&mut disk, tiny.iter().copied(), &io);
+        let mut evens: Vec<u64> = (0..180u64).map(|i| 2 * i).collect();
+        let c = grown.push_bitmap(&mut disk, evens.iter().copied(), &io);
+        let mut sparse: Vec<u64> = (0..128u64).map(|i| i * 10_000).collect();
+        let d = grown.push_bitmap(&mut disk, sparse.iter().copied(), &io);
+        for p in 400..430u64 {
+            assert!(grown.append_position(&mut disk, c, p, &io));
+            evens.push(p);
         }
-        let slot = cut.slot(a);
-        assert_eq!(slot.count, 210);
-        assert_eq!(slot.dir_entries, 4);
-        assert_eq!(slot.first_pos, Some(0));
-        let dir = cut.read_directory(&disk, a, &io);
-        assert_eq!(dir.len(), 4);
-        assert_eq!(dir.entries()[3].pos, 400 + 12); // element index 192
-                                                    // The lifted directory agrees with the stream.
-        let copied = cut.copy_bitmap_indexed(&disk, a, &io, 4096);
-        assert_eq!(copied.to_vec().len(), 210);
-        assert!(copied.contains(358) && !copied.contains(359)); // pushed evens
-        assert!(copied.contains(429) && !copied.contains(430)); // appended run
-    }
-
-    #[test]
-    fn tiny_slots_persist_no_directory() {
-        let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::Proportional);
-        let a = cut.push_bitmap(&mut disk, 0..(DIR_MIN_COUNT - 1), &io);
-        let slot = cut.slot(a);
-        assert_eq!((slot.dir_entries, slot.dir_cap), (0, 0));
-        // The indexed copy still works: an empty directory means every
-        // operation takes the linear path.
-        let copied = cut.copy_bitmap_indexed(&disk, a, &io, 1000);
-        assert_eq!(copied.count(), DIR_MIN_COUNT - 1);
-        assert!(copied.contains(5));
-    }
-
-    #[test]
-    fn exhausted_directory_slack_truncates_but_stays_correct() {
-        // A sparse slot (long codes, few samples) whose payload slack then
-        // absorbs a dense run of appends (1-bit codes) out-samples its
-        // directory reservation: the directory truncates, correctness
-        // survives via the linear tail.
-        let (mut disk, io) = setup();
-        let mut cut = CutStream::new(&mut disk, 1, Slack::Proportional);
-        let sparse: Vec<u64> = (0..128u64).map(|i| i * 10_000).collect();
-        let a = cut.push_bitmap(&mut disk, sparse.iter().copied(), &io);
-        let cap = cut.slot(a).dir_cap;
-        assert_eq!(cap, 4); // 2 entries + 2
         let mut next = 128 * 10_000;
-        while cut.append_position(&mut disk, a, next, &io) {
+        while grown.append_position(&mut disk, d, next, &io) {
+            sparse.push(next);
             next += 1;
         }
-        let slot = cut.slot(a);
-        assert!(
-            slot.count.div_ceil(u64::from(SKIP_SAMPLE)) > cap,
-            "appends must out-sample the reservation (count {})",
-            slot.count
-        );
-        assert_eq!(slot.dir_entries, cap);
-        let copied = cut.copy_bitmap_indexed(&disk, a, &io, next + 1);
-        assert_eq!(copied.count(), slot.count);
-        // Operations past the last sample fall back to linear decode.
-        assert_eq!(copied.select(slot.count - 1), Some(next - 1));
-        assert!(copied.contains(next - 1) && !copied.contains(next));
+        assert!(sparse.len() > 3 * 128, "{} elements", sparse.len());
+        for (cut, idx, positions) in [
+            (&fixed, a, &fixed_positions),
+            (&grown, b, &tiny),
+            (&grown, c, &evens),
+            (&grown, d, &sparse),
+        ] {
+            let universe = positions[positions.len() - 1] + 2;
+            let decode_io = IoSession::new();
+            let decoded: Vec<u64> = cut.decoder(&disk, idx, &decode_io).collect();
+            let copy_io = IoSession::new();
+            let copied = cut.copy_bitmap(&disk, idx, &copy_io, universe);
+            assert_eq!(&decoded, positions);
+            assert_eq!(copied.to_vec(), decoded);
+            assert_eq!(copied.count(), positions.len() as u64);
+            assert_eq!(copied.universe(), universe);
+            assert_eq!(copied.size_bits(), cut.slot(idx).len);
+            // The copy reads the same stream, so it charges the same blocks.
+            assert_eq!(copy_io.stats().reads, decode_io.stats().reads);
+            assert_eq!(copy_io.stats().bits_read, decode_io.stats().bits_read);
+            // It carries no directory; the one built on first use answers
+            // at and between the samples, through the last element.
+            assert!(!copied.has_skip_dir());
+            let last = positions.len() - 1;
+            for k in (0..last).step_by(13).chain([last]) {
+                let p = positions[k];
+                assert_eq!(copied.select(k as u64), Some(p));
+                assert_eq!(copied.rank(p), k as u64);
+                assert!(copied.contains(p));
+                assert_eq!(
+                    copied.contains(p + 1),
+                    positions.get(k + 1) == Some(&(p + 1))
+                );
+            }
+            assert!(copied.has_skip_dir());
+        }
     }
 
-    /// Gamma payload bits for `positions`, and the persisted directory
-    /// bits a gamma slot of a static stream adds.
-    fn gamma_and_directory_bits(positions: &[u64]) -> (u64, u64) {
+    /// Gamma payload bits for `positions`.
+    fn gamma_bits(positions: &[u64]) -> u64 {
         let mut prev = None;
         let mut bits = 0;
         for &p in positions {
             bits += codes::gamma_len(prev.map_or(p + 1, |q| p - q));
             prev = Some(p);
         }
-        let count = positions.len() as u64;
-        let dir = if count >= DIR_MIN_COUNT {
-            count.div_ceil(u64::from(SKIP_SAMPLE)) * SKIP_ENTRY_BITS
-        } else {
-            0
-        };
-        (bits, dir)
+        bits
     }
 
     #[test]
@@ -979,8 +741,7 @@ mod tests {
         assert_eq!(slot.codec, SlotCodec::Words);
         assert_eq!(slot.off % 64, 1);
         assert_eq!(slot.len, (2099 / 64 - 100 / 64 + 1) * 64);
-        assert_eq!((slot.dir_entries, slot.dir_cap), (0, 0));
-        assert!(slot.len < gamma_and_directory_bits(&positions).0);
+        assert!(slot.len < gamma_bits(&positions));
         let decode_io = IoSession::new();
         let decoded: Vec<u64> = cut.decoder(&disk, a, &decode_io).collect();
         assert_eq!(decoded, positions);
@@ -997,14 +758,6 @@ mod tests {
         assert_eq!(copy_io.stats().reads, blocks);
         assert_eq!(copy_io.stats().bits_read, slot.len);
         assert_eq!(decode_io.stats(), copy_io.stats());
-        // No directory to lift: the indexed and automatic copies are the
-        // same copy, at the same charge.
-        assert!(cut.read_directory(&disk, a, &io).is_empty());
-        for copy in [CutStream::copy_bitmap_indexed, CutStream::copy_bitmap_auto] {
-            let other_io = IoSession::new();
-            assert_eq!(copy(&cut, &disk, a, &other_io, 4096), copied);
-            assert_eq!(other_io.stats(), copy_io.stats());
-        }
         // A static slot never has room for an append.
         assert!(!cut.append_position(&mut disk, a, 5000, &io));
     }
@@ -1022,12 +775,9 @@ mod tests {
                     let positions: Vec<u64> = (0..len).map(|i| start + i * stride).collect();
                     let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
                     let slot = cut.slot(a);
-                    let stored = slot.len + slot.dir_cap * SKIP_ENTRY_BITS;
-                    let (gamma, dir) = gamma_and_directory_bits(&positions);
-                    // Stored bits never grow, and neither does a lift
-                    // without the directory.
+                    let gamma = gamma_bits(&positions);
+                    // Stored bits, and so a lift's, never grow.
                     let ctx = format!("stride {stride} start {start} len {len}");
-                    assert!(stored <= gamma + dir, "{ctx}");
                     assert!(slot.len <= gamma, "{ctx}");
                     assert_eq!(slot.codec == SlotCodec::Words, slot.len < gamma, "{ctx}");
                     words += usize::from(slot.codec == SlotCodec::Words);
@@ -1045,7 +795,7 @@ mod tests {
         let mut cut = CutStream::new(&mut disk, 1, Slack::None);
         // Sparse, dense and saturated slots, small and several blocks
         // long, against offsets computed for an all-gamma stream.
-        let (mut gamma_off, mut gamma_dir) = (0u64, 0u64);
+        let mut gamma_off = 0u64;
         let mut layout = Vec::new();
         let mut state = 7u64;
         for _ in 0..300 {
@@ -1055,17 +805,16 @@ mod tests {
             let len = 1 + (state >> 33) % 700;
             let stride = [1u64, 2, 3, 9, 40][((state >> 20) % 5) as usize];
             let positions: Vec<u64> = (0..len).map(|k| (state >> 40) % 100 + k * stride).collect();
-            let (gamma, dir) = gamma_and_directory_bits(&positions);
+            let gamma = gamma_bits(&positions);
             let a = cut.push_bitmap(&mut disk, positions.iter().copied(), &io);
             assert_eq!(cut.decoder(&disk, a, &io).collect::<Vec<_>>(), positions);
-            layout.push((gamma_off, gamma, gamma_dir, dir));
+            layout.push((gamma_off, gamma));
             gamma_off += gamma;
-            gamma_dir += dir;
         }
         // Every slot keeps its all-gamma offset within a block, never
         // moves later, and moves back no less than the slots before it.
         let mut shift = 0;
-        for (i, &(g_off, g_len, g_dir, _)) in layout.iter().enumerate() {
+        for (i, &(g_off, g_len)) in layout.iter().enumerate() {
             let slot = cut.slot(i);
             assert!(
                 slot.off <= g_off && (g_off - slot.off).is_multiple_of(b),
@@ -1074,12 +823,8 @@ mod tests {
             assert!((g_off - slot.off) / b >= shift, "slot {i}");
             shift = (g_off - slot.off) / b;
             assert!(slot.len <= g_len, "slot {i}");
-            if slot.dir_cap > 0 {
-                assert!(slot.dir_off <= g_dir && (g_dir - slot.dir_off).is_multiple_of(b));
-            }
         }
-        // So no cover of several slots touches more payload or directory
-        // blocks.
+        // So no cover of several slots touches more blocks.
         let blocks = |spans: &mut dyn Iterator<Item = (u64, u64)>| {
             spans
                 .filter(|&(_, len)| len > 0)
@@ -1094,14 +839,8 @@ mod tests {
                         (first..layout.len()).step_by(step).take(width).collect();
                     let now =
                         blocks(&mut cover.iter().map(|&i| (cut.slot(i).off, cut.slot(i).len)));
-                    let before = blocks(&mut cover.iter().map(|&i| (layout[i].0, layout[i].1)));
-                    assert!(now <= before, "payload of {cover:?}: {now} > {before}");
-                    let now = blocks(&mut cover.iter().map(|&i| {
-                        let s = cut.slot(i);
-                        (s.dir_off, s.dir_cap * SKIP_ENTRY_BITS)
-                    }));
-                    let before = blocks(&mut cover.iter().map(|&i| (layout[i].2, layout[i].3)));
-                    assert!(now <= before, "directory of {cover:?}: {now} > {before}");
+                    let before = blocks(&mut cover.iter().map(|&i| layout[i]));
+                    assert!(now <= before, "{cover:?}: {now} > {before}");
                 }
             }
         }
@@ -1140,9 +879,9 @@ mod tests {
                 let mut flipped = bytes.clone();
                 flipped[at] = tag;
                 match tag {
-                    // A gamma slot read as words has the wrong length and
-                    // a directory; a words slot read as gamma is well-formed
-                    // metadata (the payload checksums guard the bits).
+                    // A gamma slot read as words has the wrong length; a
+                    // words slot read as gamma is well-formed metadata (the
+                    // payload checksums guard the bits).
                     0 | 1 if tag == bytes[at] => assert!(restore(&flipped, &disk).is_ok()),
                     0 => assert!(restore(&flipped, &disk).is_ok()),
                     _ => assert!(
@@ -1156,8 +895,7 @@ mod tests {
             }
         }
         // A words slot whose length is not its span, that has room to
-        // grow, that claims directory entries, or that sits in a stream
-        // with slack is rejected.
+        // grow, or that sits in a stream with slack is rejected.
         let mut cut = CutStream::new(&mut disk, 1, Slack::None);
         cut.push_bitmap(&mut disk, (0..500u64).map(|i| i * 2), &io);
         assert_eq!(cut.slot(0).codec, SlotCodec::Words);
@@ -1181,11 +919,6 @@ mod tests {
                 ..good.clone()
             },
             Slot {
-                dir_entries: 1,
-                dir_cap: 1,
-                ..good.clone()
-            },
-            Slot {
                 first_pos: None,
                 ..good.clone()
             },
@@ -1205,6 +938,54 @@ mod tests {
                 restore(meta.bytes(), &disk),
                 Err(psi_store::StoreError::Meta { .. })
             ));
+        }
+        // So is a live slot of either codec that reaches past its extent
+        // or its reservation, or whose non-empty span is missing or
+        // reversed: readers would panic on it, not fail.
+        let mut cut = CutStream::new(&mut disk, 1, Slack::Proportional);
+        cut.push_bitmap(&mut disk, (0..500u64).map(|i| i * 37), &io);
+        let good = cut.slot(0).clone();
+        assert!(good.cap > good.len);
+        let end = cut.extent_bits(&disk);
+        for (i, bad) in [
+            Slot {
+                off: end,
+                ..good.clone()
+            },
+            Slot {
+                off: end - good.cap + 1,
+                ..good.clone()
+            },
+            Slot {
+                off: u64::MAX,
+                ..good.clone()
+            },
+            Slot {
+                len: good.cap + 1,
+                ..good.clone()
+            },
+            Slot {
+                first_pos: good.last_pos.map(|l| l + 1),
+                ..good.clone()
+            },
+            Slot {
+                last_pos: None,
+                ..good.clone()
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            cut.slots[0] = bad;
+            let mut meta = psi_store::MetaBuf::new();
+            cut.persist_meta(&mut meta);
+            assert!(
+                matches!(
+                    restore(meta.bytes(), &disk),
+                    Err(psi_store::StoreError::Meta { .. })
+                ),
+                "gamma case {i} accepted"
+            );
         }
     }
 

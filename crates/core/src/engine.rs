@@ -42,9 +42,6 @@ use crate::wbb::{NodeId, WbbTree};
 /// `c > 4`).
 pub const DEFAULT_C: u32 = 8;
 
-#[cfg(test)]
-use psi_bits::skip::SKIP_LIFT_MIN;
-
 /// Counters exposed to the experiment harnesses.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
@@ -380,8 +377,7 @@ impl Engine {
     ///
     /// Execution is lift, then decode. A single-slot cover is a verbatim
     /// copy in the slot's stored form: a words slot lifts as plain words,
-    /// a gamma slot as its code words (with the persisted skip directory
-    /// lifted alongside once the result is large enough to gallop over).
+    /// a gamma slot as its code words.
     /// A multi-slot cover lifts every slot whole ([`CutStream::copy_bitmap`],
     /// which charges exactly the blocks and bits of a full decode, one
     /// pinned block at a time on a pooled disk), then plans the union from
@@ -405,7 +401,7 @@ impl Engine {
         match slots[..] {
             [] => GapBitmap::empty(self.n),
             [(cut, slot)] => {
-                self.cuts[cut as usize].copy_bitmap_auto(&self.disk, slot as usize, io, self.n)
+                self.cuts[cut as usize].copy_bitmap(&self.disk, slot as usize, io, self.n)
             }
             _ => {
                 // Lift in storage order: a cover's slots follow cut-stream
@@ -1091,11 +1087,19 @@ mod tests {
 
     #[test]
     fn heavy_character_string_queries() {
-        // One character with > n/2 occurrences exercises the remap split.
-        let mut symbols = vec![3u32; 900];
-        symbols.extend(psi_workloads::uniform(300, 8, 11));
-        let engine = Engine::build(&symbols, 8, cfg(), DEFAULT_C, Slack::None);
-        check_engine(&engine, &symbols, 8);
+        // One character with > n/2 occurrences exercises the remap split;
+        // the larger string's answer holds 10^4 rows, probed by
+        // membership and rank.
+        for (heavy, n, rest, sigma, seed) in [(3u32, 900, 300, 8, 11), (5, 10_000, 9_000, 16, 35)] {
+            let mut symbols = vec![heavy; n];
+            symbols.extend(psi_workloads::uniform(rest, sigma, seed));
+            let engine = Engine::build(&symbols, sigma, cfg(), DEFAULT_C, Slack::None);
+            check_engine(&engine, &symbols, sigma);
+            let r = engine.query(heavy, heavy, &IoSession::new());
+            assert_eq!(r.to_vec(), naive_query(&symbols, heavy, heavy).to_vec());
+            assert!(r.contains(0) && r.contains(n as u64 - 1));
+            assert_eq!(r.rank(n as u64), n as u64);
+        }
     }
 
     #[test]
@@ -1269,22 +1273,6 @@ mod tests {
         assert_eq!(io.stats().reads, records.stats().reads + span_blocks);
         assert_eq!(io.stats().bits_read, records.stats().bits_read + slot.len);
         assert_eq!(r.size_bits(), slot.len);
-    }
-
-    #[test]
-    fn large_single_cover_lifts_the_skip_directory() {
-        // One heavy character: its leaf slot exceeds SKIP_LIFT_MIN, so the
-        // narrow query's verbatim copy carries the persisted directory and
-        // the result gallops with no further decode.
-        let mut symbols = vec![5u32; 10_000];
-        symbols.extend(psi_workloads::uniform(9_000, 16, 35));
-        let engine = Engine::build(&symbols, 16, cfg(), DEFAULT_C, Slack::None);
-        let plain_io = IoSession::new();
-        let r = engine.query(5, 5, &plain_io);
-        assert!(r.cardinality() >= SKIP_LIFT_MIN);
-        assert_eq!(r.to_vec(), naive_query(&symbols, 5, 5).to_vec());
-        assert!(r.contains(0) && r.contains(9_999));
-        assert_eq!(r.rank(10_000), 10_000);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl UniformTreeIndex {
             return GapBitmap::empty(self.n);
         }
         if let [(level, idx)] = cover[..] {
-            return self.levels[level].copy_bitmap_auto(&self.disk, idx as usize, io, self.n);
+            return self.levels[level].copy_bitmap(&self.disk, idx as usize, io, self.n);
         }
         let (total, span) = merge::cover_stats(cover.iter().map(|&(level, idx)| {
             let s = self.levels[level].slot(idx as usize);

@@ -926,46 +926,6 @@ impl<'a> DiskWriterAt<'a> {
     pub fn write_bit(&mut self, bit: bool) {
         self.write_bits(u64::from(bit), 1);
     }
-
-    /// Overwrites the `k ≤ 64` bits at the cursor with the low `k` bits
-    /// of `value`, clearing whatever was there first — the positioned
-    /// in-place update used to demote persisted fields (e.g. a skip
-    /// entry's occupancy word). Charged exactly like [`Self::write_bits`].
-    pub fn overwrite_bits(&mut self, value: u64, k: u32) {
-        debug_assert!(k <= 64);
-        if k == 0 {
-            return;
-        }
-        debug_assert!(k == 64 || value < (1u64 << k), "value wider than k bits");
-        let pos = self.pos;
-        let end_word = ((pos + u64::from(k) - 1) / 64) as usize;
-        if end_word >= self.extent.words.len() {
-            self.extent.words.resize(end_word + 1, 0);
-        }
-        let w = (pos / 64) as usize;
-        let off = (pos % 64) as u32;
-        self.charge_word(w as u64);
-        let avail = 64 - off;
-        if k <= avail {
-            let field = if k == 64 { u64::MAX } else { (1u64 << k) - 1 };
-            let mask = field << (avail - k);
-            self.extent.words[w] = (self.extent.words[w] & !mask) | (value << (avail - k));
-        } else {
-            // Straddles: the low `avail` bits of word `w`, the top
-            // `k − avail` bits of word `w + 1`.
-            self.charge_word(w as u64 + 1);
-            let hi_mask = (1u64 << avail) - 1;
-            self.extent.words[w] = (self.extent.words[w] & !hi_mask) | (value >> (k - avail));
-            let lo = k - avail;
-            let lo_mask = !(u64::MAX >> lo);
-            self.extent.words[w + 1] = (self.extent.words[w + 1] & !lo_mask) | (value << (64 - lo));
-        }
-        self.pos += u64::from(k);
-        if self.pos > self.extent.bit_len {
-            self.extent.bit_len = self.pos;
-        }
-        self.session.add_bits_written(u64::from(k));
-    }
 }
 
 #[cfg(test)]
@@ -995,42 +955,6 @@ mod tests {
         assert_eq!(r.read_bits(32), 0xDEADBEEF);
         assert!(r.read_bit());
         assert_eq!(r.read_bits(64), u64::MAX);
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn overwrite_bits_clears_then_sets_in_place() {
-        let mut disk = small_disk();
-        let ext = disk.alloc();
-        let s = IoSession::untracked();
-        {
-            let mut w = disk.writer(ext, &s);
-            for _ in 0..3 {
-                w.write_bits(u64::MAX, 64);
-            }
-        }
-        // Aligned full-word overwrite, a sub-word field, and a field
-        // straddling a word boundary.
-        {
-            let mut w = disk.writer_at(ext, 0, &s);
-            w.overwrite_bits(0xABCD, 64);
-        }
-        {
-            let mut w = disk.writer_at(ext, 70, &s);
-            w.overwrite_bits(0b1010, 4);
-        }
-        {
-            let mut w = disk.writer_at(ext, 120, &s);
-            w.overwrite_bits(0x5A5A, 16);
-        }
-        let s2 = IoSession::new();
-        let mut r = disk.reader(ext, 0, &s2);
-        assert_eq!(r.read_bits(64), 0xABCD);
-        assert_eq!(r.read_bits(6), 0b111111);
-        assert_eq!(r.read_bits(4), 0b1010);
-        assert_eq!(r.read_bits(46), (1 << 46) - 1);
-        assert_eq!(r.read_bits(16), 0x5A5A);
-        assert_eq!(r.read_bits(56), (1 << 56) - 1);
         assert_eq!(r.remaining(), 0);
     }
 

@@ -154,15 +154,14 @@ fn collapsed_same_attribute_conditions_charge_single_probe_io() {
     );
 }
 
-/// Large single-cover conditions lift their persisted skip directory, and
-/// those probe reads are charged through the conjunctive path: the
-/// condition's bits read strictly exceed the verbatim payload (result
-/// size), by exactly the directory read.
+/// A single-cover condition is a verbatim copy of one stored bitmap, and
+/// charges exactly that bitmap's payload bits, nothing beside it, through
+/// the standalone and the conjunctive path alike — however large the
+/// result.
 #[test]
-fn skip_directory_probe_reads_are_charged() {
-    use psi_bits::skip::SKIP_LIFT_MIN;
-    // A hot value with ≥ SKIP_LIFT_MIN occurrences: its point query is a
-    // single-cover verbatim copy that lifts the skip directory.
+fn single_cover_conditions_charge_exactly_their_payload() {
+    // A hot value of 6000 occurrences: its point query is a single-cover
+    // verbatim copy.
     let n = 12_000usize;
     let hot: Vec<u32> = (0..n)
         .map(|i| if i % 2 == 0 { 3 } else { (i % 3) as u32 })
@@ -184,17 +183,11 @@ fn skip_directory_probe_reads_are_charged() {
     };
     let hot_index = CompressedScanIndex::build(&hot, 4, cfg());
     let (hot_result, hot_stats) = hot_index.query_measured(3, 3);
-    assert!(
-        hot_result.cardinality() >= SKIP_LIFT_MIN,
-        "hot value too small to lift: {}",
-        hot_result.cardinality()
-    );
-    assert!(
-        hot_stats.bits_read > hot_result.size_bits(),
-        "the lifted skip directory must be charged on top of the verbatim \
-         payload ({} bits read vs {} payload)",
+    assert_eq!(hot_result.cardinality(), 6000);
+    assert_eq!(
         hot_stats.bits_read,
-        hot_result.size_bits()
+        hot_result.size_bits(),
+        "a verbatim copy reads its payload and nothing else"
     );
     // The same charge flows through the conjunctive executor.
     let indexed = IndexedTable::build(&table, |s, sigma| {

@@ -17,7 +17,9 @@
 //!   the splice shows live as `kernel/merge_concat`;
 //! * **word-arm visibility** — an intersection of two dense results
 //!   decodes one into a word bitset, and shows live as
-//!   `kernel/intersect_words`.
+//!   `kernel/intersect_words`;
+//! * **directory-build visibility** — a lifted slot's skip directory is
+//!   built on first use, and shows live as `kernel/skip_build`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -247,6 +249,55 @@ fn words_slots_lift_as_a_copy_and_are_counted_live() {
     assert!(
         lifts(&mut client, 3) > before,
         "the words slot was not lifted as words"
+    );
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn lifted_directories_build_on_first_use_and_are_counted_live() {
+    // 8192 rows over 128 values: a point condition lifts one sparse slot
+    // as its gamma codes, with no directory, and intersecting two of them
+    // gallops, which builds a directory on first use.
+    let cfg = IoConfig::with_block_bits(512);
+    let x: Vec<u32> = (0..8192u32).map(|i| i % 128).collect();
+    let y: Vec<u32> = (0..8192u32).map(|i| (i / 3) % 128).collect();
+    let table = IndexedTable::from_columns(vec![
+        IndexedColumn {
+            name: "x".into(),
+            sigma: 128,
+            index: Box::new(OptimalIndex::build(&x, 128, cfg)),
+        },
+        IndexedColumn {
+            name: "y".into(),
+            sigma: 128,
+            index: Box::new(OptimalIndex::build(&y, 128, cfg)),
+        },
+    ]);
+    let server = Server::serve(Arc::new(table), ServeConfig::default()).expect("serve");
+    let mut client = Client::connect(server.addr().expect("tcp addr")).expect("connect");
+    let builds = |client: &mut Client, id| {
+        client
+            .stats(id)
+            .expect("stats")
+            .counter("kernel/skip_build")
+            .expect("kernel/skip_build missing from the STATS reply")
+    };
+    // Sibling tests share the process-wide kernel counters, so only the
+    // increase is pinned.
+    let before = builds(&mut client, 1);
+    let q = Predicate::and([Predicate::point("x", 1), Predicate::point("y", 43)])
+        .normalize()
+        .expect("normalize");
+    let rows = client.call(2, &q).expect("call").body.expect("rows").rows;
+    let want: Vec<u64> = (0..8192u64)
+        .filter(|&i| x[i as usize] == 1 && y[i as usize] == 43)
+        .collect();
+    assert!(!want.is_empty());
+    assert_eq!(rows, want);
+    assert!(
+        builds(&mut client, 3) > before,
+        "no directory was built on first use"
     );
     drop(client);
     server.shutdown();

@@ -36,12 +36,13 @@ use crate::StoreError;
 /// File magic: the first 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"PSISTOR1";
 /// Format version written by this build.
-/// (5 added a codec tag to slot metadata: a slot is gamma codes plus
-/// directory, or plain words over its span. 3 widened the persisted
-/// skip-directory entries to 144 bits — occupancy words — and added the
-/// tail-exactness flag to slot metadata. Even versions are reserved for
-/// checkpoint files, see [`crate::checkpoint::VERSION_CHECKPOINT`].)
-pub const VERSION: u32 = 5;
+/// (7 dropped the persisted skip directories: their side extents and the
+/// directory fields of slot and catalog metadata. 5 added a codec tag to
+/// slot metadata: a slot is gamma codes, or plain words over its span.
+/// 3 widened the persisted skip-directory entries to 144 bits. Even
+/// versions are reserved for checkpoint files, see
+/// [`crate::checkpoint::VERSION_CHECKPOINT`].)
+pub const VERSION: u32 = 7;
 /// Size of superblock and metadata pages.
 pub const META_PAGE: usize = 4096;
 /// Payload bytes per metadata page (the rest is the checksum trailer).

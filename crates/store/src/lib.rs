@@ -46,8 +46,8 @@ pub use checkpoint::{
 pub use error::StoreError;
 pub use format::VERSION;
 pub use persist::{
-    check_extent, open, open_with_wrap, save, single_volume, sweep_stale_tmp, Backend, OpenOptions,
-    Opened, PersistIndex, SaveReport, StoreWrap,
+    check_bitmap, check_extent, open, open_with_wrap, save, single_volume, sweep_stale_tmp,
+    Backend, OpenOptions, Opened, PersistIndex, SaveReport, StoreWrap,
 };
 pub use ser::{MetaBuf, MetaCursor};
 pub use sum::fnv1a64;

@@ -99,6 +99,34 @@ pub fn check_extent(disk: &Disk, id: u32, what: &str) -> Result<psi_io::ExtentId
     Ok(psi_io::ExtentId(id))
 }
 
+/// Validates one stored bitmap's serialized metadata against its
+/// reopened extent: its `bits` bits at offset `off` lie within the
+/// extent, and a bitmap holding elements has its span `first ≤ last`.
+/// Readers index the extent, and the merge planners read the span,
+/// without checking again. `what` names the bitmap in the error.
+pub fn check_bitmap(
+    disk: &Disk,
+    ext: psi_io::ExtentId,
+    (off, bits): (u64, u64),
+    count: u64,
+    span: (Option<u64>, Option<u64>),
+    what: impl FnOnce() -> String,
+) -> Result<(), StoreError> {
+    let extent_bits = disk.extent_bits(ext);
+    let fits = off.checked_add(bits).is_some_and(|end| end <= extent_bits);
+    let spanned = count == 0 || matches!(span, (Some(first), Some(last)) if first <= last);
+    if fits && spanned {
+        return Ok(());
+    }
+    Err(StoreError::Meta {
+        what: format!(
+            "{}: {bits} bits at {off} in an extent of {extent_bits}, \
+             {count} elements spanning {span:?}",
+            what()
+        ),
+    })
+}
+
 /// Statistics returned by [`save`].
 #[derive(Debug, Clone, Copy)]
 pub struct SaveReport {

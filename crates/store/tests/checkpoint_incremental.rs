@@ -267,6 +267,20 @@ fn version_mismatch_is_typed_both_ways() {
             found: psi_store::VERSION_CHECKPOINT
         })
     ));
+
+    // A checkpoint of the retired version 6, checksums intact, is
+    // rejected by version too.
+    let mut bytes = std::fs::read(&v2).expect("read");
+    for slot in bytes.chunks_exact_mut(META_PAGE).take(2) {
+        slot[8..12].copy_from_slice(&6u32.to_le_bytes());
+        let sum = psi_store::fnv1a64(&slot[..META_PAGE - 8]);
+        slot[META_PAGE - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+    std::fs::write(&v2, &bytes).expect("rewrite");
+    assert!(matches!(
+        checkpoint_epoch(&v2),
+        Err(StoreError::BadVersion { found: 6 })
+    ));
 }
 
 #[test]

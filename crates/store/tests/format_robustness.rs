@@ -136,18 +136,21 @@ fn bad_version_is_typed() {
     let disk = build_disk(128, &[(100, false)]);
     let path = tmp("version.psi");
     write_store(&path, "t", &[], &[&disk]).expect("write");
-    let mut bytes = std::fs::read(&path).expect("read");
-    bytes[8] = 0xFF; // version field
-    std::fs::write(&path, &bytes).expect("rewrite");
-    // The checksum catches the flip first unless it is recomputed; patch
-    // the checksum to prove the version check itself is typed.
-    let payload = psi_store::fnv1a64(&bytes[..META_PAGE - 8]);
-    bytes[META_PAGE - 8..META_PAGE].copy_from_slice(&payload.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("rewrite");
-    assert!(matches!(
-        read_header(&path),
-        Err(StoreError::BadVersion { found }) if found == 0xFF || found > 1
-    ));
+    let written = std::fs::read(&path).expect("read");
+    // Retired store (5) and checkpoint (6) versions, and a junk one.
+    for version in [5u32, 6, 0xFF] {
+        let mut bytes = written.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        // The checksum catches the flip first unless it is recomputed;
+        // patch the checksum to prove the version check itself is typed.
+        let payload = psi_store::fnv1a64(&bytes[..META_PAGE - 8]);
+        bytes[META_PAGE - 8..META_PAGE].copy_from_slice(&payload.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite");
+        assert!(matches!(
+            read_header(&path),
+            Err(StoreError::BadVersion { found }) if found == version
+        ));
+    }
 }
 
 #[test]

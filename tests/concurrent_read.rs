@@ -159,15 +159,14 @@ fn cold_real_reads_equal_union_charge_at_every_thread_count_position_list() {
     );
 }
 
-/// Two threads racing the *same* query on the same cold slot: the skip
-/// directory (and every payload block) is fetched once, and both racers
-/// are charged exactly what a solo run charges — the `OnceLock`/shard-
-/// lock story of ISSUE 5's satellite, asserted as charge parity.
+/// Eight threads racing the *same* query on the same cold slots: every
+/// payload block is fetched once, and each racer is charged exactly what
+/// a solo run charges — the shard-lock contract, asserted as charge
+/// parity.
 #[test]
 fn racing_cold_queries_do_the_work_once_and_charge_alike() {
-    // A broad range on compressed_scan lifts skip directories for every
-    // large per-symbol bitmap (count >= SKIP_LIFT_MIN), so the race
-    // covers both payload and side-extent directory reads.
+    // A broad range on compressed_scan reads every per-symbol bitmap, so
+    // the race covers the whole payload.
     let sigma = 32u32;
     let s = psi::workloads::zipf(1 << 15, sigma, 0.9, 11);
     let index = CompressedScanIndex::build(&s, sigma, IoConfig::default());
