@@ -27,8 +27,10 @@
 //! boundaries), costing at most one extra partially-filled block per
 //! character.
 
+use std::collections::BTreeMap;
+
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{codes, GapBitmap};
+use psi_bits::{codes, merge, BitBuf, GapBitmap};
 use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession};
 
 /// A pending update record.
@@ -42,14 +44,18 @@ struct Update {
 /// Bits per buffered update record on disk: 1 op + 32 char + 48 pos.
 const UPDATE_BITS: u64 = 81;
 
+/// A read's buffered updates for its characters: the net count (inserts
+/// minus deletes) per `(character, position)`. Keyed in that order, so one
+/// character's updates are one range, in position order.
+type Pending = BTreeMap<(Symbol, u64), i64>;
+
 #[derive(Debug)]
 struct Leaf {
     ch: Symbol,
     /// First stored position (part of the routing key).
     first_pos: u64,
     count: u64,
-    /// Payload bits used (diagnostics; space accounting reads the disk).
-    #[allow(dead_code)]
+    /// Payload bits: the `count` gamma codes that a read lifts.
     bits: u64,
     ext: ExtentId,
 }
@@ -197,6 +203,19 @@ impl BufferedBitmapIndex {
         self.leaves.len() - 1
     }
 
+    /// Lifts a leaf's code stream with whole-word reads, charged exactly
+    /// as [`Self::read_leaf`] charges its code-by-code decode. A leaf's
+    /// first code is `gamma(p + 1)`, the gap convention of [`GapBitmap`],
+    /// so the lifted stream is a bitmap as it stands.
+    fn lift_leaf(&self, leaf: usize, io: &IoSession) -> GapBitmap {
+        let l = &self.leaves[leaf];
+        let bits = BitBuf::lift(&mut self.disk.reader(l.ext, 0, io), l.bits);
+        GapBitmap::from_code_bits(bits, l.count, self.universe)
+    }
+
+    /// The per-code reference read of a leaf, which [`Self::lift_leaf`]
+    /// must match in answer and in charge.
+    #[cfg(test)]
     fn read_leaf(&self, leaf: usize, io: &IoSession) -> Vec<u64> {
         let l = &self.leaves[leaf];
         let mut r = self.disk.reader(l.ext, 0, io);
@@ -472,7 +491,7 @@ impl BufferedBitmapIndex {
         // Apply per leaf, from the right so indices stay stable.
         for (t, ups) in per_leaf.into_iter().rev() {
             let leaf = replacement[t];
-            let mut positions = self.read_leaf(leaf, io);
+            let mut positions = self.lift_leaf(leaf, io).to_vec();
             merge_updates(&mut positions, ups);
             self.disk.free(self.leaves[leaf].ext);
             let new_leaves = self.reencode(self.leaves[leaf].ch, positions, io);
@@ -542,96 +561,145 @@ impl BufferedBitmapIndex {
     /// The point query of Theorem 6: all positions of `ch`, merged with
     /// pending buffered updates, in `O(T/B + lg n)` I/Os.
     pub fn point_query(&self, ch: Symbol, io: &IoSession) -> Vec<u64> {
-        self.range_positions(ch, ch, io)
+        let mut runs = Vec::new();
+        self.char_runs(ch, ch, io, &mut runs);
+        runs.pop().unwrap_or_default()
     }
 
-    /// Positions of all characters in `[lo, hi]` (consecutive leaves; used
-    /// as the alphabet range query and by the fully dynamic index).
-    pub fn range_positions(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Vec<u64> {
+    /// Appends to `runs` the positions of each character of `[lo, hi]`
+    /// that has any, one strictly increasing run per character, in
+    /// character order. Leaves are lifted in bulk and decoded by the SWAR
+    /// kernel; the runs of distinct characters are disjoint. This is the
+    /// read behind [`Self::point_query`], the alphabet range query, and
+    /// the fully dynamic index's reads of consecutive node-characters.
+    pub(crate) fn char_runs(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        runs: &mut Vec<Vec<u64>>,
+    ) {
+        self.runs_with(lo, hi, io, |l| self.lift_leaf(l, io).to_vec(), runs);
+    }
+
+    /// [`Self::char_runs`] with each leaf decoded by `read`.
+    ///
+    /// A character's leaves arrive in `(char, first_pos)` order, so they
+    /// concatenate into its sorted run. Its buffered updates are folded
+    /// into that run alone: a row whose new character's insert has reached
+    /// a leaf while its old character's delete is still buffered sits in
+    /// two characters' leaves at once, and only the old character's fold
+    /// removes it.
+    fn runs_with(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        read: impl Fn(usize) -> Vec<u64>,
+        runs: &mut Vec<Vec<u64>>,
+    ) {
         check_range(lo, hi, self.sigma);
-        let mut leaf_positions: Vec<Vec<u64>> = Vec::new();
-        let mut pending: Vec<Update> = Vec::new();
-        self.collect_query(
-            self.root,
-            lo,
-            hi,
-            io,
-            &mut leaf_positions,
-            &mut pending,
-            true,
-        );
-        // Per-character concatenation: leaves arrive in (char, first_pos)
-        // order, so a k-way merge over characters is a sort by (char,pos);
-        // positions across characters overlap, so merge by position.
-        let mut all: Vec<u64> = leaf_positions.into_iter().flatten().collect();
-        all.sort_unstable();
-        let mut relevant: Vec<(u64, i32)> = pending
+        let mut pending = Pending::new();
+        let mut leaf_runs: Vec<(Symbol, Vec<u64>)> = Vec::new();
+        self.walk(self.root, lo, hi, io, &mut pending, &mut |l| {
+            let (ch, positions) = (self.leaves[l].ch, read(l));
+            match leaf_runs.last_mut() {
+                Some((c, run)) if *c == ch => {
+                    // A leaf's own codes ascend; only where two leaves meet
+                    // can the run break, and the fold would then drop or
+                    // repeat rows.
+                    if let (Some(&last), Some(&first)) = (run.last(), positions.first()) {
+                        assert!(
+                            last < first,
+                            "leaves of character {ch} out of position order"
+                        );
+                    }
+                    run.extend(positions)
+                }
+                _ => leaf_runs.push((ch, positions)),
+            }
+        });
+        let mut pending = pending.into_iter().peekable();
+        let mut leaf_runs = leaf_runs.into_iter().peekable();
+        // Characters with leaves, with buffered updates, or both, in order.
+        while let Some(ch) = leaf_runs
+            .peek()
+            .map(|&(c, _)| c)
             .into_iter()
-            .filter(|u| (lo..=hi).contains(&u.ch))
-            .map(|u| (u.pos, if u.delete { -1 } else { 1 }))
-            .collect();
-        relevant.sort_unstable_by_key(|&(pos, _)| pos);
-        // Fold by *net effect* per position: buffers at different depths
-        // hold updates of different ages (parents are newer), so the
-        // pending stream is not chronologically ordered — but each (char,
-        // position) pair alternates insert/delete, so presence is simply
-        // base occurrences plus the signed pending sum.
-        let mut out = Vec::with_capacity(all.len());
-        let mut pend = relevant.into_iter().peekable();
-        let mut base = all.into_iter().peekable();
-        while base.peek().is_some() || pend.peek().is_some() {
-            let next_pos = match (base.peek(), pend.peek()) {
-                (Some(&b), Some(&(p, _))) => b.min(p),
-                (Some(&b), None) => b,
-                (None, Some(&(p, _))) => p,
-                (None, None) => unreachable!(),
-            };
-            let mut net = 0i64;
-            while base.peek() == Some(&next_pos) {
-                base.next();
-                net += 1;
-            }
-            while matches!(pend.peek(), Some(&(p, _)) if p == next_pos) {
-                let (_, d) = pend.next().expect("peeked");
-                net += i64::from(d);
-            }
-            debug_assert!(
-                (0..=1).contains(&net),
-                "position {next_pos} has net count {net}"
-            );
-            if net > 0 {
-                out.push(next_pos);
+            .chain(pending.peek().map(|&((c, _), _)| c))
+            .min()
+        {
+            let run = leaf_runs
+                .next_if(|(c, _)| *c == ch)
+                .map(|(_, run)| run)
+                .unwrap_or_default();
+            let updates = std::iter::from_fn(|| {
+                pending
+                    .next_if(|((c, _), _)| *c == ch)
+                    .map(|((_, pos), net)| (pos, net))
+            });
+            let run = fold(ch, run, updates);
+            if !run.is_empty() {
+                runs.push(run);
             }
         }
-        out
     }
 
-    /// Recursively gathers leaf payloads and buffered updates for a
-    /// character range, charging leaf and buffer blocks (the root buffer
-    /// is memory-resident and free).
-    #[allow(clippy::too_many_arguments)]
-    fn collect_query(
+    /// [`Self::char_runs`] with every leaf decoded code by code: the
+    /// answer and the charge the lifted read must match.
+    #[cfg(test)]
+    pub(crate) fn char_runs_per_code(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+        runs: &mut Vec<Vec<u64>>,
+    ) {
+        self.runs_with(lo, hi, io, |l| self.read_leaf(l, io), runs);
+    }
+
+    /// Whether a position sits in the leaves of two characters at once:
+    /// its new character's insert has reached a leaf while its old
+    /// character's delete is still buffered.
+    #[cfg(test)]
+    pub(crate) fn has_row_in_two_leaves(&self) -> bool {
+        let mut owner = std::collections::HashMap::new();
+        self.collect_leaves(self.root).into_iter().any(|l| {
+            let ch = self.leaves[l].ch;
+            self.read_leaf(l, &IoSession::untracked())
+                .into_iter()
+                .any(|p| owner.insert(p, ch).is_some_and(|c| c != ch))
+        })
+    }
+
+    /// The walk of a read over characters `[lo, hi]`: charges each
+    /// non-root buffer it visits (the root buffer is memory-resident and
+    /// free), adds the buffered updates of `[lo, hi]` to `pending`, and
+    /// hands each leaf of `[lo, hi]` to `leaf` in key order, so that
+    /// buffer and leaf charges interleave as the tree is descended.
+    fn walk(
         &self,
         v: usize,
         lo: Symbol,
         hi: Symbol,
         io: &IoSession,
-        leaf_positions: &mut Vec<Vec<u64>>,
-        pending: &mut Vec<Update>,
-        is_root: bool,
+        pending: &mut Pending,
+        leaf: &mut impl FnMut(usize),
     ) {
-        if !is_root && !self.nodes[v].buf.is_empty() {
+        let node = &self.nodes[v];
+        if v != self.root && !node.buf.is_empty() {
             // Charge (and, on an opened store, fault) the buffer block.
-            self.disk.charge_read_span(self.nodes[v].buf_ext, 0, 1, io);
-            io.add_bits_read(self.nodes[v].buf.len() as u64 * UPDATE_BITS);
+            self.disk.charge_read_span(node.buf_ext, 0, 1, io);
+            io.add_bits_read(node.buf.len() as u64 * UPDATE_BITS);
         }
-        pending.extend(self.nodes[v].buf.iter().copied());
-        match &self.nodes[v].children {
+        for u in node.buf.iter().filter(|u| (lo..=hi).contains(&u.ch)) {
+            *pending.entry((u.ch, u.pos)).or_default() += if u.delete { -1 } else { 1 };
+        }
+        match &node.children {
             Children::Leaves(ls) => {
                 for &l in ls {
-                    let leaf = &self.leaves[l];
-                    if (lo..=hi).contains(&leaf.ch) {
-                        leaf_positions.push(self.read_leaf(l, io));
+                    if (lo..=hi).contains(&self.leaves[l].ch) {
+                        leaf(l);
                     }
                 }
             }
@@ -644,7 +712,7 @@ impl BufferedBitmapIndex {
                     let starts_after = from.0 > hi;
                     let ends_before = to.map(|t| t <= (lo, 0)).unwrap_or(false);
                     if !starts_after && !ends_before {
-                        self.collect_query(k, lo, hi, io, leaf_positions, pending, false);
+                        self.walk(k, lo, hi, io, pending, leaf);
                     }
                 }
             }
@@ -665,6 +733,51 @@ impl BufferedBitmapIndex {
     pub fn num_leaf_blocks(&self) -> usize {
         self.leaves.iter().filter(|l| l.count > 0).count()
     }
+}
+
+/// Folds one character's buffered updates, `(position, net count)` in
+/// position order, into its sorted leaf run. Buffers at different depths
+/// hold updates of different ages (parents are newer), so their order is
+/// not chronological; but each `(char, position)` pair alternates insert
+/// and delete, so presence is the leaf occurrences plus the net count.
+fn fold(ch: Symbol, run: Vec<u64>, updates: impl Iterator<Item = (u64, i64)>) -> Vec<u64> {
+    let mut updates = updates.peekable();
+    if updates.peek().is_none() {
+        return run;
+    }
+    let mut out = Vec::with_capacity(run.len());
+    let mut i = 0;
+    for (pos, net) in updates {
+        let j = i + run[i..].partition_point(|&p| p < pos);
+        out.extend_from_slice(&run[i..j]);
+        i = j;
+        let base = i64::from(run.get(i) == Some(&pos));
+        i += base as usize;
+        debug_assert!(
+            (0..=1).contains(&(base + net)),
+            "character {ch} position {pos} has net count {}",
+            base + net
+        );
+        if base + net > 0 {
+            out.push(pos);
+        }
+    }
+    out.extend_from_slice(&run[i..]);
+    out
+}
+
+/// Unions disjoint, strictly increasing, non-empty runs into one bitmap
+/// over `universe`, by the density rule of [`merge::plan`] over their
+/// exact count and span.
+pub(crate) fn union_runs(runs: Vec<Vec<u64>>, universe: u64) -> GapBitmap {
+    let (total, span) =
+        merge::cover_stats(runs.iter().map(|r| (r.len() as u64, r[0], r[r.len() - 1])));
+    merge::merge_adaptive(
+        runs.into_iter().map(Vec::into_iter).collect(),
+        universe,
+        total,
+        span,
+    )
 }
 
 /// Folds updates (already targeted at this list) into a sorted position
@@ -717,8 +830,9 @@ impl SecondaryIndex for BufferedBitmapIndex {
     }
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        let positions = self.range_positions(lo, hi, io);
-        RidSet::from_positions(GapBitmap::from_sorted_iter(positions, self.universe.max(1)))
+        let mut runs = Vec::new();
+        self.char_runs(lo, hi, io, &mut runs);
+        RidSet::from_positions(union_runs(runs, self.universe.max(1)))
     }
 }
 
@@ -774,12 +888,19 @@ impl BufferedBitmapIndex {
         disk: Disk,
     ) -> Result<Self, psi_store::StoreError> {
         let check_ext = |id: u32| psi_store::check_extent(&disk, id, "bbi");
+        let meta_err = |what: String| psi_store::StoreError::Meta { what };
         let sigma = meta.get_u32()?;
         let universe = meta.get_u64()?;
         let total = meta.get_u64()?;
         let root = meta.get_u64()? as usize;
         let c = meta.get_u64()? as usize;
         let counts = meta.get_vec_u64()?;
+        if counts.len() != sigma as usize {
+            return Err(meta_err(format!(
+                "bbi has {} counts for σ = {sigma}",
+                counts.len()
+            )));
+        }
         let num_leaves = meta.get_len(29)?;
         let mut leaves = Vec::with_capacity(num_leaves);
         for _ in 0..num_leaves {
@@ -803,11 +924,7 @@ impl BufferedBitmapIndex {
             let children = match kind {
                 0 => Children::Internal(ids),
                 1 => Children::Leaves(ids),
-                t => {
-                    return Err(psi_store::StoreError::Meta {
-                        what: format!("bbi child tag {t}"),
-                    })
-                }
+                t => return Err(meta_err(format!("bbi child tag {t}"))),
             };
             let key = (meta.get_u32()?, meta.get_u64()?);
             let buf_ext = check_ext(meta.get_u32()?)?;
@@ -828,9 +945,69 @@ impl BufferedBitmapIndex {
             });
         }
         if root >= nodes.len() {
-            return Err(psi_store::StoreError::Meta {
-                what: "bbi root out of range".into(),
-            });
+            return Err(meta_err("bbi root out of range".into()));
+        }
+        // Reads descend from the root: every child id must exist, and no
+        // node or leaf may hang below two parents (or the root below any),
+        // so the walk from the root is finite.
+        let mut node_refs = vec![0u8; nodes.len()];
+        let mut leaf_refs = vec![0u8; leaves.len()];
+        node_refs[root] = 1;
+        for (v, node) in nodes.iter().enumerate() {
+            let (ids, refs, what) = match &node.children {
+                Children::Internal(kids) => (kids, &mut node_refs, "node"),
+                Children::Leaves(ls) => (ls, &mut leaf_refs, "leaf"),
+            };
+            for &id in ids {
+                match refs.get_mut(id) {
+                    Some(r) if *r == 0 => *r = 1,
+                    _ => {
+                        return Err(meta_err(format!(
+                            "bbi node {v} points at {what} {id}, out of range or shared"
+                        )))
+                    }
+                }
+            }
+        }
+        // A read lifts exactly `bits` bits of each leaf in the tree, all
+        // positions below the universe, and concatenates one character's
+        // leaves in tree order into its sorted run, so the tree's leaves
+        // ascend in `(char, first position)`. Leaves that updates replaced
+        // stay listed, over freed extents, and are never read.
+        let mut prev = None;
+        let mut stack = vec![root];
+        while let Some(v) = stack.pop() {
+            let ls = match &nodes[v].children {
+                Children::Internal(kids) => {
+                    stack.extend(kids.iter().rev());
+                    continue;
+                }
+                Children::Leaves(ls) => ls,
+            };
+            for &i in ls {
+                let leaf = &leaves[i];
+                if leaf.ch >= sigma {
+                    return Err(meta_err(format!(
+                        "bbi leaf {i} holds character {} outside σ = {sigma}",
+                        leaf.ch
+                    )));
+                }
+                let key = (leaf.ch, leaf.first_pos);
+                if prev.is_some_and(|p| p >= key) {
+                    return Err(meta_err(format!(
+                        "bbi leaf {i} keyed {key:?} follows {prev:?} in the tree"
+                    )));
+                }
+                prev = Some(key);
+                psi_store::check_bitmap(
+                    &disk,
+                    leaf.ext,
+                    (0, leaf.bits),
+                    leaf.count,
+                    (Some(leaf.first_pos), universe.checked_sub(1)),
+                    || format!("bbi leaf {i}"),
+                )?;
+            }
         }
         Ok(BufferedBitmapIndex {
             disk,
@@ -988,6 +1165,168 @@ mod tests {
             idx.insert(0, 10_000 + p, &io);
         }
         assert_eq!(idx.point_query(3, &io), vec![1000, 2000]);
+    }
+
+    /// Every range of `idx`, answered by the lifted read, against the
+    /// naive answer over `current` and against the per-code reference
+    /// read's charge.
+    fn assert_reads_match_per_code(idx: &BufferedBitmapIndex, current: &[Symbol]) {
+        for lo in 0..idx.sigma {
+            for hi in lo..idx.sigma {
+                let (lifted, per_code) = (IoSession::new(), IoSession::new());
+                let got = idx.query(lo, hi, &lifted).to_vec();
+                let mut runs = Vec::new();
+                idx.char_runs_per_code(lo, hi, &per_code, &mut runs);
+                let mut want: Vec<u64> = runs.concat();
+                want.sort_unstable();
+                assert_eq!(got, want, "[{lo}, {hi}] against the per-code read");
+                assert_eq!(
+                    got,
+                    psi_api::naive_query(current, lo, hi).to_vec(),
+                    "[{lo}, {hi}]"
+                );
+                assert!(lifted.stats().reads > 0);
+                assert_eq!(lifted.stats(), per_code.stats(), "[{lo}, {hi}] charge");
+            }
+        }
+    }
+
+    #[test]
+    fn lifted_reads_answer_and_charge_like_per_code_reads() {
+        let sigma = 12u32;
+        let mut current = psi_workloads::zipf(6000, sigma, 1.0, 63);
+        let mut idx = BufferedBitmapIndex::build(&current, sigma, cfg());
+        let io = IoSession::untracked();
+        let mut rng = StdRng::seed_from_u64(65);
+        // Row moves leave updates buffered at every depth.
+        for _ in 0..3000 {
+            let pos = rng.gen_range(0..current.len());
+            let to = rng.gen_range(0..sigma);
+            idx.remove(current[pos], pos as u64, &io);
+            idx.insert(to, pos as u64, &io);
+            current[pos] = to;
+        }
+        assert!(idx.nodes.iter().any(|n| n.buf.len() > 1));
+        assert_reads_match_per_code(&idx, &current);
+        let dir = std::env::temp_dir().join(format!("psi_core_bbi_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("bbi.psi");
+        psi_store::save(&idx, &path).expect("save");
+        let opened =
+            psi_store::open::<BufferedBitmapIndex>(&path, &psi_store::OpenOptions::default())
+                .expect("open");
+        assert_reads_match_per_code(&opened.index, &current);
+        assert!(opened.real_fetches() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Swaps the first two side-by-side leaves of one character in a leaf
+    /// parent, so that character's leaves leave position order.
+    fn swap_same_char_leaves(idx: &mut BufferedBitmapIndex) {
+        let leaves = &idx.leaves;
+        let (v, i) = idx
+            .nodes
+            .iter()
+            .enumerate()
+            .find_map(|(v, n)| match &n.children {
+                Children::Leaves(ls) => ls
+                    .windows(2)
+                    .position(|w| leaves[w[0]].ch == leaves[w[1]].ch)
+                    .map(|i| (v, i)),
+                Children::Internal(_) => None,
+            })
+            .expect("two leaves of one character side by side");
+        if let Children::Leaves(ls) = &mut idx.nodes[v].children {
+            ls.swap(i, i + 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of position order")]
+    fn leaves_out_of_order_fail_the_read_instead_of_answering() {
+        let symbols = psi_workloads::uniform(4000, 6, 67);
+        let mut idx = BufferedBitmapIndex::build(&symbols, 6, cfg());
+        swap_same_char_leaves(&mut idx);
+        idx.query(0, 5, &IoSession::untracked());
+    }
+
+    #[test]
+    fn corrupt_tree_metadata_is_a_typed_error() {
+        // Two tree levels over 80-odd leaves, with buffered updates.
+        fn make() -> BufferedBitmapIndex {
+            let symbols = psi_workloads::uniform(4000, 6, 67);
+            let mut idx = BufferedBitmapIndex::build(&symbols, 6, cfg());
+            let io = IoSession::untracked();
+            for p in 0..40u64 {
+                idx.insert((p % 6) as u32, 4000 + p, &io);
+            }
+            assert!(matches!(
+                idx.nodes[idx.root].children,
+                Children::Internal(_)
+            ));
+            idx
+        }
+        fn restore(idx: BufferedBitmapIndex) -> Result<BufferedBitmapIndex, psi_store::StoreError> {
+            let mut meta = psi_store::MetaBuf::new();
+            idx.persist_meta(&mut meta);
+            BufferedBitmapIndex::restore_meta(
+                &mut psi_store::MetaCursor::new(meta.bytes()),
+                idx.disk,
+            )
+        }
+        fn root_kids(idx: &mut BufferedBitmapIndex) -> &mut Vec<usize> {
+            match &mut idx.nodes[idx.root].children {
+                Children::Internal(kids) => kids,
+                Children::Leaves(_) => unreachable!("the root is internal"),
+            }
+        }
+        fn live_leaf(idx: &mut BufferedBitmapIndex) -> &mut Leaf {
+            let l = idx.collect_leaves(idx.root)[0];
+            &mut idx.leaves[l]
+        }
+        assert!(restore(make()).is_ok());
+        type Corrupt = fn(&mut BufferedBitmapIndex);
+        let cases: [(&str, Corrupt); 8] = [
+            ("leaf id out of range", |idx| {
+                let v = idx
+                    .nodes
+                    .iter()
+                    .position(|n| matches!(n.children, Children::Leaves(_)))
+                    .expect("a leaf parent");
+                if let Children::Leaves(ls) = &mut idx.nodes[v].children {
+                    ls[0] = 99_999;
+                }
+            }),
+            ("node id out of range", |idx| root_kids(idx)[0] = 99_999),
+            ("root below a parent", |idx| {
+                let root = idx.root;
+                root_kids(idx)[1] = root;
+            }),
+            ("leaf character outside σ", |idx| {
+                let sigma = idx.sigma;
+                live_leaf(idx).ch = sigma;
+            }),
+            ("counts not one per character", |idx| idx.counts.push(0)),
+            ("leaf bits past the extent", |idx| {
+                live_leaf(idx).bits = 1 << 40
+            }),
+            ("leaf first position past the universe", |idx| {
+                let universe = idx.universe;
+                live_leaf(idx).first_pos = universe;
+            }),
+            (
+                "one character's leaves out of position order",
+                swap_same_char_leaves,
+            ),
+        ];
+        for (what, corrupt) in cases {
+            let mut idx = make();
+            corrupt(&mut idx);
+            assert!(
+                matches!(restore(idx), Err(psi_store::StoreError::Meta { .. })),
+                "{what} accepted"
+            );
+        }
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! that the snapshot has no node for.
 
 use psi_api::{check_range, AppendIndex, DynamicIndex, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
+use psi_bits::merge;
 use psi_io::{Disk, IoConfig, IoSession};
 
-use crate::buffered_bitmap::BufferedBitmapIndex;
+use crate::buffered_bitmap::{union_runs, BufferedBitmapIndex};
 use crate::wbb::{NodeId, WbbTree};
 
 /// One frozen materialized cut: its node-alphabet is backed by a buffered
@@ -93,6 +93,13 @@ pub struct FullyDynamicIndex {
     /// The `∞` character (= `sigma`): "never matched by a range query".
     inf: Symbol,
     snap: Option<Snapshot>,
+    /// `tail[s]`: the offsets from the snapshot's `n0` of the rows
+    /// appended since the snapshot that hold symbol `s < σ`, ascending.
+    /// Queries answer those rows from here, never from `string`. Derived
+    /// from `string` at open, so nothing of it is persisted. The rebuild
+    /// policy keeps at most `max(n0, 4) / 4` rows pending, so offsets fit
+    /// 32 bits.
+    tail: Vec<Vec<u32>>,
     /// Symbols appended since the snapshot (folded in at rebuild).
     pending_appends: usize,
     changes_since_rebuild: u64,
@@ -116,6 +123,7 @@ impl FullyDynamicIndex {
             counts,
             inf: sigma,
             snap: None,
+            tail: vec![Vec::new(); sigma as usize],
             pending_appends: 0,
             changes_since_rebuild: 0,
             global_rebuilds: 0,
@@ -136,6 +144,7 @@ impl FullyDynamicIndex {
         self.global_rebuilds += 1;
         self.changes_since_rebuild = 0;
         self.pending_appends = 0;
+        self.tail = vec![Vec::new(); self.sigma as usize];
         let n = self.string.len() as u64;
         if n == 0 {
             self.snap = None;
@@ -214,6 +223,11 @@ impl FullyDynamicIndex {
         });
     }
 
+    /// The snapshot's length: rows at or past it are pending appends.
+    fn n0(&self) -> u64 {
+        self.snap.as_ref().map_or(0, |s| s.n0)
+    }
+
     /// Looks up the cut node-character owning `(ch, pos)` in a cut.
     fn route_slot(snap: &Snapshot, cut: usize, ch: Symbol, pos: u64) -> Option<u32> {
         let pieces = &snap.route[cut][ch as usize];
@@ -259,21 +273,30 @@ impl FullyDynamicIndex {
         self.counts[old as usize] -= 1;
         self.counts[symbol as usize] += 1;
         self.string[pos as usize] = symbol;
-        // A pending append lives only in the in-memory tail, which
-        // `query` scans from `string`: the edit above is the whole
-        // update, with no snapshot write and no epoch charge.
-        if self.snap.as_ref().is_some_and(|snap| pos >= snap.n0) {
+        // A pending append lives only in the in-memory tail: moving its
+        // offset between the symbols' lists is the whole update, with no
+        // snapshot write and no epoch charge. `∞` has no list.
+        let n0 = self.n0();
+        if pos >= n0 {
+            let off = (pos - n0) as u32;
+            if let Some(list) = self.tail.get_mut(old as usize) {
+                let at = list.binary_search(&off).expect("tail lists its row");
+                list.remove(at);
+            }
+            if let Some(list) = self.tail.get_mut(symbol as usize) {
+                let at = list.binary_search(&off).expect_err("row listed twice");
+                list.insert(at, off);
+            }
             return;
         }
         self.changes_since_rebuild += 1;
-        let needs_rebuild = match &self.snap {
-            None => true,
-            Some(snap) => {
-                self.changes_since_rebuild * 4 > snap.n0
-                    || snap.route.iter().any(|r| r[symbol as usize].is_empty())
-            }
-        };
-        if needs_rebuild {
+        let snap = self
+            .snap
+            .as_ref()
+            .expect("a row below n0 lies in the snapshot");
+        if self.changes_since_rebuild * 4 > snap.n0
+            || snap.route.iter().any(|r| r[symbol as usize].is_empty())
+        {
             // Characters unknown to the snapshot are resolved by
             // re-snapshotting (amortized against the epoch).
             self.rebuild();
@@ -445,31 +468,24 @@ impl SecondaryIndex for FullyDynamicIndex {
 
     fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
         check_range(lo, hi, self.sigma);
-        let n = self.string.len() as u64;
-        if n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+        let mut runs = Vec::new();
+        if let Some(snap) = &self.snap {
+            let mut ranges = Vec::new();
+            Self::canonical_ranges(snap, snap.tree.root(), lo, hi, &mut ranges);
+            for (cut, first, last) in ranges {
+                snap.cuts[cut as usize]
+                    .bbi
+                    .char_runs(first, last, io, &mut runs);
+            }
         }
-        let Some(snap) = &self.snap else {
-            return RidSet::from_positions(GapBitmap::empty(n));
-        };
-        let mut ranges = Vec::new();
-        Self::canonical_ranges(snap, snap.tree.root(), lo, hi, &mut ranges);
-        let mut per_range: Vec<Vec<u64>> = Vec::with_capacity(ranges.len());
-        for (cut, first, last) in ranges {
-            per_range.push(snap.cuts[cut as usize].bbi.range_positions(first, last, io));
+        // Rows appended since the snapshot are in no cut: the tail lists.
+        let n0 = self.n0();
+        for list in &self.tail[lo as usize..=hi as usize] {
+            if !list.is_empty() {
+                runs.push(list.iter().map(|&off| n0 + u64::from(off)).collect());
+            }
         }
-        let streams: Vec<std::vec::IntoIter<u64>> =
-            per_range.into_iter().map(|v| v.into_iter()).collect();
-        let positions = merge::merge_disjoint(streams);
-        // Appends since the snapshot live in the in-memory tail (bounded
-        // to a quarter of n by the rebuild policy); their positions all
-        // exceed the snapshot's.
-        let tail = self.string[snap.n0 as usize..]
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| (lo..=hi).contains(&s))
-            .map(|(i, _)| snap.n0 + i as u64);
-        RidSet::from_positions(GapBitmap::from_sorted_iter(positions.chain(tail), n))
+        RidSet::from_positions(union_runs(runs, self.len()))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
@@ -482,14 +498,14 @@ impl AppendIndex for FullyDynamicIndex {
     fn append(&mut self, symbol: Symbol, io: &IoSession) {
         assert!(symbol < self.sigma);
         let _ = io;
+        self.tail[symbol as usize].push(self.pending_appends as u32);
         self.string.push(symbol);
         self.counts[symbol as usize] += 1;
         self.pending_appends += 1;
         // Appends are folded in by re-snapshotting once they accumulate to
         // a constant fraction (the paper's fully dynamic structure fixes
         // n; appends here are a convenience built on global rebuilding).
-        let n0 = self.snap.as_ref().map(|s| s.n0).unwrap_or(0);
-        if self.pending_appends as u64 * 4 > n0.max(4) {
+        if self.pending_appends as u64 * 4 > self.n0().max(4) {
             self.rebuild();
         }
     }
@@ -625,11 +641,24 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
             block_bits,
             mem_blocks,
         };
+        let meta_err = |what: String| psi_store::StoreError::Meta { what };
         let sigma = meta.get_u32()?;
         let string = meta.get_vec_u32()?;
         let counts = meta.get_vec_u64()?;
         let inf = meta.get_u32()?;
-        let pending_appends = meta.get_u64()? as usize;
+        let pending_appends = meta.get_u64()?;
+        if inf != sigma || counts.len() as u64 != u64::from(sigma) + 1 {
+            return Err(meta_err(format!(
+                "fully dynamic index over σ = {sigma} has ∞ = {inf} and {} counts",
+                counts.len()
+            )));
+        }
+        if let Some(at) = string.iter().position(|&s| s > inf) {
+            return Err(meta_err(format!(
+                "row {at} holds symbol {} above ∞ = {inf}",
+                string[at]
+            )));
+        }
         let changes_since_rebuild = meta.get_u64()?;
         let global_rebuilds = meta.get_u64()?;
         let c = meta.get_u32()?;
@@ -718,6 +747,21 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
             }
             None
         };
+        // The rows past the snapshot are its pending appends.
+        let n0 = snap.as_ref().map_or(0, |s| s.n0);
+        let len = string.len() as u64;
+        if n0 > len || pending_appends != len - n0 || u32::try_from(pending_appends).is_err() {
+            return Err(meta_err(format!(
+                "snapshot of {n0} rows with {pending_appends} pending appends \
+                 over a string of {len}"
+            )));
+        }
+        let mut tail = vec![Vec::new(); sigma as usize];
+        for (off, &s) in string[n0 as usize..].iter().enumerate() {
+            if s < sigma {
+                tail[s as usize].push(off as u32);
+            }
+        }
         Ok(FullyDynamicIndex {
             config,
             sigma,
@@ -725,7 +769,8 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
             counts,
             inf,
             snap,
-            pending_appends,
+            tail,
+            pending_appends: pending_appends as usize,
             changes_since_rebuild,
             global_rebuilds,
             c,
@@ -922,6 +967,162 @@ mod tests {
                 assert_eq!(idx.cardinality_hint(lo, hi), Some(naive));
             }
         }
+    }
+
+    #[test]
+    fn an_index_built_empty_answers_its_appends() {
+        let sigma = 4u32;
+        let mut idx = FullyDynamicIndex::build(&[], sigma, cfg());
+        let io = IoSession::new();
+        idx.append(2, &io);
+        assert_eq!(idx.query(2, 2, &io).to_vec(), vec![0]);
+        assert_eq!(idx.cardinality(2, 2), 1);
+        // Edits of the row before any snapshot exists, then appends
+        // through the first rebuild.
+        let mut current = vec![2];
+        for (s, name) in [(1, "change"), (sigma, "delete"), (3, "change back")] {
+            if s == sigma {
+                idx.delete(0, &io);
+            } else {
+                idx.change(0, s, &io);
+            }
+            current[0] = s;
+            assert!(idx.snap.is_none(), "{name} built a snapshot");
+            check_all(&idx, &current, sigma);
+        }
+        for s in [0, 1, 3, 3, 2] {
+            idx.append(s, &io);
+            current.push(s);
+            check_all(&idx, &current, sigma);
+        }
+        assert!(idx.snap.is_some());
+    }
+
+    #[test]
+    fn a_row_in_two_characters_leaves_is_answered_once() {
+        let sigma = 8u32;
+        let mut current = psi_workloads::uniform(1200, sigma, 113);
+        let mut idx = FullyDynamicIndex::build(&current, sigma, cfg());
+        let io = IoSession::untracked();
+        let mut rng = StdRng::seed_from_u64(115);
+        let mut states = 0;
+        for _ in 0..300 {
+            let pos = rng.gen_range(0..current.len() as u64);
+            let sym = rng.gen_range(0..sigma);
+            idx.change(pos, sym, &io);
+            current[pos as usize] = sym;
+            let snap = idx.snap.as_ref().expect("snapshot");
+            if snap.cuts.iter().any(|c| c.bbi.has_row_in_two_leaves()) {
+                states += 1;
+                check_all(&idx, &current, sigma);
+            }
+        }
+        assert!(states > 0, "no row reached two characters' leaves");
+    }
+
+    /// Every range of `idx` against the naive answer over `current`, and
+    /// its charge against the per-code reference read of the same
+    /// canonical node-character ranges.
+    fn assert_reads_match_per_code(idx: &FullyDynamicIndex, current: &[Symbol]) {
+        let snap = idx.snap.as_ref().expect("snapshot");
+        for lo in 0..idx.sigma {
+            for hi in lo..idx.sigma {
+                let (lifted, per_code) = (IoSession::new(), IoSession::new());
+                let got = idx.query(lo, hi, &lifted).to_vec();
+                assert_eq!(got, naive_query(current, lo, hi).to_vec(), "[{lo}, {hi}]");
+                let mut ranges = Vec::new();
+                FullyDynamicIndex::canonical_ranges(snap, snap.tree.root(), lo, hi, &mut ranges);
+                let mut runs = Vec::new();
+                for (cut, first, last) in ranges {
+                    snap.cuts[cut as usize]
+                        .bbi
+                        .char_runs_per_code(first, last, &per_code, &mut runs);
+                }
+                assert!(lifted.stats().reads > 0);
+                assert_eq!(lifted.stats(), per_code.stats(), "[{lo}, {hi}] charge");
+            }
+        }
+    }
+
+    #[test]
+    fn lifted_reads_charge_like_per_code_reads_in_ram_and_from_a_store() {
+        let sigma = 8u32;
+        let mut current = psi_workloads::zipf(3000, sigma, 1.0, 117);
+        let mut idx = FullyDynamicIndex::build(&current, sigma, cfg());
+        let io = IoSession::untracked();
+        let mut rng = StdRng::seed_from_u64(119);
+        for k in 0..600 {
+            let pos = rng.gen_range(0..current.len() as u64);
+            if k % 7 == 0 {
+                idx.delete(pos, &io);
+                current[pos as usize] = sigma;
+            } else {
+                let s = rng.gen_range(0..sigma);
+                idx.change(pos, s, &io);
+                current[pos as usize] = s;
+            }
+        }
+        for &s in &psi_workloads::uniform(200, sigma, 121) {
+            idx.append(s, &io);
+            current.push(s);
+        }
+        assert!(idx.pending_appends > 0);
+        assert_reads_match_per_code(&idx, &current);
+        let dir = std::env::temp_dir().join(format!("psi_core_fd_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("fully_dynamic.psi");
+        psi_store::save(&idx, &path).expect("save");
+        let opened =
+            psi_store::open::<FullyDynamicIndex>(&path, &psi_store::OpenOptions::default())
+                .expect("open");
+        assert_reads_match_per_code(&opened.index, &current);
+        assert!(opened.real_fetches() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_snapshot_metadata_is_a_typed_error() {
+        fn make() -> FullyDynamicIndex {
+            let mut idx = FullyDynamicIndex::build(&psi_workloads::uniform(500, 6, 123), 6, cfg());
+            for s in [1, 4, 0] {
+                idx.append(s, &IoSession::untracked());
+            }
+            idx
+        }
+        let dir = std::env::temp_dir().join(format!("psi_core_fd_meta_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("fully_dynamic.psi");
+        let open = |idx: &FullyDynamicIndex| {
+            psi_store::save(idx, &path).expect("save");
+            psi_store::open::<FullyDynamicIndex>(&path, &psi_store::OpenOptions::default())
+                .map(|o| o.index)
+        };
+        let good = open(&make()).expect("a sound store opens");
+        assert_eq!(good.tail, make().tail, "the tail index is derived at open");
+        type Corrupt = fn(&mut FullyDynamicIndex);
+        let cases: [(&str, Corrupt); 5] = [
+            ("snapshot longer than the string", |idx| {
+                let len = idx.string.len() as u64;
+                idx.snap.as_mut().expect("snapshot").n0 = len + 5;
+            }),
+            ("pending appends not the rows past the snapshot", |idx| {
+                idx.pending_appends += 1;
+            }),
+            ("symbol above ∞", |idx| idx.string[0] = idx.inf + 1),
+            ("counts not one per character and ∞", |idx| {
+                idx.counts.push(0)
+            }),
+            ("∞ not σ", |idx| idx.inf += 1),
+        ];
+        for (what, corrupt) in cases {
+            let mut idx = make();
+            corrupt(&mut idx);
+            assert!(
+                matches!(open(&idx), Err(psi_store::StoreError::Meta { .. })),
+                "{what} accepted"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

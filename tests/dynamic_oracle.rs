@@ -261,3 +261,55 @@ fn delete_then_reinsert_same_rid() {
         }
     }
 }
+
+/// A durable index created empty answers its appended rows live and
+/// after recovery: with no snapshot yet, every row is a pending append.
+#[test]
+fn empty_durable_index_answers_appends_live_and_after_recovery() {
+    type Handle = psi::wal::Durable<psi::FullyDynamicIndex>;
+    let dir = std::env::temp_dir()
+        .join("psi_dynamic_oracle")
+        .join("empty_durable");
+    let _ = std::fs::remove_dir_all(&dir);
+    let idx = psi::FullyDynamicIndex::build(&[], SIGMA, cfg());
+    let mut durable = Handle::create(&dir, idx, Default::default()).expect("create");
+    let io = IoSession::untracked();
+    let mut mirror: Vec<u32> = Vec::new();
+    let check = |durable: &Handle, mirror: &[u32], when: &str| {
+        for lo in 0..SIGMA {
+            for hi in lo..SIGMA {
+                let got = durable.try_query(lo, hi, &IoSession::new()).expect("read");
+                assert_eq!(
+                    got.to_vec(),
+                    psi::naive_query(mirror, lo, hi).to_vec(),
+                    "[{lo}, {hi}] over {mirror:?}, {when}"
+                );
+            }
+        }
+    };
+    let ops = [
+        MutOp::Append { symbol: 2 },
+        MutOp::Change { pos: 0, symbol: 5 },
+        MutOp::Delete { pos: 0 },
+        MutOp::Change { pos: 0, symbol: 2 },
+        MutOp::Append { symbol: 7 },
+        MutOp::Append { symbol: 2 },
+    ];
+    for op in &ops {
+        durable.apply(op, &io).expect("apply");
+        match *op {
+            MutOp::Append { symbol } => mirror.push(symbol),
+            MutOp::Change { pos, symbol } => mirror[pos as usize] = symbol,
+            MutOp::Delete { pos } => mirror[pos as usize] = SIGMA,
+        }
+        check(&durable, &mirror, "live");
+        durable.commit().expect("commit");
+        drop(durable);
+        durable = psi::wal::recover::<psi::FullyDynamicIndex>(&dir, Default::default())
+            .expect("recover")
+            .0;
+        check(&durable, &mirror, "recovered");
+    }
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,9 +4,11 @@
 
 use psi::io::cost;
 use psi::{
-    AppendIndex, ApproximateIndex, IoConfig, IoSession, OptimalIndex, SecondaryIndex,
-    SemiDynamicIndex, UniformTreeIndex,
+    AppendIndex, ApproximateIndex, BufferedBitmapIndex, DynamicIndex, FullyDynamicIndex, IoConfig,
+    IoSession, OptimalIndex, SecondaryIndex, SemiDynamicIndex, UniformTreeIndex,
 };
+use rand::prelude::*;
+use rand::rngs::StdRng;
 
 const B: u64 = psi::io::DEFAULT_BLOCK_BITS;
 
@@ -108,6 +110,80 @@ fn thm4_appends_preserve_query_bound() {
         "{} reads vs {bound:.1}",
         io.reads
     );
+}
+
+#[test]
+fn thm6_buffered_bitmap_bounds() {
+    // E8: 2^18 uniform symbols over σ = 256, then 50,000 inserts.
+    let (n, sigma) = (1usize << 18, 256u32);
+    let s = psi::workloads::uniform(n, sigma, 8);
+    let mut idx = BufferedBitmapIndex::build(&s, sigma, IoConfig::default());
+    let mut rng = StdRng::seed_from_u64(9);
+    let updates = 50_000u64;
+    let mut total = 0;
+    for step in 0..updates {
+        let io = IoSession::new();
+        idx.insert(rng.gen_range(0..sigma), n as u64 + step, &io);
+        total += io.stats().total();
+    }
+    // Updates: amortized O(lg n / b), here within one I/O of lg n / b.
+    let b = IoConfig::default().words_per_block(n as u64);
+    let per_update = total as f64 / updates as f64;
+    let lg_n = cost::lg2(n as f64);
+    assert!(
+        per_update <= lg_n / b as f64 + 1.0,
+        "{per_update:.4} I/Os per update vs lg n / b = {:.4}",
+        lg_n / b as f64
+    );
+    // Point queries: O(T/B + lg n), here within twice that.
+    for ch in [0u32, 63, 200] {
+        let io = IoSession::new();
+        let r = idx.point_query(ch, &io);
+        let bound = cost::output_bits(n as u64 + updates, r.len() as u64) / B as f64 + lg_n;
+        assert!(
+            (io.stats().reads as f64) <= 2.0 * bound,
+            "char {ch}: {} reads vs T/B + lg n = {bound:.1}",
+            io.stats().reads
+        );
+    }
+}
+
+#[test]
+fn thm7_fully_dynamic_bounds() {
+    // E9: 2^17 uniform symbols over σ = 128, then 20,000 changes, about
+    // one in ten a delete.
+    let (n, sigma) = (1usize << 17, 128u32);
+    let mut current = psi::workloads::uniform(n, sigma, 10);
+    let mut idx = FullyDynamicIndex::build(&current, sigma, IoConfig::default());
+    let mut rng = StdRng::seed_from_u64(11);
+    let io = IoSession::untracked();
+    for _ in 0..20_000 {
+        let pos = rng.gen_range(0..n as u64);
+        if rng.gen_bool(0.1) {
+            idx.delete(pos, &io);
+            current[pos as usize] = sigma;
+        } else {
+            let v = rng.gen_range(0..sigma);
+            idx.change(pos, v, &io);
+            current[pos as usize] = v;
+        }
+    }
+    // Range queries: O(z lg(n/z)/B + lg n lg lg n), here within six times
+    // that. The widest range reads most over it: its result is dense, so
+    // a row costs at least a one-bit gamma code where z lg(n/z) charges
+    // about a third of a bit.
+    let lg = cost::lg2(n as f64) * cost::lg_lg(n as u64);
+    for (lo, hi) in [(5u32, 5u32), (10, 30), (0, 100)] {
+        let io = IoSession::new();
+        let r = idx.query(lo, hi, &io);
+        assert_eq!(r.to_vec(), psi::naive_query(&current, lo, hi).to_vec());
+        let bound = cost::output_bits(n as u64, r.cardinality()) / B as f64 + lg;
+        assert!(
+            (io.stats().reads as f64) <= 6.0 * bound,
+            "[{lo},{hi}]: {} reads vs z lg(n/z)/B + lg n lg lg n = {bound:.1}",
+            io.stats().reads
+        );
+    }
 }
 
 #[test]
