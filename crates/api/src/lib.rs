@@ -23,7 +23,7 @@ pub type Symbol = u32;
 
 /// A static secondary index over a string `x ∈ Σⁿ`.
 ///
-/// The read path is **shared-state**: `query`/`query_measured` take
+/// The read path is **shared-state**: `try_query` and its wrappers take
 /// `&self`, and the trait requires `Send + Sync`, so one opened index —
 /// typically behind an `Arc` — serves any number of query threads
 /// concurrently. Each thread brings its own per-query [`IoSession`];
@@ -47,15 +47,37 @@ pub trait SecondaryIndex: Send + Sync {
     fn space_bits(&self) -> u64;
 
     /// Answers the alphabet range query `I[lo; hi]` (inclusive endpoints,
-    /// as in the paper), charging all block accesses to `io`.
+    /// as in the paper), charging all block accesses to `io`. This is the
+    /// one read method a family implements.
     ///
     /// The result is compressed: either the positions themselves or, for
     /// results larger than `n/2` where the structure supports it, the
     /// complement (§2.1's trick).
     ///
+    /// A real-read failure (transient faults past the retry budget, a
+    /// missing page, a checksum mismatch) is returned as a typed
+    /// [`ReadError`]: every pooled read is a bulk lift that returns its
+    /// fault, and implementations propagate it with `?` before decoding
+    /// the lifted words in memory.
+    ///
+    /// [`Self::cardinality_hint`] needs no fallible variant: by contract
+    /// it reads only memory-resident metadata and charges no I/O, so it
+    /// has no real read to fail.
+    ///
     /// # Panics
-    /// Implementations panic if `lo > hi` or `hi ≥ σ`.
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet;
+    /// Implementations panic if `lo > hi` or `hi ≥ σ` (caller bugs).
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError>;
+
+    /// Infallible form of [`Self::try_query`], for callers that cannot
+    /// degrade (RAM-resident indexes, experiments).
+    ///
+    /// # Panics
+    /// Panics with the [`ReadError`] message when a real read fails, and
+    /// where [`Self::try_query`] panics.
+    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+        self.try_query(lo, hi, io)
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
 
     /// Convenience: runs `query` under a fresh tracking session and
     /// returns the result with its I/O statistics.
@@ -64,25 +86,6 @@ pub trait SecondaryIndex: Send + Sync {
         let result = self.query(lo, hi, &io);
         let stats = io.stats();
         (result, stats)
-    }
-
-    /// Fallible form of [`Self::query`]: a real-read failure (transient
-    /// exhausted retries, missing page, checksum mismatch) surfaces as a
-    /// typed [`ReadError`] instead of a panic.
-    ///
-    /// The default wraps the infallible `query` in
-    /// [`psi_io::catch_read`], converting the structured abort every
-    /// pooled decode path raises into the session's recorded fault —
-    /// implementations keep their panic-free hot path and codegen
-    /// untouched, callers that can degrade (quarantine + table-scan
-    /// fallback) get a `Result`. Range-validation panics (`lo > hi`,
-    /// `hi ≥ σ`) are caller bugs and still panic.
-    ///
-    /// [`Self::cardinality_hint`] needs no fallible variant: by contract
-    /// it reads only memory-resident metadata and charges no I/O, so it
-    /// has no real read to fail.
-    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
-        psi_io::catch_read(io, || self.query(lo, hi, io))
     }
 
     /// Estimated result cardinality of `I[lo; hi]`, computed from metadata

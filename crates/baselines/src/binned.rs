@@ -8,10 +8,10 @@
 //! [`crate::MultiResolutionIndex`] applies recursively.
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_bits::GapBitmap;
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
-use crate::catalog::BitmapCatalog;
+use crate::catalog::{self, BitmapCatalog};
 
 /// A two-resolution bitmap index: bins of `w` characters plus per-character
 /// bitmaps for the bin edges.
@@ -77,11 +77,38 @@ impl SecondaryIndex for BinnedBitmapIndex {
         self.bins.size_bits(&self.disk) + self.chars.size_bits(&self.disk)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
+        let parts = self.cover(lo, hi);
+        if parts.is_empty() {
+            return Ok(RidSet::from_positions(GapBitmap::empty(self.n)));
+        }
+        // Single-bitmap covers (one bin, or one edge character) come back
+        // as a verbatim word copy of the stored stream; larger covers are
+        // density-planned over the cover's catalog metadata.
+        Ok(RidSet::from_positions(match parts[..] {
+            [(catalog, idx)] => catalog.copy_bitmap(&self.disk, idx, io)?,
+            _ => catalog::merge_cover(&self.disk, &parts, self.n, io)?,
+        }))
+    }
+
+    fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
+        // Exact, from the per-character catalog directory (no decode).
+        Some(
+            (lo..=hi)
+                .map(|c| self.chars.entry(c as usize).count)
+                .sum::<u64>(),
+        )
+    }
+}
+
+impl BinnedBitmapIndex {
+    /// The non-empty stored bitmaps covering `[lo, hi]`: whole bins where
+    /// they fit, single characters at the edges.
+    fn cover(&self, lo: Symbol, hi: Symbol) -> Vec<(&BitmapCatalog, usize)> {
         let w = self.w;
         let mut parts: Vec<(&BitmapCatalog, usize)> = Vec::new();
         // A bin b (covering [b·w, b·w + w − 1] clamped to σ) is usable iff
@@ -102,38 +129,8 @@ impl SecondaryIndex for BinnedBitmapIndex {
                 break; // unreachable; guards overflow in release builds
             }
         }
-        // Single-bitmap covers (one bin, or one edge character) come back
-        // as a verbatim word copy of the stored stream.
         parts.retain(|&(catalog, idx)| catalog.entry(idx).count > 0);
-        if parts.is_empty() {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
-        }
-        if let [(catalog, idx)] = parts[..] {
-            return RidSet::from_positions(catalog.copy_bitmap(&self.disk, idx, io));
-        }
-        // Density-planned merge over the cover's catalog metadata.
-        let (total, span) = merge::cover_stats(parts.iter().map(|&(catalog, idx)| {
-            let e = catalog.entry(idx);
-            (
-                e.count,
-                e.first_pos.expect("non-empty entry"),
-                e.last_pos.expect("non-empty entry"),
-            )
-        }));
-        let streams: Vec<_> = parts
-            .iter()
-            .map(|&(catalog, idx)| catalog.decoder(&self.disk, idx, io))
-            .collect();
-        RidSet::from_positions(merge::merge_adaptive(streams, self.n, total, span))
-    }
-
-    fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
-        // Exact, from the per-character catalog directory (no decode).
-        Some(
-            (lo..=hi)
-                .map(|c| self.chars.entry(c as usize).count)
-                .sum::<u64>(),
-        )
+        parts
     }
 }
 
@@ -175,6 +172,17 @@ impl psi_store::PersistIndex for BinnedBitmapIndex {
 mod tests {
     use super::*;
     use crate::testutil::check_against_naive;
+
+    #[test]
+    fn multi_bitmap_covers_lift_like_per_code_reads() {
+        let symbols = psi_workloads::zipf(4000, 16, 1.0, 29);
+        let idx = BinnedBitmapIndex::build(&symbols, 16, 4, cfg());
+        let ranges = [(0, 1), (2, 9), (3, 14), (0, 15), (5, 5), (1, 12)];
+        crate::testutil::assert_lifts_match_per_code(&idx, &ranges, |idx, lo, hi, io| {
+            let parts = idx.cover(lo, hi);
+            RidSet::from_positions(catalog::merge_cover_per_code(&idx.disk, &parts, idx.n, io))
+        });
+    }
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)

@@ -8,8 +8,12 @@
 //! The extent holds the code streams and nothing beside them: a copied
 //! bitmap builds its skip directory in memory on first use.
 
-use psi_bits::{BitBuf, GapBitmap, GapDecoder, GapEncoder};
-use psi_io::{cost, Disk, DiskReader, ExtentId, IoSession};
+#[cfg(test)]
+use psi_bits::GapDecoder;
+use psi_bits::{merge, BitBuf, GapBitmap, GapEncoder};
+#[cfg(test)]
+use psi_io::DiskReader;
+use psi_io::{cost, Disk, ExtentId, IoSession, ReadError};
 
 /// Directory entry for one bitmap in a [`BitmapCatalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +96,9 @@ impl BitmapCatalog {
         &self.entries[idx]
     }
 
-    /// Streaming decoder for bitmap `idx`, charging `io`.
+    /// Streaming decoder for bitmap `idx`, charging `io` (resident
+    /// extents only): the per-code reference of [`Self::copy_bitmap`].
+    #[cfg(test)]
     pub fn decoder<'a>(
         &self,
         disk: &'a Disk,
@@ -103,13 +109,20 @@ impl BitmapCatalog {
         GapDecoder::new(disk.reader(self.ext, e.bit_off, io), e.count)
     }
 
-    /// Lifts bitmap `idx` verbatim into a [`GapBitmap`], charging `io`.
-    /// Queries covered by a single stored bitmap return this word copy
-    /// instead of decoding and re-encoding the positions.
-    pub fn copy_bitmap(&self, disk: &Disk, idx: usize, io: &IoSession) -> GapBitmap {
+    /// Lifts bitmap `idx` verbatim into a [`GapBitmap`], charging `io`
+    /// and returning a failed pooled fetch as its error. Queries covered
+    /// by a single stored bitmap return this word copy instead of decoding
+    /// and re-encoding the positions; larger covers merge lifted parts
+    /// ([`merge_cover`]).
+    pub fn copy_bitmap(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        io: &IoSession,
+    ) -> Result<GapBitmap, ReadError> {
         let e = &self.entries[idx];
-        let bits = BitBuf::lift(&mut disk.reader(self.ext, e.bit_off, io), e.bit_len);
-        GapBitmap::from_code_bits(bits, e.count, self.universe)
+        let bits = BitBuf::lift(&mut disk.reader(self.ext, e.bit_off, io), e.bit_len)?;
+        Ok(GapBitmap::from_code_bits(bits, e.count, self.universe))
     }
 
     /// Compressed payload size in bits.
@@ -130,6 +143,54 @@ impl BitmapCatalog {
     pub fn size_bits(&self, disk: &Disk) -> u64 {
         self.payload_bits(disk) + self.directory_bits(disk)
     }
+}
+
+/// The planner inputs `(total, span)` of a cover of non-empty catalog
+/// bitmaps, from the in-memory directory alone.
+fn cover_stats(parts: &[(&BitmapCatalog, usize)]) -> (u64, Option<(u64, u64)>) {
+    merge::cover_stats(parts.iter().map(|&(catalog, idx)| {
+        let e = catalog.entry(idx);
+        (
+            e.count,
+            e.first_pos.expect("non-empty"),
+            e.last_pos.expect("non-empty"),
+        )
+    }))
+}
+
+/// Unions a cover of non-empty catalog bitmaps over `universe`: each part
+/// is lifted whole ([`BitmapCatalog::copy_bitmap`]) and decoded in memory,
+/// then merged by [`merge::merge_adaptive`] with the count and span read
+/// off the directory before any lift.
+pub fn merge_cover(
+    disk: &Disk,
+    parts: &[(&BitmapCatalog, usize)],
+    universe: u64,
+    io: &IoSession,
+) -> Result<GapBitmap, ReadError> {
+    let (total, span) = cover_stats(parts);
+    let decoded = parts
+        .iter()
+        .map(|&(catalog, idx)| Ok(catalog.copy_bitmap(disk, idx, io)?.to_vec().into_iter()))
+        .collect::<Result<Vec<_>, ReadError>>()?;
+    Ok(merge::merge_adaptive(decoded, universe, total, span))
+}
+
+/// [`merge_cover`] with every part decoded code by code from the disk:
+/// the reference the lifted merge must match in rows and charge.
+#[cfg(test)]
+pub(crate) fn merge_cover_per_code(
+    disk: &Disk,
+    parts: &[(&BitmapCatalog, usize)],
+    universe: u64,
+    io: &IoSession,
+) -> GapBitmap {
+    let (total, span) = cover_stats(parts);
+    let decoders = parts
+        .iter()
+        .map(|&(catalog, idx)| catalog.decoder(disk, idx, io))
+        .collect();
+    merge::merge_adaptive(decoders, universe, total, span)
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +289,7 @@ mod tests {
             let decode_io = IoSession::new();
             let decoded: Vec<u64> = cat.decoder(&disk, i, &decode_io).collect();
             let copy_io = IoSession::new();
-            let copied = cat.copy_bitmap(&disk, i, &copy_io);
+            let copied = cat.copy_bitmap(&disk, i, &copy_io).unwrap();
             assert_eq!(&decoded, g);
             assert_eq!(copied.to_vec(), decoded);
             assert_eq!(copied.universe(), 2400);
@@ -237,7 +298,7 @@ mod tests {
             assert_eq!(copy_io.stats().bits_read, decode_io.stats().bits_read);
         }
         // The copy builds its directory on first use.
-        let copied = cat.copy_bitmap(&disk, 2, &IoSession::new());
+        let copied = cat.copy_bitmap(&disk, 2, &IoSession::new()).unwrap();
         assert!(!copied.has_skip_dir());
         assert!(copied.contains(2396) && !copied.contains(2395));
         assert_eq!(copied.rank(1200), 300);

@@ -9,10 +9,10 @@
 //! measures exactly this gap against the paper's structure.
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_bits::GapBitmap;
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
-use crate::catalog::BitmapCatalog;
+use crate::catalog::{self, BitmapCatalog};
 
 /// A dictionary of per-character compressed bitmaps, scanned per query.
 #[derive(Debug)]
@@ -44,6 +44,14 @@ impl CompressedScanIndex {
     pub fn payload_bits(&self) -> u64 {
         self.cat.payload_bits(&self.disk)
     }
+
+    /// The non-empty per-character bitmaps a range query merges.
+    fn cover(&self, lo: Symbol, hi: Symbol) -> Vec<(&BitmapCatalog, usize)> {
+        (lo..=hi)
+            .map(|c| (&self.cat, c as usize))
+            .filter(|&(cat, c)| cat.entry(c).count > 0)
+            .collect()
+    }
 }
 
 impl HasDisk for CompressedScanIndex {
@@ -65,35 +73,26 @@ impl SecondaryIndex for CompressedScanIndex {
         self.cat.size_bits(&self.disk)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
         // Point queries return the stored per-character bitmap as a
         // verbatim word copy.
         if lo == hi {
-            return RidSet::from_positions(self.cat.copy_bitmap(&self.disk, lo as usize, io));
+            return Ok(RidSet::from_positions(self.cat.copy_bitmap(
+                &self.disk,
+                lo as usize,
+                io,
+            )?));
         }
         // Density-planned merge: counts and span come from the in-memory
-        // catalog directory, before any decode.
-        let chars: Vec<usize> = (lo..=hi)
-            .map(|c| c as usize)
-            .filter(|&c| self.cat.entry(c).count > 0)
-            .collect();
-        let (total, span) = merge::cover_stats(chars.iter().map(|&c| {
-            let e = self.cat.entry(c);
-            (
-                e.count,
-                e.first_pos.expect("non-empty entry"),
-                e.last_pos.expect("non-empty entry"),
-            )
-        }));
-        let decoders: Vec<_> = chars
-            .iter()
-            .map(|&c| self.cat.decoder(&self.disk, c, io))
-            .collect();
-        RidSet::from_positions(merge::merge_adaptive(decoders, self.n, total, span))
+        // catalog directory, before any lift.
+        let parts = self.cover(lo, hi);
+        Ok(RidSet::from_positions(catalog::merge_cover(
+            &self.disk, &parts, self.n, io,
+        )?))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
@@ -140,6 +139,17 @@ impl psi_store::PersistIndex for CompressedScanIndex {
 mod tests {
     use super::*;
     use crate::testutil::check_against_naive;
+
+    #[test]
+    fn multi_char_covers_lift_like_per_code_reads() {
+        let symbols = psi_workloads::zipf(4000, 16, 1.0, 23);
+        let idx = CompressedScanIndex::build(&symbols, 16, cfg());
+        let ranges = [(0, 1), (2, 9), (3, 14), (0, 15), (5, 5), (1, 12)];
+        crate::testutil::assert_lifts_match_per_code(&idx, &ranges, |idx, lo, hi, io| {
+            let parts = idx.cover(lo, hi);
+            RidSet::from_positions(catalog::merge_cover_per_code(&idx.disk, &parts, idx.n, io))
+        });
+    }
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)

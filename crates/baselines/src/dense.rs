@@ -7,7 +7,7 @@
 //! private to this type, chosen so word-wise OR/AND-NOT on read-back is a
 //! single operation per word).
 
-use psi_io::{Disk, ExtentId, IoSession};
+use psi_io::{Disk, ExtentId, IoSession, ReadError};
 
 /// A family of equal-length uncompressed bitmaps on disk.
 #[derive(Debug)]
@@ -83,32 +83,73 @@ impl DenseCatalog {
 
     /// Reads slot `idx` and ORs it into `acc` (which must have
     /// `words_per_slot` entries), charging `io`.
-    pub fn or_into(&self, disk: &Disk, idx: usize, acc: &mut [u64], io: &IoSession) {
-        assert!(idx < self.slots, "slot {idx} out of range");
-        assert_eq!(acc.len() as u64, self.words_per_slot);
-        let mut r = disk.reader(self.ext, idx as u64 * self.words_per_slot * 64, io);
-        for a in acc.iter_mut() {
-            *a |= r.read_bits(64);
-        }
+    pub fn or_into(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        acc: &mut [u64],
+        io: &IoSession,
+    ) -> Result<(), ReadError> {
+        self.combine(disk, idx, acc, io, |a, w| *a |= w)
     }
 
     /// Reads slot `idx` and AND-NOTs it into `acc` (`acc &= !slot`).
-    pub fn and_not_into(&self, disk: &Disk, idx: usize, acc: &mut [u64], io: &IoSession) {
-        assert!(idx < self.slots, "slot {idx} out of range");
-        assert_eq!(acc.len() as u64, self.words_per_slot);
-        let mut r = disk.reader(self.ext, idx as u64 * self.words_per_slot * 64, io);
-        for a in acc.iter_mut() {
-            *a &= !r.read_bits(64);
-        }
+    pub fn and_not_into(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        acc: &mut [u64],
+        io: &IoSession,
+    ) -> Result<(), ReadError> {
+        self.combine(disk, idx, acc, io, |a, w| *a &= !w)
     }
 
     /// Reads slot `idx` and ANDs it into `acc`.
-    pub fn and_into(&self, disk: &Disk, idx: usize, acc: &mut [u64], io: &IoSession) {
+    pub fn and_into(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        acc: &mut [u64],
+        io: &IoSession,
+    ) -> Result<(), ReadError> {
+        self.combine(disk, idx, acc, io, |a, w| *a &= w)
+    }
+
+    /// Lifts slot `idx` whole (one bulk read, returning a failed pooled
+    /// fetch as its error), then folds its words into `acc` with `op`.
+    fn combine(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        acc: &mut [u64],
+        io: &IoSession,
+        op: impl Fn(&mut u64, u64),
+    ) -> Result<(), ReadError> {
         assert!(idx < self.slots, "slot {idx} out of range");
         assert_eq!(acc.len() as u64, self.words_per_slot);
+        let mut words = Vec::new();
+        disk.reader(self.ext, idx as u64 * self.words_per_slot * 64, io)
+            .read_words(&mut words, self.words_per_slot * 64)?;
+        for (a, w) in acc.iter_mut().zip(words) {
+            op(a, w);
+        }
+        Ok(())
+    }
+
+    /// [`Self::combine`] reading the slot word by word from the disk: the
+    /// reference the lifted read must match in result and charge.
+    #[cfg(test)]
+    pub(crate) fn combine_per_word(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        acc: &mut [u64],
+        io: &IoSession,
+        op: impl Fn(&mut u64, u64),
+    ) {
         let mut r = disk.reader(self.ext, idx as u64 * self.words_per_slot * 64, io);
         for a in acc.iter_mut() {
-            *a &= r.read_bits(64);
+            op(a, r.read_bits(64));
         }
     }
 
@@ -178,9 +219,9 @@ mod tests {
         assert_eq!(cat.slots(), 2);
         let io = IoSession::untracked();
         let mut acc = cat.new_acc();
-        cat.or_into(&disk, 0, &mut acc, &io);
+        cat.or_into(&disk, 0, &mut acc, &io).unwrap();
         assert_eq!(cat.acc_positions(&acc), vec![0, 64, 99]);
-        cat.or_into(&disk, 1, &mut acc, &io);
+        cat.or_into(&disk, 1, &mut acc, &io).unwrap();
         assert_eq!(cat.acc_positions(&acc), vec![0, 1, 2, 64, 99]);
     }
 
@@ -190,8 +231,8 @@ mod tests {
         let cat = DenseCatalog::build(&mut disk, 10, vec![vec![1u64, 3, 5], vec![3u64]]);
         let io = IoSession::untracked();
         let mut acc = cat.new_acc();
-        cat.or_into(&disk, 0, &mut acc, &io);
-        cat.and_not_into(&disk, 1, &mut acc, &io);
+        cat.or_into(&disk, 0, &mut acc, &io).unwrap();
+        cat.and_not_into(&disk, 1, &mut acc, &io).unwrap();
         assert_eq!(cat.acc_positions(&acc), vec![1, 5]);
     }
 
@@ -201,8 +242,8 @@ mod tests {
         let cat = DenseCatalog::build(&mut disk, 10, vec![vec![1u64, 3, 5], vec![3u64, 5, 7]]);
         let io = IoSession::untracked();
         let mut acc = cat.new_acc();
-        cat.or_into(&disk, 0, &mut acc, &io);
-        cat.and_into(&disk, 1, &mut acc, &io);
+        cat.or_into(&disk, 0, &mut acc, &io).unwrap();
+        cat.and_into(&disk, 1, &mut acc, &io).unwrap();
         assert_eq!(cat.acc_positions(&acc), vec![3, 5]);
     }
 
@@ -214,7 +255,7 @@ mod tests {
         let cat = DenseCatalog::build(&mut disk, 128, (0..8).map(|i| vec![i as u64]));
         let io = IoSession::new();
         let mut acc = cat.new_acc();
-        cat.or_into(&disk, 3, &mut acc, &io);
+        cat.or_into(&disk, 3, &mut acc, &io).unwrap();
         assert_eq!(io.stats().reads, 1);
         assert_eq!(cat.size_bits(&disk), 8 * 128);
     }

@@ -16,7 +16,7 @@
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
 use psi_bits::GapBitmap;
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::dense::DenseCatalog;
 
@@ -93,41 +93,41 @@ impl SecondaryIndex for IntervalEncodedIndex {
         self.cat.size_bits(&self.disk)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
         let m = self.m;
         let width = hi - lo + 1;
         let mut acc = self.cat.new_acc();
         if width >= m {
             // Union of the two extreme intervals covers [lo, hi] exactly.
-            self.cat.or_into(&self.disk, lo as usize, &mut acc, io);
+            self.cat.or_into(&self.disk, lo as usize, &mut acc, io)?;
             let k = (hi + 1 - m) as usize;
             if k != lo as usize {
-                self.cat.or_into(&self.disk, k, &mut acc, io);
+                self.cat.or_into(&self.disk, k, &mut acc, io)?;
             }
         } else if hi < m - 1 {
             // Near the bottom: I_lo minus everything above hi.
-            self.cat.or_into(&self.disk, lo as usize, &mut acc, io);
+            self.cat.or_into(&self.disk, lo as usize, &mut acc, io)?;
             self.cat
-                .and_not_into(&self.disk, (hi + 1) as usize, &mut acc, io);
+                .and_not_into(&self.disk, (hi + 1) as usize, &mut acc, io)?;
         } else if lo > self.sigma - m {
             // Near the top: I_{hi−m+1} minus everything below lo.
             self.cat
-                .or_into(&self.disk, (hi + 1 - m) as usize, &mut acc, io);
+                .or_into(&self.disk, (hi + 1 - m) as usize, &mut acc, io)?;
             self.cat
-                .and_not_into(&self.disk, (lo - m) as usize, &mut acc, io);
+                .and_not_into(&self.disk, (lo - m) as usize, &mut acc, io)?;
         } else {
             // Generic: intersection of the two extreme intervals.
-            self.cat.or_into(&self.disk, lo as usize, &mut acc, io);
+            self.cat.or_into(&self.disk, lo as usize, &mut acc, io)?;
             self.cat
-                .and_into(&self.disk, (hi + 1 - m) as usize, &mut acc, io);
+                .and_into(&self.disk, (hi + 1 - m) as usize, &mut acc, io)?;
         }
         // Word-scan re-encode of the accumulator (see `range_encoded.rs`):
         // CPU-only, the dense-slot reads above are the whole I/O story.
-        RidSet::from_positions(GapBitmap::from_words(&acc, self.n))
+        Ok(RidSet::from_positions(GapBitmap::from_words(&acc, self.n)))
     }
 }
 
@@ -234,7 +234,6 @@ mod tests {
         // return the identical stream for identical block charges.
         let symbols = psi_workloads::uniform(2500, 12, 59);
         let idx = IntervalEncodedIndex::build(&symbols, 12, cfg());
-        let m = idx.interval_width();
         let branches = [
             (0u32, 11u32), // width ≥ m: union
             (1, 3),        // near the bottom: AND NOT above
@@ -244,32 +243,46 @@ mod tests {
         for (lo, hi) in branches {
             let (fast, fast_io) = idx.query_measured(lo, hi);
             let ref_io = IoSession::new();
-            let mut acc = idx.cat.new_acc();
-            let width = hi - lo + 1;
-            if width >= m {
-                idx.cat.or_into(&idx.disk, lo as usize, &mut acc, &ref_io);
-                let k = (hi + 1 - m) as usize;
-                if k != lo as usize {
-                    idx.cat.or_into(&idx.disk, k, &mut acc, &ref_io);
-                }
-            } else if hi < m - 1 {
-                idx.cat.or_into(&idx.disk, lo as usize, &mut acc, &ref_io);
-                idx.cat
-                    .and_not_into(&idx.disk, (hi + 1) as usize, &mut acc, &ref_io);
-            } else if lo > idx.sigma - m {
-                idx.cat
-                    .or_into(&idx.disk, (hi + 1 - m) as usize, &mut acc, &ref_io);
-                idx.cat
-                    .and_not_into(&idx.disk, (lo - m) as usize, &mut acc, &ref_io);
-            } else {
-                idx.cat.or_into(&idx.disk, lo as usize, &mut acc, &ref_io);
-                idx.cat
-                    .and_into(&idx.disk, (hi + 1 - m) as usize, &mut acc, &ref_io);
-            }
-            let reference = GapBitmap::from_sorted(&idx.cat.acc_positions(&acc), idx.n);
-            assert_eq!(fast.stored(), &reference, "[{lo},{hi}]");
+            let reference = query_per_word(&idx, lo, hi, &ref_io);
+            assert_eq!(fast.stored(), reference.stored(), "[{lo},{hi}]");
             assert_eq!(fast_io, ref_io.stats(), "[{lo},{hi}] I/O parity");
         }
+        crate::testutil::assert_lifts_match_per_code(&idx, &branches, query_per_word);
+    }
+
+    /// The query with each slot read word by word from the disk, encoded
+    /// element by element: the reference of the lifted read and of the
+    /// word-scan encode.
+    fn query_per_word(
+        idx: &IntervalEncodedIndex,
+        lo: Symbol,
+        hi: Symbol,
+        io: &IoSession,
+    ) -> RidSet {
+        let m = idx.m;
+        let or = |a: &mut u64, w: u64| *a |= w;
+        let and_not = |a: &mut u64, w: u64| *a &= !w;
+        let mut acc = idx.cat.new_acc();
+        let mut apply = |slot: u32, op: &dyn Fn(&mut u64, u64)| {
+            idx.cat
+                .combine_per_word(&idx.disk, slot as usize, &mut acc, io, op)
+        };
+        if hi - lo + 1 >= m {
+            apply(lo, &or);
+            if hi + 1 - m != lo {
+                apply(hi + 1 - m, &or);
+            }
+        } else if hi < m - 1 {
+            apply(lo, &or);
+            apply(hi + 1, &and_not);
+        } else if lo > idx.sigma - m {
+            apply(hi + 1 - m, &or);
+            apply(lo - m, &and_not);
+        } else {
+            apply(lo, &or);
+            apply(hi + 1 - m, &|a: &mut u64, w: u64| *a &= w);
+        }
+        RidSet::from_positions(GapBitmap::from_sorted(&idx.cat.acc_positions(&acc), idx.n))
     }
 
     #[test]

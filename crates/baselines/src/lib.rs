@@ -57,8 +57,46 @@ pub(crate) fn per_char_positions(symbols: &[Symbol], sigma: Symbol) -> Vec<Vec<u
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    use psi_api::{naive_query, SecondaryIndex};
+    use psi_api::{naive_query, RidSet, SecondaryIndex, Symbol};
     use psi_io::IoSession;
+
+    /// Pins the lifted reads of `index` to its per-code reference on each
+    /// range: `per_code` reads the same cover code by code (or word by
+    /// word) from the RAM build. Its rows and [`psi_io::IoStats`] must
+    /// equal those of `try_query` on the RAM build, and of `try_query` on
+    /// the index saved and reopened file-backed, whose every read is a
+    /// pooled lift.
+    pub fn assert_lifts_match_per_code<I: SecondaryIndex + psi_store::PersistIndex>(
+        index: &I,
+        ranges: &[(Symbol, Symbol)],
+        per_code: impl Fn(&I, Symbol, Symbol, &IoSession) -> RidSet,
+    ) {
+        let dir = std::env::temp_dir().join(format!(
+            "psi_baselines_lift_{}_{}",
+            I::TAG,
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("index.psi");
+        psi_store::save(index, &path).expect("save");
+        let opened = psi_store::open::<I>(&path, &psi_store::OpenOptions::default()).expect("open");
+        for &(lo, hi) in ranges {
+            let reference_io = IoSession::new();
+            let reference = per_code(index, lo, hi, &reference_io);
+            for (what, idx) in [("ram", index), ("store", &opened.index)] {
+                let io = IoSession::new();
+                let got = idx.try_query(lo, hi, &io).expect("healthy read");
+                assert_eq!(got.to_vec(), reference.to_vec(), "{what} [{lo}, {hi}] rows");
+                assert_eq!(
+                    io.stats(),
+                    reference_io.stats(),
+                    "{what} [{lo}, {hi}] charge"
+                );
+            }
+        }
+        assert!(opened.real_fetches() > 0, "the opened reads hit the file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     /// Cross-checks an index against the naive scan on a grid of ranges.
     pub fn check_against_naive<I: SecondaryIndex>(index: &I, symbols: &[u32]) {

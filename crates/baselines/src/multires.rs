@@ -13,10 +13,10 @@
 //! array and complement trick on top).
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_bits::GapBitmap;
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
-use crate::catalog::BitmapCatalog;
+use crate::catalog::{self, BitmapCatalog};
 
 /// A recursive binned bitmap index with fanout `w`.
 #[derive(Debug)]
@@ -67,6 +67,16 @@ impl MultiResolutionIndex {
     /// Number of resolution levels (`⌈log_w σ⌉ + 1`).
     pub fn num_levels(&self) -> usize {
         self.levels.len()
+    }
+
+    /// The non-empty bins of [`Self::canonical_cover`], as the catalog
+    /// bitmaps a query lifts.
+    fn cover(&self, lo: Symbol, hi: Symbol) -> Vec<(&BitmapCatalog, usize)> {
+        self.canonical_cover(lo, hi)
+            .into_iter()
+            .map(|(j, b)| (&self.levels[j], b as usize))
+            .filter(|&(catalog, b)| catalog.entry(b).count > 0)
+            .collect()
     }
 
     /// The canonical cover of `[lo, hi]`: maximal `w`-aligned bins, as
@@ -132,35 +142,22 @@ impl SecondaryIndex for MultiResolutionIndex {
         self.levels.iter().map(|l| l.size_bits(&self.disk)).sum()
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
-        let mut cover = self.canonical_cover(lo, hi);
-        cover.retain(|&(j, b)| self.levels[j].entry(b as usize).count > 0);
-        if cover.is_empty() {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
+        let parts = self.cover(lo, hi);
+        if parts.is_empty() {
+            return Ok(RidSet::from_positions(GapBitmap::empty(self.n)));
         }
         // A one-bin cover (aligned ranges, single characters) is already
         // stored in the output encoding: return the word copy directly.
-        if let [(j, b)] = cover[..] {
-            return RidSet::from_positions(self.levels[j].copy_bitmap(&self.disk, b as usize, io));
-        }
-        // Density-planned merge over the cover's catalog metadata.
-        let (total, span) = merge::cover_stats(cover.iter().map(|&(j, b)| {
-            let e = self.levels[j].entry(b as usize);
-            (
-                e.count,
-                e.first_pos.expect("non-empty entry"),
-                e.last_pos.expect("non-empty entry"),
-            )
-        }));
-        let streams: Vec<_> = cover
-            .iter()
-            .map(|&(j, b)| self.levels[j].decoder(&self.disk, b as usize, io))
-            .collect();
-        RidSet::from_positions(merge::merge_adaptive(streams, self.n, total, span))
+        // Larger covers are density-planned over the catalog metadata.
+        Ok(RidSet::from_positions(match parts[..] {
+            [(catalog, idx)] => catalog.copy_bitmap(&self.disk, idx, io)?,
+            _ => catalog::merge_cover(&self.disk, &parts, self.n, io)?,
+        }))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
@@ -217,6 +214,17 @@ impl psi_store::PersistIndex for MultiResolutionIndex {
 mod tests {
     use super::*;
     use crate::testutil::check_against_naive;
+
+    #[test]
+    fn multi_bin_covers_lift_like_per_code_reads() {
+        let symbols = psi_workloads::zipf(4000, 16, 1.0, 31);
+        let idx = MultiResolutionIndex::build(&symbols, 16, 2, cfg());
+        let ranges = [(0, 1), (2, 9), (3, 14), (0, 15), (5, 5), (1, 12)];
+        crate::testutil::assert_lifts_match_per_code(&idx, &ranges, |idx, lo, hi, io| {
+            let parts = idx.cover(lo, hi);
+            RidSet::from_positions(catalog::merge_cover_per_code(&idx.disk, &parts, idx.n, io))
+        });
+    }
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)

@@ -9,8 +9,10 @@
 //! plus a `O(log_b n)` directory descent.
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_bits::{merge, GapBitmap};
-use psi_io::{cost, Disk, DiskReader, ExtentId, IoConfig, IoSession};
+use psi_bits::{merge, BitBuf, GapBitmap};
+#[cfg(test)]
+use psi_io::DiskReader;
+use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession, ReadError};
 
 /// A secondary index storing explicit, fixed-width position lists per
 /// character, with a static B⁺-tree directory mapping characters to data
@@ -126,8 +128,10 @@ impl PositionListIndex {
 
     /// Descends the directory for the first entry with character `≥ lo`,
     /// returning the leaf-level key index found. Charges one block per
-    /// level, exactly the `O(log_b n)` descent of a B-tree search.
-    fn descend(&self, lo: Symbol, io: &IoSession) -> u64 {
+    /// level, exactly the `O(log_b n)` descent of a B-tree search. Each
+    /// key is one lift ([`Self::read_key`]), so the descent reads, and
+    /// charges, only up to the first key past `lo`.
+    fn descend(&self, lo: Symbol, io: &IoSession) -> Result<u64, ReadError> {
         let target = u64::from(lo) << self.pos_width;
         let keys_per_block = (self.disk.block_bits() / u64::from(self.key_width)).max(2);
         // Start at the root (topmost level, a single block).
@@ -136,14 +140,10 @@ impl PositionListIndex {
             let level = &self.dir_levels[depth];
             let start = child * keys_per_block;
             let end = (start + keys_per_block).min(level.keys);
-            let mut r = self
-                .disk
-                .reader(level.ext, start * u64::from(self.key_width), io);
             // Last key <= target within this node (or the node's first key).
             let mut chosen = start;
             for i in start..end {
-                let key = r.read_bits(self.key_width);
-                if key <= target {
+                if self.read_key(level.ext, i, io)? <= target {
                     chosen = i;
                 } else {
                     break;
@@ -151,10 +151,64 @@ impl PositionListIndex {
             }
             child = chosen;
         }
-        child
+        Ok(child)
     }
 
-    /// Iterates one character's positions from disk.
+    /// Key `i` of the directory level stored in `ext`, read with one lift.
+    fn read_key(&self, ext: ExtentId, i: u64, io: &IoSession) -> Result<u64, ReadError> {
+        let width = self.key_width;
+        let mut word = Vec::with_capacity(1);
+        self.disk
+            .reader(ext, i * u64::from(width), io)
+            .read_words(&mut word, u64::from(width))?;
+        Ok(word[0] >> (64 - width))
+    }
+
+    /// Lifts character `c`'s run of fixed-width positions whole, then
+    /// decodes its fields in memory: the blocks and bits of reading the
+    /// run field by field.
+    fn char_run(&self, c: Symbol, io: &IoSession) -> Result<Vec<u64>, ReadError> {
+        let start = self.prefix[c as usize];
+        let count = self.prefix[c as usize + 1] - start;
+        let width = u64::from(self.pos_width);
+        let run = BitBuf::lift(
+            &mut self.disk.reader(self.data, start * width, io),
+            count * width,
+        )?;
+        Ok((0..count)
+            .map(|i| run.get_bits_at(i * width, self.pos_width))
+            .collect())
+    }
+
+    /// The query with every key and position read field by field from
+    /// the disk: the reference the lifted reads must match in rows and
+    /// charge.
+    #[cfg(test)]
+    fn query_per_code(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+        // The descent, one cursor per directory node stepped key by key.
+        let target = u64::from(lo) << self.pos_width;
+        let keys_per_block = (self.disk.block_bits() / u64::from(self.key_width)).max(2);
+        let mut child = 0;
+        for level in self.dir_levels.iter().rev() {
+            let start = child * keys_per_block;
+            let end = (start + keys_per_block).min(level.keys);
+            let mut r = self
+                .disk
+                .reader(level.ext, start * u64::from(self.key_width), io);
+            child = (start..end)
+                .take_while(|_| r.read_bits(self.key_width) <= target)
+                .last()
+                .unwrap_or(start);
+        }
+        let total = self.prefix[hi as usize + 1] - self.prefix[lo as usize];
+        let streams: Vec<PositionsIter<'_>> =
+            (lo..=hi).map(|c| self.char_positions(c, io)).collect();
+        let span = (total > 0).then_some((0, self.n - 1));
+        RidSet::from_positions(merge::merge_adaptive(streams, self.n, total, span))
+    }
+
+    /// Iterates one character's positions from disk, field by field.
+    #[cfg(test)]
     fn char_positions<'a>(&'a self, c: Symbol, io: &'a IoSession) -> PositionsIter<'a> {
         let start = self.prefix[c as usize];
         let count = self.prefix[c as usize + 1] - start;
@@ -169,12 +223,14 @@ impl PositionListIndex {
     }
 }
 
+#[cfg(test)]
 struct PositionsIter<'a> {
     reader: DiskReader<'a>,
     remaining: u64,
     width: u32,
 }
 
+#[cfg(test)]
 impl Iterator for PositionsIter<'_> {
     type Item = u64;
 
@@ -214,41 +270,41 @@ impl SecondaryIndex for PositionListIndex {
         extents + (u64::from(self.sigma) + 1) * u64::from(self.pos_width)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
         // Directory descent (charged); its answer must be consistent with
         // the in-memory prefix array.
-        let leaf_key = self.descend(lo, io);
+        let leaf_key = self.descend(lo, io)?;
         debug_assert!(
             leaf_key * self.disk.block_bits()
                 <= self.prefix[lo as usize] * u64::from(self.pos_width) + self.disk.block_bits(),
             "directory descent landed after the first matching entry"
         );
-        // Single-character queries read their run of fixed-width positions
-        // with a straight-line batch loop — no merge machinery, no
-        // per-element iterator dispatch.
+        // Single-character queries encode their lifted run directly — no
+        // merge machinery.
         if lo == hi {
-            let mut stream = self.char_positions(lo, io);
-            let mut positions = vec![0u64; stream.remaining as usize];
-            for slot in positions.iter_mut() {
-                *slot = stream.reader.read_bits(stream.width);
-            }
-            return RidSet::from_positions(GapBitmap::from_sorted(&positions, self.n));
+            let positions = self.char_run(lo, io)?;
+            return Ok(RidSet::from_positions(GapBitmap::from_sorted(
+                &positions, self.n,
+            )));
         }
-        // Read and merge the per-character lists (streams share blocks at
+        // Lift and merge the per-character lists (runs share blocks at
         // their boundaries; the session deduplicates those charges). The
         // planner sees the summed counts from the prefix array; position
         // lists keep no span metadata, so the universe bounds the span —
         // conservative, but enough to switch dense unions to the bitset
         // path.
         let total = self.prefix[hi as usize + 1] - self.prefix[lo as usize];
-        let streams: Vec<PositionsIter<'_>> =
-            (lo..=hi).map(|c| self.char_positions(c, io)).collect();
-        let span = (total > 0 && self.n > 0).then_some((0, self.n - 1));
-        RidSet::from_positions(merge::merge_adaptive(streams, self.n, total, span))
+        let runs = (lo..=hi)
+            .map(|c| Ok(self.char_run(c, io)?.into_iter()))
+            .collect::<Result<Vec<_>, ReadError>>()?;
+        let span = (total > 0).then_some((0, self.n - 1));
+        Ok(RidSet::from_positions(merge::merge_adaptive(
+            runs, self.n, total, span,
+        )))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
@@ -313,6 +369,19 @@ mod tests {
     use super::*;
     use crate::testutil::check_against_naive;
     use psi_io::IoConfig;
+
+    #[test]
+    fn runs_and_descents_lift_like_per_code_reads() {
+        // A small block makes the directory three levels deep, so the
+        // descent steps keys in several nodes.
+        let symbols = psi_workloads::zipf(6000, 16, 1.0, 37);
+        let idx = PositionListIndex::build(&symbols, 16, IoConfig::with_block_bits(128));
+        assert!(idx.dir_levels.len() >= 3);
+        let ranges = [(0, 0), (3, 3), (15, 15), (0, 1), (2, 9), (0, 15), (7, 12)];
+        crate::testutil::assert_lifts_match_per_code(&idx, &ranges, |idx, lo, hi, io| {
+            idx.query_per_code(lo, hi, io)
+        });
+    }
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)

@@ -9,7 +9,7 @@
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
 use psi_bits::GapBitmap;
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::dense::DenseCatalog;
 
@@ -63,23 +63,23 @@ impl SecondaryIndex for RangeEncodedIndex {
         self.cat.size_bits(&self.disk)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
         let mut acc = self.cat.new_acc();
-        self.cat.or_into(&self.disk, hi as usize, &mut acc, io);
+        self.cat.or_into(&self.disk, hi as usize, &mut acc, io)?;
         if lo > 0 {
             self.cat
-                .and_not_into(&self.disk, lo as usize - 1, &mut acc, io);
+                .and_not_into(&self.disk, lo as usize - 1, &mut acc, io)?;
         }
         // The accumulator already is the answer as an LSB-first word
         // array: re-encode it with one `trailing_zeros` word scan instead
         // of materializing a position vector and gamma-encoding it
         // element by element. CPU-only — the blocks read above are the
         // whole I/O story, identical to the scalar path.
-        RidSet::from_positions(GapBitmap::from_words(&acc, self.n))
+        Ok(RidSet::from_positions(GapBitmap::from_words(&acc, self.n)))
     }
 }
 
@@ -157,6 +157,20 @@ mod tests {
         }
     }
 
+    /// The query with each slot read word by word from the disk, encoded
+    /// element by element: the reference of the lifted read and of the
+    /// word-scan encode.
+    fn query_per_word(idx: &RangeEncodedIndex, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+        let mut acc = idx.cat.new_acc();
+        idx.cat
+            .combine_per_word(&idx.disk, hi as usize, &mut acc, io, |a, w| *a |= w);
+        if lo > 0 {
+            idx.cat
+                .combine_per_word(&idx.disk, lo as usize - 1, &mut acc, io, |a, w| *a &= !w);
+        }
+        RidSet::from_positions(GapBitmap::from_sorted(&idx.cat.acc_positions(&acc), idx.n))
+    }
+
     #[test]
     fn word_scan_encode_matches_scalar_path_with_io_parity() {
         // Same I/O-parity discipline as catalog.rs: the fast path must
@@ -164,20 +178,16 @@ mod tests {
         // the identical compressed stream.
         let symbols = psi_workloads::zipf(3000, 16, 1.2, 53);
         let idx = RangeEncodedIndex::build(&symbols, 16, cfg());
-        for (lo, hi) in [(0u32, 0u32), (0, 9), (3, 12), (15, 15)] {
+        let ranges = [(0u32, 0u32), (0, 9), (3, 12), (15, 15)];
+        for (lo, hi) in ranges {
             let (fast, fast_io) = idx.query_measured(lo, hi);
             // Scalar reference: same reads, per-element re-encode.
             let ref_io = IoSession::new();
-            let mut acc = idx.cat.new_acc();
-            idx.cat.or_into(&idx.disk, hi as usize, &mut acc, &ref_io);
-            if lo > 0 {
-                idx.cat
-                    .and_not_into(&idx.disk, lo as usize - 1, &mut acc, &ref_io);
-            }
-            let reference = GapBitmap::from_sorted(&idx.cat.acc_positions(&acc), idx.n);
-            assert_eq!(fast.stored(), &reference, "[{lo},{hi}]");
+            let reference = query_per_word(&idx, lo, hi, &ref_io);
+            assert_eq!(fast.stored(), reference.stored(), "[{lo},{hi}]");
             assert_eq!(fast_io, ref_io.stats(), "[{lo},{hi}] I/O parity");
         }
+        crate::testutil::assert_lifts_match_per_code(&idx, &ranges, query_per_word);
     }
 
     #[test]

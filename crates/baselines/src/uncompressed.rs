@@ -7,7 +7,7 @@
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
 use psi_bits::GapBitmap;
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::dense::DenseCatalog;
 
@@ -56,17 +56,19 @@ impl SecondaryIndex for UncompressedBitmapIndex {
         self.cat.size_bits(&self.disk)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
         let mut acc = self.cat.new_acc();
         for c in lo..=hi {
-            self.cat.or_into(&self.disk, c as usize, &mut acc, io);
+            self.cat.or_into(&self.disk, c as usize, &mut acc, io)?;
         }
         let positions = self.cat.acc_positions(&acc);
-        RidSet::from_positions(GapBitmap::from_sorted(&positions, self.n))
+        Ok(RidSet::from_positions(GapBitmap::from_sorted(
+            &positions, self.n,
+        )))
     }
 }
 
@@ -104,6 +106,22 @@ impl psi_store::PersistIndex for UncompressedBitmapIndex {
 mod tests {
     use super::*;
     use crate::testutil::check_against_naive;
+
+    #[test]
+    fn slot_ors_lift_like_per_word_reads() {
+        let symbols = psi_workloads::zipf(3000, 16, 1.0, 41);
+        let idx = UncompressedBitmapIndex::build(&symbols, 16, cfg());
+        let ranges = [(0, 0), (4, 4), (0, 3), (2, 11), (0, 15)];
+        crate::testutil::assert_lifts_match_per_code(&idx, &ranges, |idx, lo, hi, io| {
+            let mut acc = idx.cat.new_acc();
+            for c in lo..=hi {
+                idx.cat
+                    .combine_per_word(&idx.disk, c as usize, &mut acc, io, |a, w| *a |= w);
+            }
+            let positions = idx.cat.acc_positions(&acc);
+            RidSet::from_positions(GapBitmap::from_sorted(&positions, idx.n))
+        });
+    }
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)

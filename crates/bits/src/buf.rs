@@ -135,18 +135,19 @@ impl BitBuf {
         }
     }
 
-    /// Lifts `bit_len` bits from a disk cursor into a new buffer with
-    /// whole-word reads ([`psi_io::DiskReader::read_words`]): the blocks
-    /// and bits charged are those of reading the same bits field by field.
-    /// This is how stored bitmaps are copied into memory verbatim.
-    pub fn lift(src: &mut psi_io::DiskReader<'_>, bit_len: u64) -> BitBuf {
-        let mut words = Vec::with_capacity(bit_len.div_ceil(64) as usize);
-        src.read_words(&mut words, bit_len / 64);
-        let tail = (bit_len % 64) as u32;
-        if tail > 0 {
-            words.push(src.read_bits(tail) << (64 - tail));
-        }
-        BitBuf { words, bit_len }
+    /// Lifts `bit_len` bits from a disk cursor into a new buffer with one
+    /// bulk read ([`psi_io::DiskReader::read_words`]): the blocks and bits
+    /// charged are those of reading the same bits field by field. This is
+    /// how stored bitmaps are copied into memory verbatim, and the only
+    /// way a non-resident extent is read, so a failed pooled fetch comes
+    /// back as the error.
+    pub fn lift(
+        src: &mut psi_io::DiskReader<'_>,
+        bit_len: u64,
+    ) -> Result<BitBuf, psi_io::ReadError> {
+        let mut words = Vec::new();
+        src.read_words(&mut words, bit_len)?;
+        Ok(BitBuf { words, bit_len })
     }
 
     /// The buffer's words, MSB-first (bits past [`Self::len`] are zero).

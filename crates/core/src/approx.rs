@@ -16,7 +16,7 @@
 
 use psi_api::{check_range, RidSet, SecondaryIndex, Symbol};
 use psi_bits::{merge, GapBitmap};
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::cutstream::{CutStream, Slack};
 use crate::engine::Engine;
@@ -100,6 +100,10 @@ impl ApproximateIndex {
     /// `epsilon`; falls back to the exact algorithm when even the
     /// coarsest-universe level cannot help (`j > k`) or when the result is
     /// more than half the string.
+    ///
+    /// # Panics
+    /// Panics with the [`psi_io::ReadError`] message when a real read
+    /// fails, as [`SecondaryIndex::query`] does.
     pub fn query_approx(
         &self,
         lo: Symbol,
@@ -107,14 +111,31 @@ impl ApproximateIndex {
         epsilon: f64,
         io: &IoSession,
     ) -> ApproxResult {
+        self.try_query_approx(lo, hi, epsilon, io)
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// [`Self::query_approx`], returning a failed read as its error. Each
+    /// hashed stream of the cover is lifted whole, then decoded in memory.
+    fn try_query_approx(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        epsilon: f64,
+        io: &IoSession,
+    ) -> Result<ApproxResult, ReadError> {
         check_range(lo, hi, self.engine.sigma());
         let n = self.engine.n();
         if n == 0 {
-            return ApproxResult::Exact(RidSet::from_positions(GapBitmap::empty(0)));
+            return Ok(ApproxResult::Exact(RidSet::from_positions(
+                GapBitmap::empty(0),
+            )));
         }
         let z = self.engine.query_cardinality(lo, hi);
         if z == 0 {
-            return ApproxResult::Exact(RidSet::from_positions(GapBitmap::empty(n)));
+            return Ok(ApproxResult::Exact(RidSet::from_positions(
+                GapBitmap::empty(n),
+            )));
         }
         let level = if 2 * z > n {
             None
@@ -122,22 +143,24 @@ impl ApproximateIndex {
             self.family.level_for(z, epsilon)
         };
         let Some(j) = level else {
-            return ApproxResult::Exact(self.engine.query(lo, hi, io));
+            return Ok(ApproxResult::Exact(self.engine.try_query(lo, hi, io)?));
         };
         let (ilo, ihi) = self.engine.remap().map_range(lo, hi);
         let (qs, qe) = self.engine.index_range(ilo, ihi);
-        let slots = self.engine.canonical_slots(qs, qe, io);
+        let slots = self.engine.canonical_slots(qs, qe, io)?;
         let streams = &self.hashed[(j - 1) as usize];
-        let decoders: Vec<_> = slots
+        let decoded = slots
             .iter()
             .map(|&(cut, slot)| {
-                streams[cut as usize].decoder(self.engine.disk(), slot as usize, io)
+                let positions =
+                    streams[cut as usize].lift_positions(self.engine.disk(), slot as usize, io)?;
+                Ok(positions.into_iter())
             })
-            .collect();
+            .collect::<Result<Vec<_>, ReadError>>()?;
         // Hashed sets of disjoint position sets may collide: dedup.
-        let set: Vec<u64> = merge::union_dedup(decoders).collect();
+        let set: Vec<u64> = merge::union_dedup(decoded).collect();
         let hash = *self.family.level(j);
-        ApproxResult::Hashed(HashedResult { hash, set, n, z })
+        Ok(ApproxResult::Hashed(HashedResult { hash, set, n, z }))
     }
 
     /// Result cardinality `z` (exact, from prefix counts, no I/O).
@@ -159,8 +182,8 @@ impl SecondaryIndex for ApproximateIndex {
         self.engine.space_bits()
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        self.engine.query(lo, hi, io)
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
+        self.engine.try_query(lo, hi, io)
     }
 }
 
@@ -304,6 +327,55 @@ mod tests {
         let symbols = psi_workloads::uniform(n, sigma, seed);
         let idx = ApproximateIndex::build(&symbols, sigma, IoConfig::default(), seed ^ 0xA55A);
         (symbols, idx)
+    }
+
+    /// The hashed read of `[lo, hi]` at level `j` with each slot decoded
+    /// code by code: the reference the lifted streams must match.
+    fn hashed_per_code(
+        idx: &ApproximateIndex,
+        lo: Symbol,
+        hi: Symbol,
+        j: u32,
+        io: &IoSession,
+    ) -> Vec<u64> {
+        let (ilo, ihi) = idx.engine.remap().map_range(lo, hi);
+        let (qs, qe) = idx.engine.index_range(ilo, ihi);
+        let streams = &idx.hashed[(j - 1) as usize];
+        let decoders = idx
+            .engine
+            .canonical_slots(qs, qe, io)
+            .unwrap()
+            .iter()
+            .map(|&(cut, slot)| streams[cut as usize].decoder(idx.engine.disk(), slot as usize, io))
+            .collect();
+        merge::union_dedup(decoders).collect()
+    }
+
+    #[test]
+    fn hashed_streams_lift_like_per_code_reads() {
+        let (_, idx) = build(70_000, 256, 5);
+        let mut hashed = 0;
+        for (lo, hi) in [(17, 17), (3, 4), (10, 13), (40, 47), (100, 131)] {
+            for epsilon in [0.2, 0.05, 0.01] {
+                let z = idx.cardinality(lo, hi);
+                let Some(j) = idx.family.level_for(z, epsilon) else {
+                    continue;
+                };
+                let (lifted, per_code) = (IoSession::new(), IoSession::new());
+                let ApproxResult::Hashed(got) = idx.query_approx(lo, hi, epsilon, &lifted) else {
+                    panic!("[{lo}, {hi}] at {epsilon} took the exact path");
+                };
+                let want = hashed_per_code(&idx, lo, hi, j, &per_code);
+                assert_eq!(got.set, want, "[{lo}, {hi}] at {epsilon}");
+                assert_eq!(
+                    lifted.stats(),
+                    per_code.stats(),
+                    "[{lo}, {hi}] at {epsilon}"
+                );
+                hashed += 1;
+            }
+        }
+        assert!(hashed >= 5, "only {hashed} hashed reads");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use psi_api::{check_range, AppendIndex, RidSet, SecondaryIndex, Symbol};
 use psi_bits::GapBitmap;
-use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession};
+use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession, ReadError};
 
 use crate::cutstream::Slack;
 use crate::engine::{Engine, EngineStats, DEFAULT_C};
@@ -118,17 +118,17 @@ impl SecondaryIndex for BufferedIndex {
         self.engine.space_bits() + self.capacity as u64 * u64::from(self.rec_bits)
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma());
         let n_engine = self.engine.n();
         let n_total = self.len();
-        let base = self.engine.query(lo, hi, io);
+        let base = self.engine.try_query(lo, hi, io)?;
         // Read the log blocks (the paper's "read each of the buffers …
         // that could potentially contain updates", O(lg n) of them).
         let log_blocks =
             (self.log.len() as u64 * u64::from(self.rec_bits)).div_ceil(self.log_disk.block_bits());
         for blk in 0..log_blocks {
-            io.charge_read(self.log_ext, blk);
+            self.log_disk.charge_block(self.log_ext, blk, false, io);
         }
         io.add_bits_read(self.log.len() as u64 * u64::from(self.rec_bits));
         let tail = self
@@ -137,7 +137,7 @@ impl SecondaryIndex for BufferedIndex {
             .enumerate()
             .filter(|(_, &s)| (lo..=hi).contains(&s))
             .map(|(i, _)| n_engine + i as u64);
-        if base.is_complemented() {
+        Ok(if base.is_complemented() {
             // Complement representation lists non-members; extend it with
             // the log's non-members over the grown universe.
             let non_members: Vec<u64> = base
@@ -155,7 +155,7 @@ impl SecondaryIndex for BufferedIndex {
         } else {
             let positions: Vec<u64> = base.stored().iter().chain(tail).collect();
             RidSet::from_positions(GapBitmap::from_sorted(&positions, n_total))
-        }
+        })
     }
 }
 
@@ -174,7 +174,8 @@ impl AppendIndex for BufferedIndex {
             w.write_bits(self.engine.n() + self.log.len() as u64, self.rec_bits - 32);
         }
         if block_after != block_before {
-            io.charge_write(self.log_ext, block_before);
+            self.log_disk
+                .charge_block(self.log_ext, block_before, true, io);
         }
         self.log.push(symbol);
         if self.log.len() >= self.capacity {

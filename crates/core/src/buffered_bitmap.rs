@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
 use psi_bits::{codes, merge, BitBuf, GapBitmap};
-use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession};
+use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession, ReadError};
 
 /// A pending update record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,6 +100,10 @@ pub struct BufferedBitmapIndex {
     /// Total live positions.
     total: u64,
     leaves: Vec<Leaf>,
+    /// Ids in `leaves` that the tree does not hold, over freed extents:
+    /// the next leaves written take them before any new id. Not
+    /// persisted; an opened index derives them from the tree.
+    spare_leaves: Vec<usize>,
     nodes: Vec<BNode>,
     root: usize,
     /// Fanout parameter `c ≥ 2`.
@@ -139,6 +143,7 @@ impl BufferedBitmapIndex {
             universe: 0,
             total: 0,
             leaves: Vec::new(),
+            spare_leaves: Vec::new(),
             nodes: Vec::new(),
             root: 0,
             c: 8,
@@ -175,14 +180,36 @@ impl BufferedBitmapIndex {
                 leaf_ids.push(idx.write_leaf(ch as Symbol, &chunk, &io));
             }
         }
-        idx.rebuild_tree_over(leaf_ids, &io);
+        idx.rebuild_tree_over(leaf_ids);
         idx
     }
 
-    /// Encodes one leaf block (first code absolute, then gaps).
+    /// This index with its disk in charge space `space`
+    /// ([`Disk::set_charge_space`]).
+    pub(crate) fn in_charge_space(mut self, space: u32) -> Self {
+        self.disk.set_charge_space(space);
+        self
+    }
+
+    /// Encodes one leaf block (first code absolute, then gaps). The leaf
+    /// takes the most recently freed spare id and its extent, rewritten
+    /// in place with no old block read, before it takes a new id.
     fn write_leaf(&mut self, ch: Symbol, positions: &[u64], io: &IoSession) -> usize {
         debug_assert!(!positions.is_empty());
-        let ext = self.disk.alloc();
+        let id = self.spare_leaves.pop().unwrap_or_else(|| {
+            let ext = self.disk.alloc();
+            let empty = Leaf {
+                ch,
+                first_pos: 0,
+                count: 0,
+                bits: 0,
+                ext,
+            };
+            self.leaves.push(empty);
+            self.leaves.len() - 1
+        });
+        let ext = self.leaves[id].ext;
+        self.disk.free(ext);
         let mut w = self.disk.writer(ext, io);
         let mut prev = None;
         for &p in positions {
@@ -192,25 +219,24 @@ impl BufferedBitmapIndex {
             }
             prev = Some(p);
         }
-        let bits = w.pos();
-        self.leaves.push(Leaf {
+        self.leaves[id] = Leaf {
             ch,
             first_pos: positions[0],
             count: positions.len() as u64,
-            bits,
+            bits: w.pos(),
             ext,
-        });
-        self.leaves.len() - 1
+        };
+        id
     }
 
     /// Lifts a leaf's code stream with whole-word reads, charged exactly
     /// as [`Self::read_leaf`] charges its code-by-code decode. A leaf's
     /// first code is `gamma(p + 1)`, the gap convention of [`GapBitmap`],
     /// so the lifted stream is a bitmap as it stands.
-    fn lift_leaf(&self, leaf: usize, io: &IoSession) -> GapBitmap {
+    fn lift_leaf(&self, leaf: usize, io: &IoSession) -> Result<GapBitmap, ReadError> {
         let l = &self.leaves[leaf];
-        let bits = BitBuf::lift(&mut self.disk.reader(l.ext, 0, io), l.bits);
-        GapBitmap::from_code_bits(bits, l.count, self.universe)
+        let bits = BitBuf::lift(&mut self.disk.reader(l.ext, 0, io), l.bits)?;
+        Ok(GapBitmap::from_code_bits(bits, l.count, self.universe))
     }
 
     /// The per-code reference read of a leaf, which [`Self::lift_leaf`]
@@ -234,35 +260,44 @@ impl BufferedBitmapIndex {
     }
 
     /// Builds a fresh fanout-`c` tree over the given leaves (in key order).
-    fn rebuild_tree_over(&mut self, leaf_ids: Vec<usize>, io: &IoSession) {
-        self.nodes.clear();
+    /// The new nodes take the old nodes' buffer extents, emptied, before
+    /// any new one.
+    fn rebuild_tree_over(&mut self, leaf_ids: Vec<usize>) {
+        let mut spare: Vec<ExtentId> = self.nodes.drain(..).map(|n| n.buf_ext).collect();
+        for &ext in &spare {
+            self.disk.free(ext);
+        }
         // Leaf-parent level.
         let mut level: Vec<usize> = leaf_ids
             .chunks(self.c.max(2))
             .map(|chunk| {
                 let key = self.leaf_key(chunk[0]);
-                self.new_node(Children::Leaves(chunk.to_vec()), key, io)
+                self.new_node(Children::Leaves(chunk.to_vec()), key, &mut spare)
             })
             .collect();
         if level.is_empty() {
             let key = (0, 0);
-            level.push(self.new_node(Children::Leaves(Vec::new()), key, io));
+            level.push(self.new_node(Children::Leaves(Vec::new()), key, &mut spare));
         }
         while level.len() > 1 {
             level = level
                 .chunks(self.c.max(2))
                 .map(|chunk| {
                     let key = self.nodes[chunk[0]].key;
-                    self.new_node(Children::Internal(chunk.to_vec()), key, io)
+                    self.new_node(Children::Internal(chunk.to_vec()), key, &mut spare)
                 })
                 .collect();
         }
         self.root = level[0];
     }
 
-    fn new_node(&mut self, children: Children, key: (Symbol, u64), io: &IoSession) -> usize {
-        let _ = io;
-        let buf_ext = self.disk.alloc();
+    fn new_node(
+        &mut self,
+        children: Children,
+        key: (Symbol, u64),
+        spare: &mut Vec<ExtentId>,
+    ) -> usize {
+        let buf_ext = spare.pop().unwrap_or_else(|| self.disk.alloc());
         self.nodes.push(BNode {
             children,
             key,
@@ -386,8 +421,9 @@ impl BufferedBitmapIndex {
                 let child = kids[heavy];
                 self.nodes[child].buf.extend(moved);
                 // Charge: rewrite v's buffer block and append to child's.
-                io.charge_write(self.nodes[v].buf_ext, 0);
-                io.charge_write(self.nodes[child].buf_ext, 0);
+                self.disk.charge_block(self.nodes[v].buf_ext, 0, true, io);
+                self.disk
+                    .charge_block(self.nodes[child].buf_ext, 0, true, io);
                 self.mirror_buffer(v, io);
                 self.mirror_buffer(child, io);
                 Some(child)
@@ -395,7 +431,7 @@ impl BufferedBitmapIndex {
             Children::Leaves(leaf_ids) => {
                 let leaf_ids = leaf_ids.clone();
                 let buf = std::mem::take(&mut self.nodes[v].buf);
-                io.charge_write(self.nodes[v].buf_ext, 0);
+                self.disk.charge_block(self.nodes[v].buf_ext, 0, true, io);
                 self.apply_to_leaves(v, &leaf_ids, buf, io);
                 self.mirror_buffer(v, io);
                 // Degree overflow: rebuild the directory wholesale,
@@ -421,7 +457,7 @@ impl BufferedBitmapIndex {
             .iter_mut()
             .flat_map(|n| std::mem::take(&mut n.buf))
             .collect();
-        self.rebuild_tree_over(all, io);
+        self.rebuild_tree_over(all);
         self.nodes[self.root].buf = pending;
         self.mirror_buffer(self.root, io);
         self.cascade(self.root, io);
@@ -487,14 +523,33 @@ impl BufferedBitmapIndex {
                 None => new_groups.entry(u.ch).or_default().push(u),
             }
         }
-        let mut replacement: Vec<usize> = leaf_ids.to_vec();
-        // Apply per leaf, from the right so indices stay stable.
-        for (t, ups) in per_leaf.into_iter().rev() {
-            let leaf = replacement[t];
-            let mut positions = self.lift_leaf(leaf, io).to_vec();
+        // Fold every targeted leaf first, so a leaf that empties frees its
+        // id before any replacement needs one.
+        let mut rewrites = Vec::with_capacity(per_leaf.len());
+        for (t, ups) in per_leaf {
+            let leaf = leaf_ids[t];
+            // The write path has no error channel: a failed fetch panics
+            // with its message, as promoting an unreadable extent does.
+            let mut positions = self
+                .lift_leaf(leaf, io)
+                .unwrap_or_else(|err| panic!("{err}"))
+                .to_vec();
             merge_updates(&mut positions, ups);
             self.disk.free(self.leaves[leaf].ext);
-            let new_leaves = self.reencode(self.leaves[leaf].ch, positions, io);
+            if positions.is_empty() {
+                self.spare_leaves.push(leaf);
+            }
+            rewrites.push((t, leaf, positions));
+        }
+        let mut replacement: Vec<usize> = leaf_ids.to_vec();
+        // Rewrite per leaf, from the right so indices stay stable. Each
+        // replaced leaf's id and extent go to its own first replacement.
+        for (t, leaf, positions) in rewrites.into_iter().rev() {
+            let ch = self.leaves[leaf].ch;
+            if !positions.is_empty() {
+                self.spare_leaves.push(leaf);
+            }
+            let new_leaves = self.reencode(ch, positions, io);
             replacement.splice(t..=t, new_leaves);
         }
         for (ch, ups) in new_groups {
@@ -560,9 +615,14 @@ impl BufferedBitmapIndex {
 
     /// The point query of Theorem 6: all positions of `ch`, merged with
     /// pending buffered updates, in `O(T/B + lg n)` I/Os.
+    ///
+    /// # Panics
+    /// Panics with the [`ReadError`] message when a real read fails, as
+    /// [`SecondaryIndex::query`] does.
     pub fn point_query(&self, ch: Symbol, io: &IoSession) -> Vec<u64> {
         let mut runs = Vec::new();
-        self.char_runs(ch, ch, io, &mut runs);
+        self.char_runs(ch, ch, io, &mut runs)
+            .unwrap_or_else(|err| panic!("{err}"));
         runs.pop().unwrap_or_default()
     }
 
@@ -578,8 +638,8 @@ impl BufferedBitmapIndex {
         hi: Symbol,
         io: &IoSession,
         runs: &mut Vec<Vec<u64>>,
-    ) {
-        self.runs_with(lo, hi, io, |l| self.lift_leaf(l, io).to_vec(), runs);
+    ) -> Result<(), ReadError> {
+        self.runs_with(lo, hi, io, |l| Ok(self.lift_leaf(l, io)?.to_vec()), runs)
     }
 
     /// [`Self::char_runs`] with each leaf decoded by `read`.
@@ -595,14 +655,14 @@ impl BufferedBitmapIndex {
         lo: Symbol,
         hi: Symbol,
         io: &IoSession,
-        read: impl Fn(usize) -> Vec<u64>,
+        read: impl Fn(usize) -> Result<Vec<u64>, ReadError>,
         runs: &mut Vec<Vec<u64>>,
-    ) {
+    ) -> Result<(), ReadError> {
         check_range(lo, hi, self.sigma);
         let mut pending = Pending::new();
         let mut leaf_runs: Vec<(Symbol, Vec<u64>)> = Vec::new();
         self.walk(self.root, lo, hi, io, &mut pending, &mut |l| {
-            let (ch, positions) = (self.leaves[l].ch, read(l));
+            let (ch, positions) = (self.leaves[l].ch, read(l)?);
             match leaf_runs.last_mut() {
                 Some((c, run)) if *c == ch => {
                     // A leaf's own codes ascend; only where two leaves meet
@@ -618,7 +678,8 @@ impl BufferedBitmapIndex {
                 }
                 _ => leaf_runs.push((ch, positions)),
             }
-        });
+            Ok(())
+        })?;
         let mut pending = pending.into_iter().peekable();
         let mut leaf_runs = leaf_runs.into_iter().peekable();
         // Characters with leaves, with buffered updates, or both, in order.
@@ -643,6 +704,7 @@ impl BufferedBitmapIndex {
                 runs.push(run);
             }
         }
+        Ok(())
     }
 
     /// [`Self::char_runs`] with every leaf decoded code by code: the
@@ -655,7 +717,8 @@ impl BufferedBitmapIndex {
         io: &IoSession,
         runs: &mut Vec<Vec<u64>>,
     ) {
-        self.runs_with(lo, hi, io, |l| self.read_leaf(l, io), runs);
+        self.runs_with(lo, hi, io, |l| Ok(self.read_leaf(l, io)), runs)
+            .unwrap();
     }
 
     /// Whether a position sits in the leaves of two characters at once:
@@ -684,12 +747,12 @@ impl BufferedBitmapIndex {
         hi: Symbol,
         io: &IoSession,
         pending: &mut Pending,
-        leaf: &mut impl FnMut(usize),
-    ) {
+        leaf: &mut impl FnMut(usize) -> Result<(), ReadError>,
+    ) -> Result<(), ReadError> {
         let node = &self.nodes[v];
         if v != self.root && !node.buf.is_empty() {
             // Charge (and, on an opened store, fault) the buffer block.
-            self.disk.charge_read_span(node.buf_ext, 0, 1, io);
+            self.disk.charge_read_span(node.buf_ext, 0, 1, io)?;
             io.add_bits_read(node.buf.len() as u64 * UPDATE_BITS);
         }
         for u in node.buf.iter().filter(|u| (lo..=hi).contains(&u.ch)) {
@@ -699,7 +762,7 @@ impl BufferedBitmapIndex {
             Children::Leaves(ls) => {
                 for &l in ls {
                     if (lo..=hi).contains(&self.leaves[l].ch) {
-                        leaf(l);
+                        leaf(l)?;
                     }
                 }
             }
@@ -712,11 +775,12 @@ impl BufferedBitmapIndex {
                     let starts_after = from.0 > hi;
                     let ends_before = to.map(|t| t <= (lo, 0)).unwrap_or(false);
                     if !starts_after && !ends_before {
-                        self.walk(k, lo, hi, io, pending, leaf);
+                        self.walk(k, lo, hi, io, pending, leaf)?;
                     }
                 }
             }
         }
+        Ok(())
     }
 
     /// Cardinality of one character's set (memory directory).
@@ -729,9 +793,9 @@ impl BufferedBitmapIndex {
         self.total
     }
 
-    /// Number of leaf blocks (diagnostics).
+    /// Number of leaf blocks in the tree (diagnostics).
     pub fn num_leaf_blocks(&self) -> usize {
-        self.leaves.iter().filter(|l| l.count > 0).count()
+        self.leaves.len() - self.spare_leaves.len()
     }
 }
 
@@ -825,14 +889,17 @@ impl SecondaryIndex for BufferedBitmapIndex {
         // and one pointer per leaf/node).
         let field = cost::lg2_ceil(self.universe.max(2)) + 32;
         self.disk.used_bits()
-            + (self.leaves.len() as u64 + self.nodes.len() as u64) * 2 * field
+            + (self.num_leaf_blocks() as u64 + self.nodes.len() as u64) * 2 * field
             + self.sigma as u64 * cost::lg2_ceil(self.universe.max(2))
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         let mut runs = Vec::new();
-        self.char_runs(lo, hi, io, &mut runs);
-        RidSet::from_positions(union_runs(runs, self.universe.max(1)))
+        self.char_runs(lo, hi, io, &mut runs)?;
+        Ok(RidSet::from_positions(union_runs(
+            runs,
+            self.universe.max(1),
+        )))
     }
 }
 
@@ -972,8 +1039,11 @@ impl BufferedBitmapIndex {
         // A read lifts exactly `bits` bits of each leaf in the tree, all
         // positions below the universe, and concatenates one character's
         // leaves in tree order into its sorted run, so the tree's leaves
-        // ascend in `(char, first position)`. Leaves that updates replaced
-        // stay listed, over freed extents, and are never read.
+        // ascend in `(char, first position)`. Listed leaves outside the
+        // tree are never read: they are the spare ids the next writes
+        // take (and files written before ids were reused list every leaf
+        // an update replaced).
+        let spare_leaves = (0..leaves.len()).filter(|&i| leaf_refs[i] == 0).collect();
         let mut prev = None;
         let mut stack = vec![root];
         while let Some(v) = stack.pop() {
@@ -1015,6 +1085,7 @@ impl BufferedBitmapIndex {
             universe,
             total,
             leaves,
+            spare_leaves,
             nodes,
             root,
             c,
@@ -1169,14 +1240,19 @@ mod tests {
 
     /// Every range of `idx`, answered by the lifted read, against the
     /// naive answer over `current` and against the per-code reference
-    /// read's charge.
-    fn assert_reads_match_per_code(idx: &BufferedBitmapIndex, current: &[Symbol]) {
+    /// read of `reference` (a RAM build holding the same index), rows and
+    /// charge.
+    fn assert_reads_match_per_code(
+        idx: &BufferedBitmapIndex,
+        reference: &BufferedBitmapIndex,
+        current: &[Symbol],
+    ) {
         for lo in 0..idx.sigma {
             for hi in lo..idx.sigma {
                 let (lifted, per_code) = (IoSession::new(), IoSession::new());
                 let got = idx.query(lo, hi, &lifted).to_vec();
                 let mut runs = Vec::new();
-                idx.char_runs_per_code(lo, hi, &per_code, &mut runs);
+                reference.char_runs_per_code(lo, hi, &per_code, &mut runs);
                 let mut want: Vec<u64> = runs.concat();
                 want.sort_unstable();
                 assert_eq!(got, want, "[{lo}, {hi}] against the per-code read");
@@ -1207,7 +1283,7 @@ mod tests {
             current[pos] = to;
         }
         assert!(idx.nodes.iter().any(|n| n.buf.len() > 1));
-        assert_reads_match_per_code(&idx, &current);
+        assert_reads_match_per_code(&idx, &idx, &current);
         let dir = std::env::temp_dir().join(format!("psi_core_bbi_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("bbi.psi");
@@ -1215,8 +1291,86 @@ mod tests {
         let opened =
             psi_store::open::<BufferedBitmapIndex>(&path, &psi_store::OpenOptions::default())
                 .expect("open");
-        assert_reads_match_per_code(&opened.index, &current);
+        assert_reads_match_per_code(&opened.index, &idx, &current);
         assert!(opened.real_fetches() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Leaves in the tree now.
+    fn tree_leaves(idx: &BufferedBitmapIndex) -> usize {
+        idx.collect_leaves(idx.root).len()
+    }
+
+    #[test]
+    fn rewrites_reuse_leaf_ids_and_extents() {
+        let sigma = 8u32;
+        let mut current = psi_workloads::zipf(3000, sigma, 1.0, 71);
+        let mut idx = BufferedBitmapIndex::build(&current, sigma, cfg());
+        let io = IoSession::untracked();
+        let mut rng = StdRng::seed_from_u64(73);
+        let (mut most_leaves, mut most_nodes) = (tree_leaves(&idx), idx.nodes.len());
+        let (mut removed, mut next) = (Vec::new(), current.len() as u64);
+        for step in 0..40_000u32 {
+            let pos = rng.gen_range(0..current.len());
+            if step % 5 == 0 && current[pos] < sigma {
+                // Remove a row; a later step inserts a fresh one.
+                idx.remove(current[pos], pos as u64, &io);
+                current[pos] = sigma;
+                removed.push(pos);
+            } else if step % 5 == 1 && !removed.is_empty() {
+                let at = removed.swap_remove(rng.gen_range(0..removed.len()));
+                let to = rng.gen_range(0..sigma);
+                idx.insert(to, at as u64, &io);
+                current[at] = to;
+            } else if step % 97 == 0 {
+                idx.insert(0, next, &io);
+                current.push(0);
+                next += 1;
+            } else if current[pos] < sigma {
+                let to = rng.gen_range(0..sigma);
+                idx.remove(current[pos], pos as u64, &io);
+                idx.insert(to, pos as u64, &io);
+                current[pos] = to;
+            }
+            most_leaves = most_leaves.max(tree_leaves(&idx));
+            most_nodes = most_nodes.max(idx.nodes.len());
+            assert!(
+                idx.leaves.len() <= most_leaves,
+                "step {step}: {} leaves listed, at most {most_leaves} in the tree",
+                idx.leaves.len()
+            );
+            assert!(
+                idx.disk.num_extents() <= most_leaves + most_nodes,
+                "step {step}: {} extents for at most {most_leaves} leaves and {most_nodes} nodes",
+                idx.disk.num_extents()
+            );
+        }
+        // Removed rows hold `sigma`, which no range matches.
+        let check = |idx: &BufferedBitmapIndex, current: &[Symbol]| {
+            for lo in 0..sigma {
+                for hi in lo..sigma {
+                    let got = idx.query(lo, hi, &IoSession::new()).to_vec();
+                    let want = psi_api::naive_query(current, lo, hi).to_vec();
+                    assert_eq!(got, want, "[{lo}, {hi}]");
+                }
+            }
+        };
+        check(&idx, &current);
+        let dir = std::env::temp_dir().join(format!("psi_core_bbi_reuse_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("bbi.psi");
+        psi_store::save(&idx, &path).expect("save");
+        let opened =
+            psi_store::open::<BufferedBitmapIndex>(&path, &psi_store::OpenOptions::default())
+                .expect("open");
+        check(&opened.index, &current);
+        let mut reopened = opened.index;
+        for p in 0..2000u64 {
+            reopened.insert(1, next + p, &io);
+            current.push(1);
+        }
+        assert!(reopened.leaves.len() <= most_leaves.max(tree_leaves(&reopened)));
+        check(&reopened, &current);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,8 +21,12 @@
 //! low-cardinality columns store as words, which lift as a word copy.
 //! Every reader dispatches on the codec, so no caller learns the format.
 
-use psi_bits::{codes, kernel, BitBuf, GapBitmap, GapDecoder};
-use psi_io::{Disk, DiskReader, ExtentId, IoSession};
+#[cfg(test)]
+use psi_bits::GapDecoder;
+use psi_bits::{codes, kernel, BitBuf, GapBitmap};
+#[cfg(test)]
+use psi_io::DiskReader;
+use psi_io::{Disk, ExtentId, IoSession, ReadError};
 
 /// Allocation policy for slot slack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,10 +135,13 @@ impl Slot {
 
 /// Streaming decoder over one slot of either codec, charging its session
 /// for exactly the bits it reads: gamma codes, or whole words walked by
-/// set bits.
+/// set bits. The per-code reference that every lifted read of a slot
+/// ([`CutStream::copy_bitmap`]) must match in rows and charge.
+#[cfg(test)]
 #[derive(Debug)]
 pub struct SlotDecoder<'a>(SlotWalk<'a>);
 
+#[cfg(test)]
 #[derive(Debug)]
 enum SlotWalk<'a> {
     Gamma(GapDecoder<DiskReader<'a>>),
@@ -148,6 +155,7 @@ enum SlotWalk<'a> {
     },
 }
 
+#[cfg(test)]
 impl Iterator for SlotDecoder<'_> {
     type Item = u64;
 
@@ -184,6 +192,7 @@ impl Iterator for SlotDecoder<'_> {
     }
 }
 
+#[cfg(test)]
 impl ExactSizeIterator for SlotDecoder<'_> {}
 
 /// A cut's slotted bitmap stream.
@@ -377,7 +386,9 @@ impl CutStream {
         true
     }
 
-    /// Streaming decoder over slot `idx`, charging `io`.
+    /// Streaming decoder over slot `idx`, charging `io` (resident
+    /// extents only: the per-code reference of [`Self::copy_bitmap`]).
+    #[cfg(test)]
     pub fn decoder<'a>(&self, disk: &'a Disk, idx: usize, io: &'a IoSession) -> SlotDecoder<'a> {
         let slot = &self.slots[idx];
         assert!(!slot.dead, "decode of dead slot");
@@ -396,20 +407,39 @@ impl CutStream {
     /// Lifts slot `idx` verbatim into a [`GapBitmap`] over `universe`,
     /// charging `io` for the bits read. A query whose canonical cover is a
     /// single stored bitmap already holds its answer in the exact output
-    /// encoding, so this replaces decode-merge-reencode with a word copy.
+    /// encoding, so this replaces decode-merge-reencode with a word copy;
+    /// every other read of a slot lifts it here and decodes in memory.
     /// A words slot lifts into the words form (`kernel/lift_words`); a
     /// gamma slot builds its skip directory in memory on first use.
-    pub fn copy_bitmap(&self, disk: &Disk, idx: usize, io: &IoSession, universe: u64) -> GapBitmap {
+    pub fn copy_bitmap(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        io: &IoSession,
+        universe: u64,
+    ) -> Result<GapBitmap, ReadError> {
         let slot = &self.slots[idx];
         assert!(!slot.dead, "copy of dead slot");
-        let bits = BitBuf::lift(&mut disk.reader(self.ext, slot.off, io), slot.len);
-        match slot.codec {
+        let bits = BitBuf::lift(&mut disk.reader(self.ext, slot.off, io), slot.len)?;
+        Ok(match slot.codec {
             SlotCodec::Words => {
                 kernel::metrics().lift_words.inc();
                 GapBitmap::from_plain_words(bits.into_words(), slot.words_base(), universe)
             }
             SlotCodec::Gamma => GapBitmap::from_code_bits(bits, slot.count, universe),
-        }
+        })
+    }
+
+    /// Lifts slot `idx` ([`Self::copy_bitmap`]) and decodes its positions
+    /// in memory: the read of a cover member that is merged, hashed or
+    /// rebuilt rather than returned as it is stored.
+    pub fn lift_positions(
+        &self,
+        disk: &Disk,
+        idx: usize,
+        io: &IoSession,
+    ) -> Result<Vec<u64>, ReadError> {
+        Ok(self.copy_bitmap(disk, idx, io, u64::MAX)?.to_vec())
     }
 
     /// Tombstones slot `idx` (its bits become dead space until compaction).
@@ -691,7 +721,7 @@ mod tests {
             let decode_io = IoSession::new();
             let decoded: Vec<u64> = cut.decoder(&disk, idx, &decode_io).collect();
             let copy_io = IoSession::new();
-            let copied = cut.copy_bitmap(&disk, idx, &copy_io, universe);
+            let copied = cut.copy_bitmap(&disk, idx, &copy_io, universe).unwrap();
             assert_eq!(&decoded, positions);
             assert_eq!(copied.to_vec(), decoded);
             assert_eq!(copied.count(), positions.len() as u64);
@@ -747,7 +777,7 @@ mod tests {
         assert_eq!(decoded, positions);
         let lifts = kernel::metrics().lift_words.get();
         let copy_io = IoSession::new();
-        let copied = cut.copy_bitmap(&disk, a, &copy_io, 4096);
+        let copied = cut.copy_bitmap(&disk, a, &copy_io, 4096).unwrap();
         assert!(kernel::metrics().lift_words.get() > lifts, "no words lift");
         assert!(copied.plain_words().is_some());
         assert_eq!(copied.to_vec(), positions);

@@ -32,7 +32,7 @@
 
 use psi_api::{check_range, RidSet, Symbol};
 use psi_bits::{merge, GapBitmap};
-use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession};
+use psi_io::{cost, Disk, ExtentId, IoConfig, IoSession, ReadError};
 
 use crate::cutstream::{CutStream, Slack};
 use crate::remap::Remap;
@@ -275,27 +275,28 @@ impl Engine {
     /// Charges the blocks of node `v`'s directory record to `io` (and,
     /// on an opened file-backed disk, faults them through the buffer
     /// pool so the charge drives a real fetch).
-    fn charge_record(&self, v: NodeId, io: &IoSession) {
+    fn charge_record(&self, v: NodeId, io: &IoSession) -> Result<(), ReadError> {
         let (off, len) = self.node_rec[v as usize];
         if off == u64::MAX {
-            return;
+            return Ok(());
         }
-        self.disk.charge_read_span(self.tree_ext, off, len, io);
+        self.disk.charge_read_span(self.tree_ext, off, len, io)?;
         io.add_bits_read(len);
+        Ok(())
     }
 
     /// Canonical decomposition of the multiset index range `[qs, qe)` —
     /// "any consecutive range of leaves can be covered by the disjoint
     /// union of O(lg n) subtrees" (§2.1/§2.2). Charges the directory
     /// records of all visited nodes.
-    fn decompose(&self, qs: u64, qe: u64, io: &IoSession) -> Vec<NodeId> {
+    fn decompose(&self, qs: u64, qe: u64, io: &IoSession) -> Result<Vec<NodeId>, ReadError> {
         let mut out = Vec::new();
         if qs >= qe {
-            return out;
+            return Ok(out);
         }
         let tree = self.tree.as_ref().expect("tree");
-        self.decompose_rec(tree, tree.root(), 0, qs, qe, io, &mut out);
-        out
+        self.decompose_rec(tree, tree.root(), 0, qs, qe, io, &mut out)?;
+        Ok(out)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -308,13 +309,13 @@ impl Engine {
         qe: u64,
         io: &IoSession,
         out: &mut Vec<NodeId>,
-    ) {
-        self.charge_record(v, io);
+    ) -> Result<(), ReadError> {
+        self.charge_record(v, io)?;
         let node = tree.node(v);
         let v_end = v_start + node.weight;
         if qs <= v_start && v_end <= qe {
             out.push(v);
-            return;
+            return Ok(());
         }
         debug_assert!(
             !node.is_leaf(),
@@ -325,37 +326,37 @@ impl Engine {
             let w = tree.node(child).weight;
             let c_end = off + w;
             if off < qe && c_end > qs {
-                self.decompose_rec(tree, child, off, qs, qe, io, out);
+                self.decompose_rec(tree, child, off, qs, qe, io, out)?;
             }
             off = c_end;
         }
+        Ok(())
     }
 
-    /// Answers the alphabet range query (paper endpoints, inclusive).
-    pub fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    /// Answers the alphabet range query (paper endpoints, inclusive),
+    /// returning a failed pooled read as its typed error.
+    pub fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
         let (ilo, ihi) = self.remap.map_range(lo, hi);
         let qs = self.counts.prefix(ilo as usize);
         let qe = self.counts.prefix(ihi as usize + 1);
         let z = qe - qs;
         if z == 0 {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
+            return Ok(RidSet::from_positions(GapBitmap::empty(self.n)));
         }
-        if 2 * z > self.n {
+        Ok(if 2 * z > self.n {
             // §2.1's complement trick: answer the two complementary index
             // ranges and return the complement representation.
-            let mut canonical = self.decompose(0, qs, io);
-            canonical.extend(self.decompose(qe, self.n, io));
-            let positions = self.merge_canonical(&canonical, io);
-            RidSet::from_complement(positions)
+            let mut canonical = self.decompose(0, qs, io)?;
+            canonical.extend(self.decompose(qe, self.n, io)?);
+            RidSet::from_complement(self.merge_canonical(&canonical, io)?)
         } else {
-            let canonical = self.decompose(qs, qe, io);
-            let positions = self.merge_canonical(&canonical, io);
-            RidSet::from_positions(positions)
-        }
+            let canonical = self.decompose(qs, qe, io)?;
+            RidSet::from_positions(self.merge_canonical(&canonical, io)?)
+        })
     }
 
     /// The result cardinality `z` for a query, from the prefix counts
@@ -379,8 +380,8 @@ impl Engine {
     /// copy in the slot's stored form: a words slot lifts as plain words,
     /// a gamma slot as its code words.
     /// A multi-slot cover lifts every slot whole ([`CutStream::copy_bitmap`],
-    /// which charges exactly the blocks and bits of a full decode, one
-    /// pinned block at a time on a pooled disk), then plans the union from
+    /// which charges exactly the blocks and bits of a full decode and, on
+    /// a pooled disk, returns a failed fetch as its error), then plans the union from
     /// slot metadata alone ([`merge::plan_stored`]). A union that is
     /// smaller as plain words over its span, or dense enough for the
     /// bitset path, ORs every part into one word array
@@ -391,40 +392,42 @@ impl Engine {
     /// each lifted part (SWAR for gamma, a set-bit walk for words) and
     /// merge linearly or by heap. The blocks charged are identical across
     /// strategies by construction.
-    fn merge_canonical(&self, canonical: &[NodeId], io: &IoSession) -> GapBitmap {
+    fn merge_canonical(
+        &self,
+        canonical: &[NodeId],
+        io: &IoSession,
+    ) -> Result<GapBitmap, ReadError> {
         let mut slots = Vec::new();
         for &v in canonical {
             self.collect_slots(v, &mut slots);
         }
         // Empty slots contribute nothing — and would poison the span.
         slots.retain(|&(cut, slot)| self.cuts[cut as usize].slot(slot as usize).count > 0);
-        match slots[..] {
+        Ok(match slots[..] {
             [] => GapBitmap::empty(self.n),
             [(cut, slot)] => {
-                self.cuts[cut as usize].copy_bitmap(&self.disk, slot as usize, io, self.n)
+                self.cuts[cut as usize].copy_bitmap(&self.disk, slot as usize, io, self.n)?
             }
             _ => {
                 // Lift in storage order: a cover's slots follow cut-stream
                 // order, so consecutive lifts share boundary blocks and a
                 // small pool keeps them. Planning then takes the members
                 // in position order.
-                let mut lifted: Vec<_> = slots
-                    .iter()
-                    .map(|&(cut, slot)| {
-                        let part = self.cuts[cut as usize].copy_bitmap(
-                            &self.disk,
-                            slot as usize,
-                            io,
-                            self.n,
-                        );
-                        (self.slot_meta(cut, slot), part)
-                    })
-                    .collect();
+                let mut lifted = Vec::with_capacity(slots.len());
+                for &(cut, slot) in &slots {
+                    let part = self.cuts[cut as usize].copy_bitmap(
+                        &self.disk,
+                        slot as usize,
+                        io,
+                        self.n,
+                    )?;
+                    lifted.push((self.slot_meta(cut, slot), part));
+                }
                 lifted.sort_by_key(|&(meta, _)| meta.1);
                 let (members, parts): (Vec<_>, Vec<_>) = lifted.into_iter().unzip();
                 merge::union_stored(&parts, &members, self.n, merge::plan_stored(&members))
             }
-        }
+        })
     }
 
     /// A non-empty slot's `(count, first_pos, last_pos)`: the merge
@@ -572,9 +575,7 @@ impl Engine {
         let mut lists: Vec<Vec<u64>> = Vec::new();
         for (leaf, ch, _w) in &leaves {
             let (cut, slot) = self.node_slot[*leaf as usize].expect("leaf without slot");
-            let positions: Vec<u64> = self.cuts[cut as usize]
-                .decoder(&self.disk, slot as usize, io)
-                .collect();
+            let positions = self.slot_positions(cut, slot, io);
             if chars.last() == Some(ch) {
                 lists.last_mut().expect("list").extend(positions);
             } else {
@@ -680,7 +681,7 @@ impl Engine {
         for (leaf, ich, _) in tree.leaves_under(tree.root()) {
             let (cut, slot) = self.node_slot[leaf as usize].expect("leaf without slot");
             let orig = orig_of[ich as usize];
-            for p in self.cuts[cut as usize].decoder(&self.disk, slot as usize, io) {
+            for p in self.slot_positions(cut, slot, io) {
                 syms[p as usize] = orig;
             }
         }
@@ -756,16 +757,21 @@ impl Engine {
 
     /// Decomposition + per-canonical-node slot walk, exposed to the
     /// approximate layer which reads *hashed* streams for the same slots.
-    pub(crate) fn canonical_slots(&self, qs: u64, qe: u64, io: &IoSession) -> Vec<(u32, u32)> {
-        let canonical = self.decompose(qs, qe, io);
+    pub(crate) fn canonical_slots(
+        &self,
+        qs: u64,
+        qe: u64,
+        io: &IoSession,
+    ) -> Result<Vec<(u32, u32)>, ReadError> {
+        let canonical = self.decompose(qs, qe, io)?;
         let mut slots = Vec::new();
         for v in canonical {
             self.collect_slots(v, &mut slots);
         }
-        slots
+        Ok(slots)
     }
 
-    /// The non-empty slots [`Self::query`] merges for `[lo, hi]` (the
+    /// The non-empty slots [`Self::try_query`] merges for `[lo, hi]` (the
     /// complement cover when the complement trick applies), charging the
     /// decomposition to `io`.
     #[cfg(test)]
@@ -775,11 +781,11 @@ impl Engine {
         let mut slots = if qs == qe {
             Vec::new()
         } else if 2 * (qe - qs) > self.n {
-            let mut s = self.canonical_slots(0, qs, io);
-            s.extend(self.canonical_slots(qe, self.n, io));
+            let mut s = self.canonical_slots(0, qs, io).unwrap();
+            s.extend(self.canonical_slots(qe, self.n, io).unwrap());
             s
         } else {
-            self.canonical_slots(qs, qe, io)
+            self.canonical_slots(qs, qe, io).unwrap()
         };
         slots.retain(|&(c, s)| self.cuts[c as usize].slot(s as usize).count > 0);
         slots
@@ -812,11 +818,14 @@ impl Engine {
         out
     }
 
-    /// Decodes one slot's positions (charged).
+    /// Lifts one slot and decodes its positions (charged): the read of
+    /// rebuilds and of the approximate layer's build. These run on the
+    /// write path, which has no error channel, so a failed fetch panics
+    /// with its message, as promoting an unreadable extent does.
     pub(crate) fn slot_positions(&self, cut: u32, slot: u32, io: &IoSession) -> Vec<u64> {
         self.cuts[cut as usize]
-            .decoder(&self.disk, slot as usize, io)
-            .collect()
+            .lift_positions(&self.disk, slot as usize, io)
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 }
 
@@ -1042,6 +1051,12 @@ impl Engine {
 mod tests {
     use super::*;
     use psi_api::naive_query;
+
+    impl Engine {
+        fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+            self.try_query(lo, hi, io).unwrap()
+        }
+    }
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)

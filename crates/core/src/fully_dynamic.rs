@@ -27,7 +27,7 @@
 
 use psi_api::{check_range, AppendIndex, DynamicIndex, HasDisk, RidSet, SecondaryIndex, Symbol};
 use psi_bits::merge;
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::buffered_bitmap::{union_runs, BufferedBitmapIndex};
 use crate::wbb::{NodeId, WbbTree};
@@ -200,7 +200,8 @@ impl FullyDynamicIndex {
         let cuts = levels
             .iter()
             .zip(per_cut_sets)
-            .map(|(&level, sets)| CutIndex {
+            .enumerate()
+            .map(|(i, (&level, sets))| CutIndex {
                 level,
                 bbi: BufferedBitmapIndex::build_from_lists(
                     if sets.is_empty() {
@@ -209,7 +210,8 @@ impl FullyDynamicIndex {
                         sets
                     },
                     self.config,
-                ),
+                )
+                .in_charge_space(cut_space(i)),
             })
             .collect();
         self.snap = Some(Snapshot {
@@ -445,6 +447,13 @@ fn collect_cut_nodes(
     }
 }
 
+/// The charge space of cut `i`'s disk. A read or an update spans the
+/// disks of several cuts, whose extent ids overlap; one space per disk
+/// makes a session charge each block it touches.
+fn cut_space(i: usize) -> u32 {
+    u32::try_from(i + 1).expect("cut count fits u32")
+}
+
 impl SecondaryIndex for FullyDynamicIndex {
     fn len(&self) -> u64 {
         self.string.len() as u64
@@ -466,7 +475,7 @@ impl SecondaryIndex for FullyDynamicIndex {
         snap_bits
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         let mut runs = Vec::new();
         if let Some(snap) = &self.snap {
@@ -475,7 +484,7 @@ impl SecondaryIndex for FullyDynamicIndex {
             for (cut, first, last) in ranges {
                 snap.cuts[cut as usize]
                     .bbi
-                    .char_runs(first, last, io, &mut runs);
+                    .char_runs(first, last, io, &mut runs)?;
             }
         }
         // Rows appended since the snapshot are in no cut: the tail lists.
@@ -485,7 +494,7 @@ impl SecondaryIndex for FullyDynamicIndex {
                 runs.push(list.iter().map(|&off| n0 + u64::from(off)).collect());
             }
         }
-        RidSet::from_positions(union_runs(runs, self.len()))
+        Ok(RidSet::from_positions(union_runs(runs, self.len())))
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
@@ -723,7 +732,8 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
                 });
             }
             let mut cuts = Vec::with_capacity(num_cuts);
-            for disk in disks {
+            for (i, mut disk) in disks.into_iter().enumerate() {
+                disk.set_charge_space(cut_space(i));
                 let level = meta.get_u32()?;
                 cuts.push(CutIndex {
                     level,
@@ -1022,9 +1032,14 @@ mod tests {
 
     /// Every range of `idx` against the naive answer over `current`, and
     /// its charge against the per-code reference read of the same
-    /// canonical node-character ranges.
-    fn assert_reads_match_per_code(idx: &FullyDynamicIndex, current: &[Symbol]) {
-        let snap = idx.snap.as_ref().expect("snapshot");
+    /// canonical node-character ranges of `reference` (a RAM build
+    /// holding the same index).
+    fn assert_reads_match_per_code(
+        idx: &FullyDynamicIndex,
+        reference: &FullyDynamicIndex,
+        current: &[Symbol],
+    ) {
+        let snap = reference.snap.as_ref().expect("snapshot");
         for lo in 0..idx.sigma {
             for hi in lo..idx.sigma {
                 let (lifted, per_code) = (IoSession::new(), IoSession::new());
@@ -1067,7 +1082,7 @@ mod tests {
             current.push(s);
         }
         assert!(idx.pending_appends > 0);
-        assert_reads_match_per_code(&idx, &current);
+        assert_reads_match_per_code(&idx, &idx, &current);
         let dir = std::env::temp_dir().join(format!("psi_core_fd_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("fully_dynamic.psi");
@@ -1075,7 +1090,7 @@ mod tests {
         let opened =
             psi_store::open::<FullyDynamicIndex>(&path, &psi_store::OpenOptions::default())
                 .expect("open");
-        assert_reads_match_per_code(&opened.index, &current);
+        assert_reads_match_per_code(&opened.index, &idx, &current);
         assert!(opened.real_fetches() > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

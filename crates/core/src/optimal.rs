@@ -1,7 +1,7 @@
 //! The optimal static secondary index (Theorem 2).
 
 use psi_api::{HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::cutstream::Slack;
 use crate::engine::{Engine, EngineStats, DEFAULT_C};
@@ -99,8 +99,8 @@ impl SecondaryIndex for OptimalIndex {
         self.engine.space_bits()
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        self.engine.query(lo, hi, io)
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
+        self.engine.try_query(lo, hi, io)
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

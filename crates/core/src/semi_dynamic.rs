@@ -1,7 +1,7 @@
 //! The semi-dynamic (append-only) index (Theorem 4).
 
 use psi_api::{AppendIndex, HasDisk, RidSet, SecondaryIndex, Symbol};
-use psi_io::{Disk, IoConfig, IoSession};
+use psi_io::{Disk, IoConfig, IoSession, ReadError};
 
 use crate::cutstream::Slack;
 use crate::engine::{Engine, EngineStats, DEFAULT_C};
@@ -84,8 +84,8 @@ impl SecondaryIndex for SemiDynamicIndex {
         self.engine.space_bits()
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-        self.engine.query(lo, hi, io)
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
+        self.engine.try_query(lo, hi, io)
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {

@@ -16,7 +16,7 @@
 
 use psi_api::{check_range, HasDisk, RidSet, SecondaryIndex, Symbol};
 use psi_bits::{merge, GapBitmap};
-use psi_io::{cost, Disk, IoConfig, IoSession};
+use psi_io::{cost, Disk, IoConfig, IoSession, ReadError};
 
 use crate::cutstream::{CutStream, Slack};
 
@@ -137,16 +137,17 @@ impl UniformTreeIndex {
     /// Merges the cover's bitmaps into a compressed result. A one-subtree
     /// cover is already stored in the output encoding, so it is returned
     /// as a verbatim word copy instead of decode-merge-reencode; larger
-    /// covers go through the density-driven planner (slot counts and the
-    /// cover's position span pick linear/heap/bitset before any decode).
-    fn merge_cover(&self, cover: &[(usize, u64)], io: &IoSession) -> GapBitmap {
+    /// covers lift each part, decode it in memory and go through the
+    /// density-driven planner (slot counts and the cover's position span
+    /// pick linear/heap/bitset).
+    fn merge_cover(&self, cover: &[(usize, u64)], io: &IoSession) -> Result<GapBitmap, ReadError> {
         let cover: Vec<(usize, u64)> = cover
             .iter()
             .copied()
             .filter(|&(level, idx)| self.levels[level].slot(idx as usize).count > 0)
             .collect();
         if cover.is_empty() {
-            return GapBitmap::empty(self.n);
+            return Ok(GapBitmap::empty(self.n));
         }
         if let [(level, idx)] = cover[..] {
             return self.levels[level].copy_bitmap(&self.disk, idx as usize, io, self.n);
@@ -159,11 +160,31 @@ impl UniformTreeIndex {
                 s.last_pos.expect("non-empty slot"),
             )
         }));
-        let decoders: Vec<_> = cover
+        let parts = cover
             .iter()
-            .map(|&(level, idx)| self.levels[level].decoder(&self.disk, idx as usize, io))
-            .collect();
-        merge::merge_adaptive(decoders, self.n, total, span)
+            .map(|&(level, idx)| {
+                let part = self.levels[level].lift_positions(&self.disk, idx as usize, io)?;
+                Ok(part.into_iter())
+            })
+            .collect::<Result<Vec<_>, ReadError>>()?;
+        Ok(merge::merge_adaptive(parts, self.n, total, span))
+    }
+
+    /// The cover a range query merges: that of `[lo, hi]`, or of its
+    /// complement when the result holds more than half the rows (§2.1),
+    /// flagged `true`.
+    fn query_cover(&self, lo: Symbol, hi: Symbol) -> (Vec<(usize, u64)>, bool) {
+        if 2 * self.cardinality(lo, hi) <= self.n {
+            return (self.canonical_cover(lo, hi), false);
+        }
+        let mut cover = Vec::new();
+        if lo > 0 {
+            cover.extend(self.canonical_cover(0, lo - 1));
+        }
+        if hi + 1 < self.sigma {
+            cover.extend(self.canonical_cover(hi + 1, self.sigma - 1));
+        }
+        (cover, true)
     }
 }
 
@@ -195,30 +216,20 @@ impl SecondaryIndex for UniformTreeIndex {
         payload + directory + (u64::from(self.sigma) + 1) * lg_n
     }
 
-    fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+    fn try_query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> Result<RidSet, ReadError> {
         check_range(lo, hi, self.sigma);
         if self.n == 0 {
-            return RidSet::from_positions(GapBitmap::empty(0));
+            return Ok(RidSet::from_positions(GapBitmap::empty(0)));
         }
-        let z = self.cardinality(lo, hi);
-        if z == 0 {
-            return RidSet::from_positions(GapBitmap::empty(self.n));
+        if self.cardinality(lo, hi) == 0 {
+            return Ok(RidSet::from_positions(GapBitmap::empty(self.n)));
         }
-        if 2 * z > self.n {
-            // §2.1: compute the two complementary queries and return their
-            // union as a complement.
-            let mut cover = Vec::new();
-            if lo > 0 {
-                cover.extend(self.canonical_cover(0, lo - 1));
-            }
-            if hi + 1 < self.sigma {
-                cover.extend(self.canonical_cover(hi + 1, self.sigma - 1));
-            }
-            RidSet::from_complement(self.merge_cover(&cover, io))
-        } else {
-            let cover = self.canonical_cover(lo, hi);
-            RidSet::from_positions(self.merge_cover(&cover, io))
-        }
+        // §2.1: a result over half the rows is the complement of the union
+        // of the two complementary queries.
+        Ok(match self.query_cover(lo, hi) {
+            (cover, true) => RidSet::from_complement(self.merge_cover(&cover, io)?),
+            (cover, false) => RidSet::from_positions(self.merge_cover(&cover, io)?),
+        })
     }
 
     fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
@@ -274,6 +285,62 @@ mod tests {
 
     fn cfg() -> IoConfig {
         IoConfig::with_block_bits(512)
+    }
+
+    /// The range query with each part of a multi-part cover decoded code
+    /// by code from the disk: the reference the lifted parts must match
+    /// in rows and charge.
+    fn query_per_code(idx: &UniformTreeIndex, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
+        let (cover, complement) = idx.query_cover(lo, hi);
+        let cover: Vec<_> = cover
+            .into_iter()
+            .filter(|&(level, i)| idx.levels[level].slot(i as usize).count > 0)
+            .collect();
+        let (total, span) = merge::cover_stats(cover.iter().map(|&(level, i)| {
+            let s = idx.levels[level].slot(i as usize);
+            (s.count, s.first_pos.unwrap(), s.last_pos.unwrap())
+        }));
+        let decoders = cover
+            .iter()
+            .map(|&(level, i)| idx.levels[level].decoder(&idx.disk, i as usize, io))
+            .collect();
+        let union = merge::merge_adaptive(decoders, idx.n, total, span);
+        if complement {
+            RidSet::from_complement(union)
+        } else {
+            RidSet::from_positions(union)
+        }
+    }
+
+    #[test]
+    fn multi_part_covers_lift_like_per_code_reads_in_ram_and_from_a_store() {
+        let sigma = 16u32;
+        let symbols = psi_workloads::zipf(4000, sigma, 1.0, 43);
+        let idx = UniformTreeIndex::build(&symbols, sigma, cfg());
+        let dir = std::env::temp_dir().join(format!("psi_core_ut_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("uniform_tree.psi");
+        psi_store::save(&idx, &path).expect("save");
+        let opened = psi_store::open::<UniformTreeIndex>(&path, &psi_store::OpenOptions::default())
+            .expect("open");
+        let mut multi = 0;
+        for lo in 0..sigma {
+            for hi in lo..sigma {
+                let per_code = IoSession::new();
+                let want = query_per_code(&idx, lo, hi, &per_code);
+                assert_eq!(want.to_vec(), naive_query(&symbols, lo, hi).to_vec());
+                for (what, index) in [("ram", &idx), ("store", &opened.index)] {
+                    let io = IoSession::new();
+                    let got = index.try_query(lo, hi, &io).expect("healthy read");
+                    assert_eq!(got.to_vec(), want.to_vec(), "{what} [{lo}, {hi}]");
+                    assert_eq!(io.stats(), per_code.stats(), "{what} [{lo}, {hi}] charge");
+                }
+                multi += usize::from(idx.canonical_cover(lo, hi).len() > 1);
+            }
+        }
+        assert!(multi > 50, "only {multi} multi-part covers");
+        assert!(opened.real_fetches() > 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The simulated block device.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
-use crate::pool::{BufferPool, PinnedBlock};
+use crate::error::{pin_retrying, ReadError};
+use crate::pool::BufferPool;
 use crate::session::IoSession;
 use crate::IoConfig;
 
@@ -70,6 +70,9 @@ impl Default for Extent {
 /// construction.
 #[derive(Debug)]
 pub struct Disk {
+    /// The charge space of this disk's blocks (see
+    /// [`Disk::set_charge_space`]); 0 unless set.
+    space: u32,
     config: IoConfig,
     extents: Vec<Extent>,
     /// Buffer pool fronting a real backend; `None` for the fully
@@ -87,6 +90,7 @@ impl Disk {
     /// Creates an empty disk with the given model configuration.
     pub fn new(config: IoConfig) -> Self {
         Disk {
+            space: 0,
             config,
             extents: Vec::new(),
             pool: None,
@@ -100,6 +104,7 @@ impl Disk {
     /// writer promotes it.
     pub fn from_stored(config: IoConfig, extents: &[StoredExtent], pool: Arc<BufferPool>) -> Self {
         Disk {
+            space: 0,
             config,
             extents: extents
                 .iter()
@@ -241,8 +246,15 @@ impl Disk {
     /// `ext` as reads, and — on a pooled disk — faults each of them, so
     /// directory-record charges drive real fetches exactly like payload
     /// reads do. Zero-length spans charge their single containing block,
-    /// matching a one-record read.
-    pub fn charge_read_span(&self, ext: ExtentId, bit_off: u64, bit_len: u64, io: &IoSession) {
+    /// matching a one-record read. A fetch that still fails after the
+    /// session's transient-retry budget is returned as a [`ReadError`].
+    pub fn charge_read_span(
+        &self,
+        ext: ExtentId,
+        bit_off: u64,
+        bit_len: u64,
+        io: &IoSession,
+    ) -> Result<(), ReadError> {
         let b = self.config.block_bits;
         let first = bit_off / b;
         let last = (bit_off + bit_len.max(1) - 1) / b;
@@ -252,21 +264,33 @@ impl Disk {
         // but have nothing to fetch).
         let stored = self.config.blocks_for_bits(e.bit_len);
         for blk in first..=last {
-            io.charge_read(ext, blk);
+            io.charge(self.space, ext, blk, false);
             if !e.resident && blk < stored {
                 let pool = self
                     .pool
                     .as_ref()
                     .expect("non-resident extent needs a pool");
-                // Retry transients under the session budget; a fetch
-                // that still fails raises a structured read abort
-                // (typed error under `catch_read`, panic outside it).
-                match crate::error::pin_retrying(pool, ext, blk, io) {
-                    Ok(pinned) => pool.unpin(pinned),
-                    Err(e) => crate::error::abort_read(io, e),
-                }
+                pool.unpin(pin_retrying(pool, ext, blk, io)?);
             }
         }
+        Ok(())
+    }
+
+    /// Charges block `block` of `ext` as written (`write`) or read, moving
+    /// no data: for structures that keep a block's contents in memory and
+    /// account for its transfer themselves.
+    pub fn charge_block(&self, ext: ExtentId, block: u64, write: bool, io: &IoSession) {
+        io.charge(self.space, ext, block, write);
+    }
+
+    /// Places this disk's blocks in charge space `space`. A session
+    /// charges blocks of different spaces separately even where their
+    /// extent ids coincide, so an index whose one operation spans several
+    /// disks (the per-cut volumes of the fully dynamic index) gives each
+    /// disk its own space and is charged every block it touches. Disks
+    /// share space 0 by default.
+    pub fn set_charge_space(&mut self, space: u32) {
+        self.space = space;
     }
 
     /// The model configuration (block size, memory bound).
@@ -352,7 +376,8 @@ impl Disk {
 
     /// A reading cursor positioned at `bit_off` within `ext`, charging
     /// `session` for each distinct block it touches. Multiple readers over
-    /// the same disk and session may coexist (k-way merges).
+    /// the same disk and session may coexist. A non-resident extent may
+    /// only be lifted ([`DiskReader::read_words`]).
     ///
     /// # Panics
     /// Panics if `bit_off` exceeds the extent length.
@@ -379,9 +404,9 @@ impl Disk {
             )
         };
         DiskReader {
+            disk: self.space,
             words: &e.words,
             pool,
-            pinned: RefCell::new(None),
             bit_len: e.bit_len,
             ext,
             pos: bit_off,
@@ -402,6 +427,7 @@ impl Disk {
         let e = &mut self.extents[ext.0 as usize];
         e.freed = false;
         DiskWriter {
+            disk: self.space,
             extent: e,
             ext,
             session,
@@ -431,6 +457,7 @@ impl Disk {
         );
         e.freed = false;
         DiskWriterAt {
+            disk: self.space,
             extent: e,
             ext,
             session,
@@ -447,21 +474,20 @@ impl Disk {
 /// block containing it to the session (deduplicated against the previously
 /// charged block, and again inside the session's residency set).
 ///
-/// Over a resident extent the cursor reads the RAM image directly. Over a
-/// non-resident extent (an opened store) every word access goes through
-/// the disk's [`BufferPool`]: the cursor keeps its current block **pinned**
-/// (so concurrent cursors — on this thread or any other — cannot evict it
-/// mid-decode), moving the pin as it crosses block boundaries and
-/// releasing it on drop. Word reads of the pinned block go straight
-/// through the [`PinnedBlock`] handle without taking any pool lock. The
-/// charges are identical in both modes; only the pooled mode turns them
-/// into real fetches.
+/// A non-resident extent (an opened store) is read only by
+/// [`Self::read_words`], the bulk lift: it pins each block through the
+/// disk's [`BufferPool`], copies the words it needs out of the frame,
+/// unpins it, and returns a failed fetch as a [`ReadError`]. The cursor
+/// holds no pin between calls. The per-bit reads (`read_bit`,
+/// `read_bits`, `read_unary`, `peek_word`/`consume_bits`) serve resident
+/// extents only; on a non-resident one they panic, because a read that
+/// can fault must go through the lift. The charges are identical in both
+/// modes; only the pooled mode turns them into real fetches.
 #[derive(Debug)]
 pub struct DiskReader<'a> {
+    disk: u32,
     words: &'a [u64],
     pool: Option<&'a BufferPool>,
-    /// Pooled mode: the currently pinned block and its frame handle.
-    pinned: RefCell<Option<(u64, PinnedBlock)>>,
     bit_len: u64,
     ext: ExtentId,
     pos: u64,
@@ -470,76 +496,34 @@ pub struct DiskReader<'a> {
     last_block: u64,
 }
 
-impl Drop for DiskReader<'_> {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool {
-            if let Some((_, pinned)) = self.pinned.get_mut().take() {
-                pool.unpin(pinned);
-            }
-        }
-    }
-}
-
 impl<'a> DiskReader<'a> {
     #[inline]
     fn charge_word(&mut self, word_idx: u64) {
         // block_bits is a multiple of 64, so a word lies in exactly one block.
         let block = word_idx * 64 / self.block_bits;
         if block != self.last_block {
-            self.session.charge_read(self.ext, block);
+            self.session.charge(self.disk, self.ext, block, false);
             self.last_block = block;
         }
     }
 
-    /// Reads word `word_idx` of the extent: directly from the RAM image
-    /// (the slice access *is* the dispatch — pooled readers hold an empty
-    /// slice, so they fall through to the cold pooled path), or through
-    /// the pool with a moving pin for non-resident extents.
+    /// Reads word `word_idx` of a resident extent's RAM image (the slice
+    /// access *is* the dispatch: a non-resident reader holds an empty
+    /// slice and lands in the cold panic).
     #[inline]
     fn word(&self, word_idx: u64) -> u64 {
         match self.words.get(word_idx as usize) {
             Some(&w) => w,
-            None => self.pooled_word(word_idx),
+            None => self.not_resident(),
         }
     }
 
-    /// The non-resident path of [`Self::word`]: reads through the buffer
-    /// pool, keeping the current block pinned and moving the pin as the
-    /// cursor crosses block boundaries.
-    ///
-    /// A fetch that fails after the session's transient-retry budget
-    /// raises a structured read abort: under a [`crate::catch_read`]
-    /// frame it becomes `Err(ReadError)` at the `try_query` boundary;
-    /// outside one it panics with the full message (the historical
-    /// behaviour of the infallible API).
     #[cold]
-    fn pooled_word(&self, word_idx: u64) -> u64 {
-        let pool = self
-            .pool
-            .expect("word index out of bounds on resident extent");
-        let block = word_idx * 64 / self.block_bits;
-        let word_in_block = (word_idx - block * (self.block_bits / 64)) as usize;
-        let mut pinned = self.pinned.borrow_mut();
-        match pinned.as_ref() {
-            Some((b, handle)) if *b == block => handle.word(word_in_block),
-            _ => {
-                if let Some((_, old)) = pinned.take() {
-                    pool.unpin(old);
-                }
-                let handle = match crate::error::pin_retrying(pool, self.ext, block, self.session) {
-                    Ok(handle) => handle,
-                    Err(e) => {
-                        // Release the borrow before unwinding: the
-                        // reader's Drop re-borrows `pinned` to unpin.
-                        drop(pinned);
-                        crate::error::abort_read(self.session, e)
-                    }
-                };
-                let word = handle.word(word_in_block);
-                *pinned = Some((block, handle));
-                word
-            }
-        }
+    fn not_resident(&self) -> ! {
+        panic!(
+            "per-bit read of non-resident extent {}: lift it with read_words",
+            self.ext.0
+        )
     }
 
     /// Current bit position.
@@ -597,25 +581,31 @@ impl<'a> DiskReader<'a> {
         value
     }
 
-    /// Reads `n` consecutive 64-bit fields, appending each to `out` as
-    /// [`Self::read_bits`]`(64)` would return it: the bulk path behind
-    /// verbatim slot lifts. Charges the same blocks and counts the same
-    /// bits as those `n` calls. A resident extent copies its words (with a
-    /// two-word shift when the cursor is not word-aligned); a pooled one
-    /// copies each block's words out of its pinned frame, charging and
-    /// fetching block by block.
+    /// Lifts the next `bit_len` bits (any length) into `out`, appending
+    /// `⌈bit_len / 64⌉` words MSB-first, the last one zero-padded past
+    /// `bit_len`: the one read of a non-resident extent. Charges the same
+    /// blocks and counts the same bits as reading those bits field by
+    /// field. A resident extent copies its words (with a two-word shift
+    /// when the cursor is not word-aligned). A pooled one pins each block
+    /// in turn, copies its words out of the frame and unpins it, so a
+    /// failed fetch (after the session's transient-retry budget) is
+    /// returned as a [`ReadError`] and the cursor holds no pin afterwards.
     ///
     /// # Panics
     /// Panics when reading past the end of the extent.
-    pub fn read_words(&mut self, out: &mut Vec<u64>, n: u64) {
-        if n == 0 {
-            return;
+    pub fn read_words(&mut self, out: &mut Vec<u64>, bit_len: u64) -> Result<(), ReadError> {
+        if bit_len == 0 {
+            return Ok(());
         }
-        assert!(self.pos + 64 * n <= self.bit_len, "read past end of extent");
+        assert!(
+            self.pos + bit_len <= self.bit_len,
+            "read past end of extent"
+        );
         let first = self.pos / 64;
         let off = (self.pos % 64) as u32;
-        // Raw words touched: one more than `n` when the fields straddle.
-        let end = first + n + u64::from(off != 0);
+        // Raw words touched: one more than the output when the bits straddle.
+        let end = (self.pos + bit_len).div_ceil(64);
+        let n = bit_len.div_ceil(64) as usize;
         let start = out.len();
         out.reserve((end - first) as usize);
         let per_block = self.block_bits / 64;
@@ -624,28 +614,34 @@ impl<'a> DiskReader<'a> {
             let block = idx / per_block;
             let stop = ((block + 1) * per_block).min(end);
             self.charge_word(idx);
-            match self.words.get(idx as usize..stop as usize) {
-                Some(words) => out.extend_from_slice(words),
-                None => {
-                    // Pins (and fetches) the block, then copies from the
-                    // pinned frame.
-                    let _ = self.pooled_word(idx);
-                    let pinned = self.pinned.borrow();
-                    let (_, handle) = pinned.as_ref().expect("block pinned");
+            match self.pool {
+                None => out.extend_from_slice(&self.words[idx as usize..stop as usize]),
+                Some(pool) => {
+                    let pinned = pin_retrying(pool, self.ext, block, self.session)?;
                     let at = (idx - block * per_block) as usize;
-                    out.extend_from_slice(&handle.words()[at..at + (stop - idx) as usize]);
+                    out.extend_from_slice(&pinned.words()[at..at + (stop - idx) as usize]);
+                    pool.unpin(pinned);
                 }
             }
             idx = stop;
         }
         if off != 0 {
-            for i in start..start + n as usize {
-                out[i] = (out[i] << off) | (out[i + 1] >> (64 - off));
+            // Shift the raw words up by `off`; the last raw word has no
+            // successor, and is dropped when the bits straddle one more.
+            let raw = &mut out[start..];
+            for i in 1..raw.len() {
+                raw[i - 1] = (raw[i - 1] << off) | (raw[i] >> (64 - off));
             }
-            out.truncate(start + n as usize);
+            raw[raw.len() - 1] <<= off;
+            out.truncate(start + n);
         }
-        self.pos += 64 * n;
-        self.session.add_bits_read(64 * n);
+        let tail = (bit_len % 64) as u32;
+        if tail != 0 {
+            out[start + n - 1] &= !0u64 << (64 - tail);
+        }
+        self.pos += bit_len;
+        self.session.add_bits_read(bit_len);
+        Ok(())
     }
 
     /// Peeks at the next up-to-64 bits without consuming or charging:
@@ -666,18 +662,9 @@ impl<'a> DiskReader<'a> {
         // OR into zeroed words; truncation clears the tail), so no
         // masking is needed.
         //
-        // Pooled (non-resident) readers hold an empty slice and land in
-        // the `None` arm: they advertise no lookahead, because a peek
-        // must not charge the session, yet a pooled access performs a
-        // real fetch — and a fetch without a charge would break the
-        // cold-cache invariant "real reads == charged reads". An empty
-        // window sends codecs down the cursor path, whose charges are
-        // identical to the peek/consume path by construction. The
-        // engine's covers avoid that path: they lift whole slots with
-        // word reads and decode in memory. Decoders that still step
-        // codes through a pooled cursor are rebuilds that decode leaf
-        // slots, and the cover merges of the baseline catalogs, the
-        // uniform tree and the approximate index's hashed streams.
+        // A non-resident reader holds an empty slice and advertises no
+        // lookahead; the decoder's cursor fallback then panics, because
+        // such an extent is read only by `read_words`.
         let off = (self.pos % 64) as u32;
         match self.words.get((self.pos / 64) as usize) {
             Some(&w) => (w << off, remaining.min(u64::from(64 - off)) as u32),
@@ -703,13 +690,6 @@ impl<'a> DiskReader<'a> {
         let last = (self.pos + u64::from(k) - 1) / 64;
         if last != w {
             self.charge_word(last);
-        }
-        if self.pool.is_some() {
-            // Pooled mode: every charge must drive a fetch, even though
-            // the consumed bits were never peeked (defensive — pooled
-            // peeks return an empty window, so this path is cold).
-            let _ = self.word(w);
-            let _ = self.word(last);
         }
         self.pos += u64::from(k);
         self.session.add_bits_read(u64::from(k));
@@ -756,6 +736,7 @@ impl<'a> DiskReader<'a> {
 /// An appending bit cursor over one extent.
 #[derive(Debug)]
 pub struct DiskWriter<'a> {
+    disk: u32,
     extent: &'a mut Extent,
     ext: ExtentId,
     session: &'a IoSession,
@@ -768,7 +749,7 @@ impl<'a> DiskWriter<'a> {
     fn charge_word(&mut self, word_idx: u64) {
         let block = word_idx * 64 / self.block_bits;
         if block != self.last_block {
-            self.session.charge_write(self.ext, block);
+            self.session.charge(self.disk, self.ext, block, true);
             self.last_block = block;
         }
     }
@@ -839,7 +820,7 @@ impl<'a> DiskWriter<'a> {
             let last_word = first_word + nwords as u64 - 1;
             for blk in (first_word * 64 / self.block_bits)..=(last_word * 64 / self.block_bits) {
                 if blk != self.last_block {
-                    self.session.charge_write(self.ext, blk);
+                    self.session.charge(self.disk, self.ext, blk, true);
                     self.last_block = blk;
                 }
             }
@@ -861,6 +842,7 @@ impl<'a> DiskWriter<'a> {
 /// A positioned overwriting cursor (see [`Disk::writer_at`]).
 #[derive(Debug)]
 pub struct DiskWriterAt<'a> {
+    disk: u32,
     extent: &'a mut Extent,
     ext: ExtentId,
     session: &'a IoSession,
@@ -874,7 +856,7 @@ impl<'a> DiskWriterAt<'a> {
     fn charge_word(&mut self, word_idx: u64) {
         let block = word_idx * 64 / self.block_bits;
         if block != self.last_block {
-            self.session.charge_write(self.ext, block);
+            self.session.charge(self.disk, self.ext, block, true);
             self.last_block = block;
         }
     }
@@ -1028,12 +1010,28 @@ mod tests {
                 w.write_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), 64);
             }
         }
-        for (at, n) in [(0u64, 40u64), (64, 7), (5, 20), (127, 30), (1000, 0)] {
+        for (at, bits) in [
+            (0u64, 40 * 64),
+            (64, 7 * 64),
+            (5, 20 * 64),
+            (127, 30 * 64),
+            (1000, 0),
+            (0, 17),
+            (3, 64 * 9 + 61),
+            (60, 70),
+            (2000, 560),
+        ] {
             let (bulk_io, each_io) = (IoSession::new(), IoSession::new());
             let mut bulk = vec![7u64];
-            disk.reader(ext, at, &bulk_io).read_words(&mut bulk, n);
+            disk.reader(ext, at, &bulk_io)
+                .read_words(&mut bulk, bits)
+                .unwrap();
             let mut r = disk.reader(ext, at, &each_io);
-            let each: Vec<u64> = (0..n).map(|_| r.read_bits(64)).collect();
+            let mut each: Vec<u64> = (0..bits / 64).map(|_| r.read_bits(64)).collect();
+            let tail = (bits % 64) as u32;
+            if tail > 0 {
+                each.push(r.read_bits(tail) << (64 - tail));
+            }
             assert_eq!(bulk[0], 7, "appends after what is there");
             assert_eq!(bulk[1..], each[..], "at {at}");
             assert_eq!(bulk_io.stats(), each_io.stats(), "at {at}");

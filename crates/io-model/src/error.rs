@@ -1,30 +1,12 @@
-//! Typed read failures and the structured abort that carries them out of
-//! infallible decode paths.
+//! Typed read failures.
 //!
-//! The read path's hot loops — bit cursors, gap decoders, k-way merges —
-//! are deliberately infallible: threading `Result` through every
-//! `read_bits` call would cost branches in code that runs per decoded
-//! code. Instead, the crate uses a *structured abort*, the same
-//! architecture Postgres uses for elog(ERROR): when a pooled fetch fails
-//! for good, the failure is recorded as a [`ReadError`] in the
-//! [`IoSession`] and the stack unwinds with a zero-sized marker payload.
-//! [`catch_read`] is the matching catch frame: it converts the marker
-//! back into `Err(ReadError)` and lets every other panic keep going.
-//!
-//! The contract:
-//!
-//! * aborts only happen under an active [`catch_read`] frame (tracked by
-//!   a thread-local depth counter) — outside one, a failed fetch panics
-//!   with the full error message exactly like the pre-fallible API did;
-//! * the marker never crosses a `catch_read` boundary, so callers of
-//!   `try_query` cannot observe a panic;
-//! * a process-wide panic-hook shim suppresses the default "thread
-//!   panicked" printout for the marker alone (it is control flow, not a
-//!   crash), delegating every other payload to the previous hook.
-
-use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Once;
+//! A pooled read fails as a value: the bulk lift
+//! ([`crate::DiskReader::read_words`]) and the directory charge
+//! ([`crate::Disk::charge_read_span`]) return `Err(ReadError)` naming the
+//! block that could not be served, and every index's `try_query`
+//! propagates it with `?`. Decoding runs only over words already in
+//! memory, so it has nothing left to fail. Per-bit cursors serve resident
+//! extents only.
 
 use crate::backend::ErrorClass;
 use crate::disk::ExtentId;
@@ -76,77 +58,6 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Zero-sized unwind payload of a structured read abort. Never escapes
-/// [`catch_read`].
-struct ReadAbort;
-
-thread_local! {
-    /// How many [`catch_read`] frames are active on this thread.
-    static CATCH_DEPTH: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Installs (once, process-wide) a panic-hook shim that silences the
-/// default report for [`ReadAbort`] payloads only.
-fn install_quiet_hook() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<ReadAbort>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Decrements the catch depth even when unwinding past the frame.
-struct DepthGuard;
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        CATCH_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
-/// Runs `f`, converting a structured read abort raised against `io`
-/// (by [`abort_read`]) into `Err(ReadError)`.
-///
-/// Unrelated panics resume unwinding untouched. This is the only place
-/// a read abort stops; nesting is fine (the innermost frame wins).
-pub fn catch_read<T>(io: &IoSession, f: impl FnOnce() -> T) -> Result<T, ReadError> {
-    install_quiet_hook();
-    CATCH_DEPTH.with(|d| d.set(d.get() + 1));
-    let _guard = DepthGuard;
-    match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            if payload.downcast_ref::<ReadAbort>().is_some() {
-                Err(io.take_fault().unwrap_or_else(|| ReadError {
-                    class: ErrorClass::Permanent,
-                    extent: ExtentId(u32::MAX),
-                    block: u64::MAX,
-                    message: "read abort with no recorded fault".into(),
-                }))
-            } else {
-                resume_unwind(payload)
-            }
-        }
-    }
-}
-
-/// Raises a structured read abort carrying `err`.
-///
-/// Under an active [`catch_read`] frame this unwinds with the silent
-/// marker; outside one it panics with the full message — the behaviour
-/// the infallible API always had, now with a classified cause.
-pub fn abort_read(io: &IoSession, err: ReadError) -> ! {
-    if CATCH_DEPTH.with(|d| d.get()) > 0 {
-        io.set_fault(err);
-        std::panic::panic_any(ReadAbort);
-    }
-    panic!("{err}");
-}
-
 /// Pins `(ext, block)` through `pool`, re-attempting transient failures
 /// under the session's armed [`crate::RetryPolicy`] budget (immediately,
 /// no backoff — store-level wrappers own the clock) and counting each
@@ -182,82 +93,4 @@ pub fn pin_retrying(
         }
     }
     Err(last.expect("at least one attempt"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn catch_read_converts_abort_into_typed_error() {
-        let io = IoSession::new();
-        let err = ReadError {
-            class: ErrorClass::Corrupt,
-            extent: ExtentId(3),
-            block: 7,
-            message: "checksum mismatch".into(),
-        };
-        let got = catch_read(&io, || -> u32 { abort_read(&io, err.clone()) });
-        assert_eq!(got, Err(err));
-        // The fault slot is consumed.
-        assert!(io.take_fault().is_none());
-    }
-
-    #[test]
-    fn catch_read_passes_values_through() {
-        let io = IoSession::new();
-        assert_eq!(catch_read(&io, || 41 + 1), Ok(42));
-    }
-
-    #[test]
-    fn unrelated_panics_resume_unwinding() {
-        let io = IoSession::new();
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            catch_read(&io, || -> u32 { panic!("not a read abort") })
-        }));
-        let payload = out.expect_err("panic must escape catch_read");
-        assert_eq!(
-            payload.downcast_ref::<&str>().copied(),
-            Some("not a read abort")
-        );
-    }
-
-    #[test]
-    fn nested_frames_catch_at_the_innermost() {
-        let io = IoSession::new();
-        let outer = catch_read(&io, || {
-            let inner = catch_read(&io, || -> u32 {
-                abort_read(
-                    &io,
-                    ReadError {
-                        class: ErrorClass::Transient,
-                        extent: ExtentId(0),
-                        block: 0,
-                        message: "flake".into(),
-                    },
-                )
-            });
-            assert!(inner.is_err());
-            5u32
-        });
-        assert_eq!(outer, Ok(5));
-    }
-
-    #[test]
-    fn abort_outside_catch_panics_with_message() {
-        let io = IoSession::new();
-        let err = ReadError {
-            class: ErrorClass::Permanent,
-            extent: ExtentId(1),
-            block: 2,
-            message: "gone".into(),
-        };
-        let out = std::panic::catch_unwind(AssertUnwindSafe(|| abort_read(&io, err)));
-        let payload = out.expect_err("must panic");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("formatted message");
-        assert!(msg.contains("extent 1 block 2"), "got: {msg}");
-    }
 }

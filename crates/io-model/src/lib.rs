@@ -17,6 +17,11 @@
 //! * [`DiskReader`] / [`DiskWriter`] — bit-granular cursors that charge the
 //!   session lazily as they cross block boundaries, so partially-read blocks
 //!   are charged exactly once, and unread suffixes are never charged.
+//! * [`BufferPool`] — the frame cache in front of a real backend. An opened,
+//!   file-backed [`Disk`] reads a non-resident extent only by the bulk lift
+//!   [`DiskReader::read_words`], which pins one block at a time and returns
+//!   a failed fetch as a typed [`ReadError`]; per-bit cursors serve
+//!   resident extents only. A read fault is a value, never an unwind.
 //! * [`cost`] — closed-form cost expressions from the paper
 //!   (`lg_b n`, `z lg(n/z)/B`, …) used by the experiment harnesses to
 //!   overlay theory curves on measurements.
@@ -40,7 +45,7 @@ mod session;
 
 pub use backend::{classify_io, BlockStore, BlockStoreError, ErrorClass, MemStore};
 pub use disk::{Disk, DiskReader, DiskWriter, DiskWriterAt, ExtentId, StoredExtent};
-pub use error::{abort_read, catch_read, pin_retrying, ReadError};
+pub use error::{pin_retrying, ReadError};
 pub use fault::{
     retry_transient, retry_transient_with, Fault, FaultyStore, RetryPolicy, RetryStore,
 };

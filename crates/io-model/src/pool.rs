@@ -3,20 +3,20 @@
 //!
 //! A pool caches up to `capacity` model blocks in fixed-size frames,
 //! spread over `shards` independently locked shards keyed by a hash of
-//! `(extent, block)`. Readers **pin** the frame they are currently
-//! decoding from (one pin per cursor, moved as the cursor crosses block
-//! boundaries, released on drop), so concurrent cursors — within one
-//! k-way merge or across query threads — can never have their working
-//! block evicted under them. Eviction is the classic clock
-//! (second-chance) sweep over the unpinned frames of one shard.
+//! `(extent, block)`. A read **pins** the frame it copies from for the
+//! length of the copy (the bulk lift, `DiskReader::read_words`, pins,
+//! copies and unpins one block at a time), so concurrent reads — across
+//! query threads — can never have a block evicted mid-copy. Eviction is
+//! the classic clock (second-chance) sweep over the unpinned frames of
+//! one shard.
 //!
 //! Concurrency model: each shard is a `Mutex` around its frame table, so
 //! cold fetches on blocks that hash to different shards proceed fully in
 //! parallel (the backend fetch happens while holding only that shard's
 //! lock). A pinned frame's payload is handed out as an `Arc<[u64]>`
-//! inside the [`PinnedBlock`] handle, so the per-word read path of a
-//! cursor touches **no lock at all** — the pin count guarantees the
-//! frame is neither evicted nor rewritten while the handle lives.
+//! inside the [`PinnedBlock`] handle, so copying out of it touches **no
+//! lock at all** — the pin count guarantees the frame is neither evicted
+//! nor rewritten while the handle lives.
 //!
 //! Invariants (asserted in tests, documented in `DESIGN.md`):
 //!
@@ -54,11 +54,11 @@ pub const DEFAULT_POOL_SHARDS: usize = 8;
 pub const GROWTH_CEILING: usize = 4;
 
 /// Minimum pinned-growth headroom (frames past capacity) granted by
-/// [`BufferPool::new`] regardless of how small the pool is: a wide
-/// k-way merge legitimately holds one pinned cursor block per input
-/// stream, and a tiny pool must absorb that without tripping the
-/// ceiling (1024 frames of 1 KiB blocks is 1 MiB — negligible next to
-/// the leak the ceiling guards against).
+/// [`BufferPool::new`] regardless of how small the pool is: every
+/// concurrent lift holds one pinned block while it copies, and a tiny
+/// pool must absorb that without tripping the ceiling (1024 frames of
+/// 1 KiB blocks is 1 MiB — negligible next to the leak the ceiling
+/// guards against).
 pub const MIN_GROWTH_HEADROOM: usize = 1024;
 
 /// Aggregate pool counters (see [`BufferPool::stats`]).
@@ -147,13 +147,13 @@ impl std::fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 /// A pinned block: the frame's payload plus enough addressing to release
-/// the pin. Reading through [`Self::word`] touches no lock — the pin
+/// the pin. Reading through [`Self::words`] touches no lock — the pin
 /// keeps the frame resident and its contents immutable.
 ///
 /// Obtain via [`BufferPool::pin`]/[`BufferPool::try_pin`]; release via
 /// [`BufferPool::unpin`]. A handle that is dropped without `unpin` leaks
-/// its pin (the frame stays unevictable), so owners hold it in a guard
-/// like `DiskReader` that unpins on drop.
+/// its pin (the frame stays unevictable), so owners unpin it as soon as
+/// they have copied what they need, as `DiskReader::read_words` does.
 #[derive(Debug)]
 pub struct PinnedBlock {
     shard: u32,
@@ -162,12 +162,6 @@ pub struct PinnedBlock {
 }
 
 impl PinnedBlock {
-    /// Reads word `word_in_block` of the pinned frame.
-    #[inline]
-    pub fn word(&self, word_in_block: usize) -> u64 {
-        self.data[word_in_block]
-    }
-
     /// The pinned frame's words.
     #[inline]
     pub fn words(&self) -> &[u64] {
@@ -657,7 +651,7 @@ mod tests {
         let a = pool.pin(EXT, 0);
         pool.unpin(a);
         let b = pool.pin(EXT, 0);
-        assert_eq!(b.word(0), 1);
+        assert_eq!(b.words()[0], 1);
         pool.unpin(b);
         assert_eq!(pool.fetches(), 1);
         assert_eq!(pool.stats().hits, 1);
@@ -687,7 +681,7 @@ mod tests {
         assert_eq!(pool.stats().misses, 0);
         // The schedule is spent: the same pin now succeeds.
         let b = pool.try_pin(EXT, 0).expect("fault schedule spent");
-        assert_eq!(b.word(0), 7);
+        assert_eq!(b.words()[0], 7);
         pool.unpin(b);
         assert_eq!(pool.stats().misses, 1);
     }
@@ -716,9 +710,9 @@ mod tests {
             pool.unpin(f);
         }
         // The pinned frame still holds block 0's data.
-        assert_eq!(pinned.word(0), 1);
+        assert_eq!(pinned.words()[0], 1);
         let again = pool.pin(EXT, 0);
-        assert_eq!(again.word(0), 1, "pinned block must hit its own frame");
+        assert_eq!(again.words()[0], 1, "pinned block must hit its own frame");
         assert_eq!(
             pool.fetches(),
             6,
@@ -926,7 +920,7 @@ mod tests {
         // Warm hit under verify: served from the frame, no verification,
         // no fetch.
         let again = pool.pin(EXT, 0);
-        assert_eq!(again.word(0), 9);
+        assert_eq!(again.words()[0], 9);
         pool.unpin(again);
         assert_eq!(pool.fetches(), 1);
         // Cold miss under verify: the corrupt trailer surfaces typed.

@@ -224,9 +224,10 @@ mod tests {
         let pool = disk.pool().expect("pooled").clone();
         // Warm one block via a query-path read.
         let io = IoSession::new();
-        let mut r = disk.reader(ExtentId(1), 0, &io);
-        let first = r.read_bits(64);
-        drop(r);
+        let mut first = Vec::new();
+        disk.reader(ExtentId(1), 0, &io)
+            .read_words(&mut first, 64)
+            .unwrap();
         let stats_before = pool.stats();
         let mut scrubber = Scrubber::new();
         while !scrubber.tick(&disk, 4).done {}
@@ -234,9 +235,11 @@ mod tests {
         assert_eq!(pool.stats(), stats_before);
         // And the warm block still serves hits.
         let io2 = IoSession::new();
-        let mut r = disk.reader(ExtentId(1), 0, &io2);
-        assert_eq!(r.read_bits(64), first);
-        drop(r);
+        let mut again = Vec::new();
+        disk.reader(ExtentId(1), 0, &io2)
+            .read_words(&mut again, 64)
+            .unwrap();
+        assert_eq!(again, first);
         assert_eq!(pool.stats().hits, stats_before.hits + 1);
     }
 }

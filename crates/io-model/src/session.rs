@@ -45,8 +45,10 @@ impl IoStats {
     }
 }
 
-/// A globally unique block address: extent plus block index within it.
-type BlockAddr = (ExtentId, u64);
+/// A block address: the charge space of its disk (0 unless the disk sets
+/// one, see `Disk::set_charge_space`), the extent, and the block index
+/// within the extent.
+type BlockAddr = (u32, ExtentId, u64);
 
 #[derive(Debug, Default)]
 struct SessionInner {
@@ -59,9 +61,6 @@ struct SessionInner {
     tracking: bool,
     /// Retry budget for transient pooled-fetch faults (None = no retry).
     retry: Option<crate::RetryPolicy>,
-    /// The typed read failure recorded by an in-flight structured abort
-    /// (see [`crate::catch_read`]); taken by the catch frame.
-    fault: Option<crate::ReadError>,
 }
 
 /// An I/O accounting scope for one logical operation.
@@ -159,14 +158,10 @@ impl IoSession {
         }
     }
 
-    /// Charges a block read. Idempotent while the block remains resident.
-    pub fn charge_read(&self, extent: ExtentId, block: u64) {
-        self.touch((extent, block), false);
-    }
-
-    /// Charges a block write. Idempotent while the block remains resident.
-    pub fn charge_write(&self, extent: ExtentId, block: u64) {
-        self.touch((extent, block), true);
+    /// Charges a block write (`write`) or read of a disk in charge space
+    /// `space`. Idempotent while the block remains resident.
+    pub(crate) fn charge(&self, space: u32, extent: ExtentId, block: u64, write: bool) {
+        self.touch((space, extent, block), write);
     }
 
     /// Records `bits` of useful payload consumed by a reader.
@@ -196,7 +191,6 @@ impl IoSession {
         inner.stats = IoStats::default();
         inner.resident.clear();
         inner.fifo.clear();
-        inner.fault = None;
     }
 
     /// Returns the counters and resets the session (convenience for
@@ -233,22 +227,19 @@ impl IoSession {
     pub fn add_retries(&self, n: u64) {
         self.inner.borrow_mut().stats.retries += n;
     }
-
-    /// Records the typed failure a structured read abort is about to
-    /// unwind with. The matching [`crate::catch_read`] frame takes it.
-    pub(crate) fn set_fault(&self, err: crate::ReadError) {
-        self.inner.borrow_mut().fault = Some(err);
-    }
-
-    /// Takes the recorded read failure, if any.
-    pub(crate) fn take_fault(&self) -> Option<crate::ReadError> {
-        self.inner.borrow_mut().fault.take()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn read(s: &IoSession, ext: ExtentId, block: u64) {
+        s.charge(0, ext, block, false);
+    }
+
+    fn write(s: &IoSession, ext: ExtentId, block: u64) {
+        s.charge(0, ext, block, true);
+    }
 
     const EXT: ExtentId = ExtentId(7);
     const EXT2: ExtentId = ExtentId(9);
@@ -256,18 +247,18 @@ mod tests {
     #[test]
     fn distinct_blocks_counted_once() {
         let s = IoSession::new();
-        s.charge_read(EXT, 0);
-        s.charge_read(EXT, 0);
-        s.charge_read(EXT, 1);
-        s.charge_read(EXT2, 0); // same index, different extent
+        read(&s, EXT, 0);
+        read(&s, EXT, 0);
+        read(&s, EXT, 1);
+        read(&s, EXT2, 0); // same index, different extent
         assert_eq!(s.stats().reads, 3);
     }
 
     #[test]
     fn reads_and_writes_tracked_separately() {
         let s = IoSession::new();
-        s.charge_read(EXT, 0);
-        s.charge_write(EXT, 1);
+        read(&s, EXT, 0);
+        write(&s, EXT, 1);
         let st = s.stats();
         assert_eq!((st.reads, st.writes), (1, 1));
         assert_eq!(st.total(), 2);
@@ -278,8 +269,8 @@ mod tests {
         // A block that is written stays resident, so reading it back within
         // the same operation is free (it is in internal memory).
         let s = IoSession::new();
-        s.charge_write(EXT, 0);
-        s.charge_read(EXT, 0);
+        write(&s, EXT, 0);
+        read(&s, EXT, 0);
         let st = s.stats();
         assert_eq!((st.reads, st.writes), (0, 1));
     }
@@ -287,21 +278,21 @@ mod tests {
     #[test]
     fn bounded_memory_evicts_fifo() {
         let s = IoSession::with_memory_blocks(2);
-        s.charge_read(EXT, 0);
-        s.charge_read(EXT, 1);
-        s.charge_read(EXT, 2); // evicts block 0
-        s.charge_read(EXT, 0); // re-charged
+        read(&s, EXT, 0);
+        read(&s, EXT, 1);
+        read(&s, EXT, 2); // evicts block 0
+        read(&s, EXT, 0); // re-charged
         assert_eq!(s.stats().reads, 4);
         // Block 2 is still resident.
-        s.charge_read(EXT, 2);
+        read(&s, EXT, 2);
         assert_eq!(s.stats().reads, 4);
     }
 
     #[test]
     fn untracked_session_counts_nothing() {
         let s = IoSession::untracked();
-        s.charge_read(EXT, 0);
-        s.charge_write(EXT, 1);
+        read(&s, EXT, 0);
+        write(&s, EXT, 1);
         s.add_bits_read(100);
         assert_eq!(s.stats(), IoStats::default());
         assert!(!s.is_tracking());
@@ -310,9 +301,9 @@ mod tests {
     #[test]
     fn reset_clears_residency() {
         let s = IoSession::new();
-        s.charge_read(EXT, 0);
+        read(&s, EXT, 0);
         assert_eq!(s.take_stats().reads, 1);
-        s.charge_read(EXT, 0); // no longer resident after reset
+        read(&s, EXT, 0); // no longer resident after reset
         assert_eq!(s.stats().reads, 1);
     }
 
@@ -322,7 +313,7 @@ mod tests {
         // worker thread that owns the query.
         let s = IoSession::new();
         let s = std::thread::spawn(move || {
-            s.charge_read(EXT, 0);
+            read(&s, EXT, 0);
             s.add_bits_read(64);
             s
         })

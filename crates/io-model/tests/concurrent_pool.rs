@@ -86,8 +86,8 @@ fn stress_pin_evict_promote_races() {
                         // Transient access: pin, verify both words, unpin.
                         0..=2 => {
                             let p = pool.pin(ExtentId(ext), blk);
-                            assert_eq!(p.word(0), expected_word(ext, blk, 0));
-                            assert_eq!(p.word(1), expected_word(ext, blk, 1));
+                            assert_eq!(p.words()[0], expected_word(ext, blk, 0));
+                            assert_eq!(p.words()[1], expected_word(ext, blk, 1));
                             checked += 1;
                             pool.unpin(p);
                         }
@@ -102,7 +102,7 @@ fn stress_pin_evict_promote_races() {
                                 // Re-verify a held pin under pressure: its
                                 // frame must still hold the right block.
                                 let (e, b, p) = &held[(r >> 16) as usize % held.len()];
-                                assert_eq!(p.word(0), expected_word(*e, *b, 0));
+                                assert_eq!(p.words()[0], expected_word(*e, *b, 0));
                                 checked += 1;
                             }
                         }
@@ -110,14 +110,14 @@ fn stress_pin_evict_promote_races() {
                         _ => {
                             if !held.is_empty() {
                                 let (e, b, p) = held.remove(0);
-                                assert_eq!(p.word(1), expected_word(e, b, 1));
+                                assert_eq!(p.words()[1], expected_word(e, b, 1));
                                 pool.unpin(p);
                             }
                         }
                     }
                 }
                 for (e, b, p) in held {
-                    assert_eq!(p.word(0), expected_word(e, b, 0));
+                    assert_eq!(p.words()[0], expected_word(e, b, 0));
                     pool.unpin(p);
                 }
                 verified.fetch_add(checked, Ordering::Relaxed);
@@ -174,10 +174,13 @@ fn concurrent_cold_readers_fetch_each_block_once() {
             let disk = Arc::clone(&disk);
             scope.spawn(move || {
                 let session = IoSession::new();
-                let mut r = disk.reader(ExtentId(t), 0, &session);
+                let mut words = Vec::new();
+                disk.reader(ExtentId(t), 0, &session)
+                    .read_words(&mut words, BLOCKS * 128)
+                    .unwrap();
                 for blk in 0..BLOCKS {
-                    assert_eq!(r.read_bits(64), expected_word(t, blk, 0));
-                    assert_eq!(r.read_bits(64), expected_word(t, blk, 1));
+                    assert_eq!(words[2 * blk as usize], expected_word(t, blk, 0));
+                    assert_eq!(words[2 * blk as usize + 1], expected_word(t, blk, 1));
                 }
                 assert_eq!(session.stats().reads, BLOCKS);
             });
@@ -221,10 +224,13 @@ fn racing_threads_on_the_same_blocks_fetch_once_and_charge_alike() {
             let disk = Arc::clone(&disk);
             scope.spawn(move || {
                 let session = IoSession::new();
-                let mut r = disk.reader(ext, 0, &session);
+                let mut words = Vec::new();
+                disk.reader(ext, 0, &session)
+                    .read_words(&mut words, BLOCKS * 128)
+                    .unwrap();
                 for blk in 0..BLOCKS {
-                    assert_eq!(r.read_bits(64), expected_word(0, blk, 0));
-                    assert_eq!(r.read_bits(64), expected_word(0, blk, 1));
+                    assert_eq!(words[2 * blk as usize], expected_word(0, blk, 0));
+                    assert_eq!(words[2 * blk as usize + 1], expected_word(0, blk, 1));
                 }
                 // Charge parity: losing the fetch race must not change
                 // what a thread is charged.

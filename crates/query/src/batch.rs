@@ -49,10 +49,10 @@ pub fn grouped_order(queries: &[ConjunctiveQuery]) -> Vec<usize> {
 
 impl IndexedTable {
     /// Runs one query with its failure contained to its own result: a
-    /// typed error comes back as `Err`, and an unwind escaping the query
-    /// (an index bug, or a read abort raised outside its catch frame) is
-    /// caught and reported as [`QueryError::Panicked`] instead of killing
-    /// the calling worker thread.
+    /// typed error (a read fault included) comes back as `Err`, and an
+    /// unwind escaping the query, which only a bug raises, is caught and
+    /// reported as [`QueryError::Panicked`] instead of killing the calling
+    /// worker thread.
     fn settle_query(&self, query: &ConjunctiveQuery) -> Result<QueryOutcome, QueryError> {
         match catch_unwind(AssertUnwindSafe(|| self.execute_conjunctive(query))) {
             Ok(result) => result,
@@ -73,11 +73,13 @@ impl IndexedTable {
     /// [`std::thread::available_parallelism`]).
     ///
     /// Failures stay in their own slot: a query that hits a pool-budget
-    /// exhaustion, a failed block read, an unknown attribute — or even a
-    /// panic inside an index implementation — yields `Err` in *its* slot
-    /// while every sibling query still returns its correct rows. This is
-    /// the batch entry point for callers (such as a network server) that
-    /// must answer each request independently.
+    /// exhaustion, a failed block read or an unknown attribute yields a
+    /// typed `Err` in *its* slot while every sibling query still returns
+    /// its correct rows. A panic inside an index implementation is a bug,
+    /// not a read fault; it is still contained, as
+    /// [`QueryError::Panicked`]. This is the batch entry point for callers
+    /// (such as a network server) that must answer each request
+    /// independently.
     pub fn execute_batch_settled(
         &self,
         batch: &[ConjunctiveQuery],
@@ -118,7 +120,7 @@ impl IndexedTable {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use psi_api::{naive_query, RidSet, SecondaryIndex, Symbol};
+    use psi_api::{naive_query, ReadError, RidSet, SecondaryIndex, Symbol};
     use psi_io::IoSession;
 
     struct ScanIndex {
@@ -136,8 +138,8 @@ mod tests {
         fn space_bits(&self) -> u64 {
             0
         }
-        fn query(&self, lo: Symbol, hi: Symbol, _io: &IoSession) -> RidSet {
-            naive_query(&self.data, lo, hi)
+        fn try_query(&self, lo: Symbol, hi: Symbol, _io: &IoSession) -> Result<RidSet, ReadError> {
+            Ok(naive_query(&self.data, lo, hi))
         }
     }
 
@@ -251,7 +253,12 @@ mod tests {
         fn space_bits(&self) -> u64 {
             0
         }
-        fn query(&self, _lo: Symbol, _hi: Symbol, _io: &IoSession) -> RidSet {
+        fn try_query(
+            &self,
+            _lo: Symbol,
+            _hi: Symbol,
+            _io: &IoSession,
+        ) -> Result<RidSet, ReadError> {
             panic!("boom: injected index bug")
         }
     }

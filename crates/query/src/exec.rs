@@ -622,8 +622,13 @@ mod tests {
         fn space_bits(&self) -> u64 {
             0
         }
-        fn query(&self, lo: Symbol, hi: Symbol, _io: &IoSession) -> RidSet {
-            naive_query(&self.data, lo, hi)
+        fn try_query(
+            &self,
+            lo: Symbol,
+            hi: Symbol,
+            _io: &IoSession,
+        ) -> Result<RidSet, psi_api::ReadError> {
+            Ok(naive_query(&self.data, lo, hi))
         }
         fn cardinality_hint(&self, lo: Symbol, hi: Symbol) -> Option<u64> {
             Some(
@@ -648,8 +653,13 @@ mod tests {
         fn space_bits(&self) -> u64 {
             0
         }
-        fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-            self.0.query(lo, hi, io)
+        fn try_query(
+            &self,
+            lo: Symbol,
+            hi: Symbol,
+            io: &IoSession,
+        ) -> Result<RidSet, psi_api::ReadError> {
+            self.0.try_query(lo, hi, io)
         }
     }
 
@@ -780,9 +790,6 @@ mod tests {
         }
         fn space_bits(&self) -> u64 {
             0
-        }
-        fn query(&self, lo: Symbol, hi: Symbol, io: &IoSession) -> RidSet {
-            self.inner.query(lo, hi, io)
         }
         fn try_query(
             &self,

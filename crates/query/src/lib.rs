@@ -40,8 +40,13 @@
 //! #         fn len(&self) -> u64 { self.0.len() as u64 }
 //! #         fn sigma(&self) -> Symbol { self.1 }
 //! #         fn space_bits(&self) -> u64 { 0 }
-//! #         fn query(&self, lo: Symbol, hi: Symbol, _io: &psi_io::IoSession) -> RidSet {
-//! #             naive_query(&self.0, lo, hi)
+//! #         fn try_query(
+//! #             &self,
+//! #             lo: Symbol,
+//! #             hi: Symbol,
+//! #             _io: &psi_io::IoSession,
+//! #         ) -> Result<RidSet, psi_api::ReadError> {
+//! #             Ok(naive_query(&self.0, lo, hi))
 //! #         }
 //! #     }
 //! #     pub fn build(s: &[Symbol], sigma: u32) -> S { S(s.to_vec(), sigma) }
@@ -92,8 +97,9 @@ pub enum QueryError {
     /// column data is attached, so neither the index path nor the
     /// table-scan fallback can answer for it.
     Quarantined(String),
-    /// The query's execution panicked (a bug in an index implementation,
-    /// or a read abort raised outside its catch frame). Batch execution
+    /// The query's execution panicked, which is only ever a bug in an
+    /// index implementation or in this crate: read faults come back as
+    /// [`QueryError::Read`] values and never unwind. Batch execution
     /// contains the unwind to the offending query's result slot; the
     /// payload message is preserved here.
     Panicked(String),

@@ -205,9 +205,14 @@ impl SecondaryIndex for SlowScan {
     fn space_bits(&self) -> u64 {
         0
     }
-    fn query(&self, lo: Symbol, hi: Symbol, _io: &IoSession) -> RidSet {
+    fn try_query(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        _io: &IoSession,
+    ) -> Result<RidSet, psi_io::ReadError> {
         std::thread::sleep(std::time::Duration::from_millis(3));
-        naive_query(&self.data, lo, hi)
+        Ok(naive_query(&self.data, lo, hi))
     }
 }
 

@@ -319,9 +319,14 @@ impl SecondaryIndex for SlowScan {
     fn space_bits(&self) -> u64 {
         0
     }
-    fn query(&self, lo: Symbol, hi: Symbol, _io: &IoSession) -> RidSet {
+    fn try_query(
+        &self,
+        lo: Symbol,
+        hi: Symbol,
+        _io: &IoSession,
+    ) -> Result<RidSet, psi_io::ReadError> {
         std::thread::sleep(Duration::from_millis(2));
-        naive_query(&self.data, lo, hi)
+        Ok(naive_query(&self.data, lo, hi))
     }
 }
 

@@ -110,9 +110,13 @@ fn transient_faults_on_lazy_reads_are_invisible_under_retry() {
     );
     let io = IoSession::new();
     for (e, image) in images.iter().enumerate() {
-        let mut r = disk.reader(psi_io::ExtentId(e as u32), 0, &io);
+        let ext = psi_io::ExtentId(e as u32);
+        let mut words = Vec::new();
+        disk.reader(ext, 0, &io)
+            .read_words(&mut words, 64 * image.len() as u64)
+            .expect("transient faults are retried");
         for (w, &want) in image.iter().enumerate() {
-            assert_eq!(r.read_bits(64), want, "extent {e} word {w}");
+            assert_eq!(words[w], want, "extent {e} word {w}");
         }
     }
     assert!(faulty.injected() > 0, "the schedule actually fired");
