@@ -27,6 +27,9 @@
 //!   occupancy word)` entries that make gap streams seekable, powering
 //!   galloping set operations, occupancy probe rule-outs and the
 //!   dual-chain batch decode;
+//! * [`try_decode_gaps`] — the batch decode kernel over an untrusted
+//!   stream (a rows frame off the wire): a typed [`DecodeError`] where
+//!   the trusted decode would panic;
 //! * [`kernel`] — kernel-path counters (which decode / intersect
 //!   implementation actually ran);
 //! * [`entropy`] — empirical 0th-order entropy of symbol strings.
@@ -51,6 +54,7 @@ pub use buf::{BitBuf, BitBufReader, BitWriter};
 pub use gap::{words_pay, GapBitmap, GapCursor, GapDecoder, GapEncoder, GapIter};
 pub use plain::{PlainBitmap, RankDirectory};
 pub use skip::{SkipDirectory, SkipEntry, SKIP_SAMPLE};
+pub use swar::{try_decode_gaps, DecodeError};
 
 /// A destination for bits (in-memory buffer or disk writer).
 pub trait BitSink {

@@ -29,6 +29,12 @@
 //! other CPUs and targets. Every body is differentially tested against
 //! the bit-by-bit reference decoders (the tests below and
 //! `tests/differential.rs`).
+//!
+//! The same kernel decodes untrusted streams (a rows frame off the wire)
+//! through [`try_decode_gaps`]. Nothing in the hot drains changes for
+//! it: a code the word-scan fallback cannot finish stops its chain past
+//! the stream's end, and the count check that the trusted entry asserts
+//! returns a [`DecodeError`] instead.
 
 use crate::kernel;
 use crate::skip::SkipDirectory;
@@ -65,6 +71,21 @@ pub(crate) fn decode_gaps(
     dir: Option<&SkipDirectory>,
     out: &mut Vec<u64>,
 ) {
+    let (pos, len) = decode_into(words, bit_len, count, dir, out);
+    if let Err(e) = check_count(len, count, bit_len, pos) {
+        panic!("{e}");
+    }
+}
+
+/// The body of [`decode_gaps`]: clears `out`, decodes into it and
+/// returns where decoding stopped and how many elements it emitted.
+fn decode_into(
+    words: &[u64],
+    bit_len: u64,
+    count: u64,
+    dir: Option<&SkipDirectory>,
+    out: &mut Vec<u64>,
+) -> (u64, usize) {
     out.clear();
     out.reserve(count as usize);
     let (pos, len) = dispatch(words, bit_len, count, dir, &mut Slots(out.as_mut_ptr()));
@@ -72,7 +93,132 @@ pub(crate) fn decode_gaps(
     // leading chain's cursor when its boundary disagrees, so the exposed
     // prefix is always initialized), all within the reserved capacity.
     unsafe { out.set_len(len) };
-    check_count(len, count, bit_len, pos);
+    (pos, len)
+}
+
+/// Why a gap code stream did not decode ([`try_decode_gaps`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecodeError {
+    /// `bit_len` exceeds the words supplied, or `count` exceeds
+    /// `bit_len` (every gamma code is at least one bit).
+    Lengths {
+        /// Claimed stream length in bits.
+        bit_len: u64,
+        /// Words supplied.
+        words: u64,
+        /// Claimed number of codes.
+        count: u64,
+    },
+    /// The stream holds more codes than its count: decoding stopped
+    /// after the last counted code with bits left over.
+    TrailingBits {
+        /// Bit offset where the uncounted bits begin.
+        at: u64,
+        /// Claimed stream length in bits.
+        bit_len: u64,
+    },
+    /// The stream ended after `got` of `count` codes.
+    Short {
+        /// Codes decoded.
+        got: u64,
+        /// Claimed number of codes.
+        count: u64,
+    },
+    /// A code runs past the end of the stream, or is wider than any gap
+    /// a `u64` can hold.
+    Truncated {
+        /// Codes decoded before it.
+        got: u64,
+    },
+    /// Element `index` is not above its predecessor (the running sum
+    /// wrapped) or lies at or past the universe.
+    OutOfOrder {
+        /// Index of the offending element.
+        index: u64,
+        /// Its decoded value.
+        value: u64,
+        /// The universe bound.
+        universe: u64,
+    },
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            DecodeError::Lengths {
+                bit_len,
+                words,
+                count,
+            } => write!(
+                f,
+                "gap stream of {bit_len} bits in {words} words cannot hold {count} codes"
+            ),
+            DecodeError::TrailingBits { at, bit_len } => write!(
+                f,
+                "gap stream holds more codes than its count: bits {at}..{bit_len} left over"
+            ),
+            DecodeError::Short { got, count } => {
+                write!(f, "gap stream ended early: {got} of {count} codes")
+            }
+            DecodeError::Truncated { got } => {
+                write!(f, "gap code {got} runs past the end of the stream")
+            }
+            DecodeError::OutOfOrder {
+                index,
+                value,
+                universe,
+            } => write!(
+                f,
+                "element {index} ({value}) is not increasing or lies outside universe {universe}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Decodes an untrusted gamma gap stream: [`decode_gaps`] on one chain
+/// (no directory), returning an error wherever that panics, and then
+/// checking that the positions are strictly increasing and below
+/// `universe` — a hostile stream can wrap the running sum. The lengths
+/// are checked before `out` grows, so its capacity never exceeds one
+/// element per bit of the stream.
+///
+/// On error `out` holds an unspecified prefix of the decode.
+pub fn try_decode_gaps(
+    words: &[u64],
+    bit_len: u64,
+    count: u64,
+    universe: u64,
+    out: &mut Vec<u64>,
+) -> Result<(), DecodeError> {
+    if bit_len > 64 * words.len() as u64 || count > bit_len {
+        return Err(DecodeError::Lengths {
+            bit_len,
+            words: words.len() as u64,
+            count,
+        });
+    }
+    let (pos, len) = decode_into(words, bit_len, count, None, out);
+    check_count(len, count, bit_len, pos)?;
+    // One branch-free pass over the pairs; the offender is looked for
+    // only once the pass failed.
+    let ordered = out.len() < 2
+        || out[..out.len() - 1]
+            .iter()
+            .zip(&out[1..])
+            .fold(true, |ok, (a, b)| ok & (a < b));
+    if ordered && out.last().is_none_or(|&p| p < universe) {
+        return Ok(());
+    }
+    let index = (0..out.len())
+        .find(|&i| out[i] >= universe || (i > 0 && out[i - 1] >= out[i]))
+        .expect("an element out of order or range");
+    Err(DecodeError::OutOfOrder {
+        index: index as u64,
+        value: out[index],
+        universe,
+    })
 }
 
 /// Decodes the same stream as [`decode_gaps`], but ORs each element `p`
@@ -97,7 +243,9 @@ pub(crate) fn set_gaps(
         base_word: (base / 64) as usize,
     };
     let (pos, len) = dispatch(words, bit_len, count, dir, sink);
-    check_count(len, count, bit_len, pos);
+    if let Err(e) = check_count(len, count, bit_len, pos) {
+        panic!("{e}");
+    }
 }
 
 /// Picks the chain split, the burst specialization and the body for one
@@ -237,15 +385,22 @@ fn split_point(dir: &SkipDirectory, bit_len: u64, count: u64) -> Option<(usize, 
     Some((idx as usize, e.pos, e.bit_off))
 }
 
-/// The post-decode count check shared by both sinks: `pos` is where
-/// decoding stopped — short of `bit_len` only when an output bound was
-/// hit with stream left over — and `len` how many elements were emitted.
-fn check_count(len: usize, count: u64, bit_len: u64, pos: u64) {
-    assert!(pos >= bit_len, "gap stream holds more codes than its count");
-    assert!(
-        len as u64 == count,
-        "gap stream ended early: {len} of {count} codes in {bit_len} bits"
-    );
+/// The post-decode count check shared by both sinks and both entries:
+/// `pos` is where decoding stopped — short of `bit_len` only when an
+/// output bound was hit with stream left over, past it only when a code
+/// ran off the end ([`Chain::step`]) — and `len` how many elements were
+/// emitted.
+fn check_count(len: usize, count: u64, bit_len: u64, pos: u64) -> Result<(), DecodeError> {
+    let got = len as u64;
+    if pos > bit_len {
+        Err(DecodeError::Truncated { got })
+    } else if pos < bit_len {
+        Err(DecodeError::TrailingBits { at: pos, bit_len })
+    } else if got != count {
+        Err(DecodeError::Short { got, count })
+    } else {
+        Ok(())
+    }
 }
 
 /// Whether the accelerated clone may run, detected once per process.
@@ -424,15 +579,22 @@ impl Chain {
                 self.prev = prev;
                 return;
             }
-            // Codeword longer than the window (gap ≥ 2³²): word-scan the
-            // unary prefix, extract the mantissa, re-synchronize.
-            let n = unary_at(words, end, pos);
-            let tail = pos + u64::from(n) + 1;
-            prev = prev.wrapping_add((1u64 << n) | bits_at(words, tail, n));
+            // Codeword longer than the window (gap ≥ 2³²), or one cut off
+            // by the end of a malformed stream: word-scan the unary
+            // prefix, extract the mantissa, re-synchronize. A code that
+            // does not fit the chain's range stops the chain one bit past
+            // its end, which the count check reports.
+            let Some((gap, next)) = long_code(words, end, pos) else {
+                self.pos = end + 1;
+                self.idx = idx;
+                self.prev = prev;
+                return;
+            };
+            prev = prev.wrapping_add(gap);
             // SAFETY: `idx < lim` checked just above.
             unsafe { sink.one(idx, prev) };
             idx += 1;
-            self.pos = tail + u64::from(n);
+            self.pos = next;
         } else {
             self.pos = pos + u64::from(used);
         }
@@ -525,24 +687,39 @@ fn decode_body<const BURST: bool, S: Sink>(
     }
 }
 
-/// Zeros before the next 1-bit at `pos` (the unary prefix), scanning
-/// whole words.
+/// The gamma code at `pos` through the word-scan path: its value and the
+/// bit offset just past it. `None` when the code does not end by `end`,
+/// or its unary prefix is 64 zeros or more (a gap no `u64` holds).
+/// `end` must not exceed the bits of `words`.
 #[inline(always)]
-fn unary_at(words: &[u64], bit_len: u64, mut pos: u64) -> u32 {
+fn long_code(words: &[u64], end: u64, pos: u64) -> Option<(u64, u64)> {
+    let n = unary_at(words, end, pos)?;
+    let tail = pos + u64::from(n) + 1;
+    if n > 63 || tail + u64::from(n) > end {
+        return None;
+    }
+    Some(((1u64 << n) | bits_at(words, tail, n), tail + u64::from(n)))
+}
+
+/// Zeros before the next 1-bit at `pos` (the unary prefix), scanning
+/// whole words; `None` if no 1-bit comes before `bit_len`, or none
+/// within the first 64 zeros.
+#[inline(always)]
+fn unary_at(words: &[u64], bit_len: u64, mut pos: u64) -> Option<u32> {
     let mut zeros = 0u32;
-    loop {
-        assert!(pos < bit_len, "unary code ran past end of stream");
+    while pos < bit_len && zeros < 64 {
         let w = (pos >> 6) as usize;
         let off = (pos & 63) as u32;
         let chunk = words[w] << off;
-        let avail = (64 - off).min((bit_len - pos) as u32);
+        let avail = (64 - off).min((bit_len - pos).min(64) as u32);
         let lz = chunk.leading_zeros().min(avail);
         if lz < avail {
-            return zeros + lz;
+            return Some(zeros + lz);
         }
         zeros += avail;
         pos += u64::from(avail);
     }
+    None
 }
 
 /// Reads `k ≤ 64` bits at `pos` (MSB-first, may straddle two words).
@@ -665,6 +842,54 @@ mod tests {
         }
 
         #[test]
+        fn fallible_decode_equals_the_trusted_decoders_and_refuses_malformed_streams(
+            widths in proptest::collection::vec(0u32..24, 1..1500),
+            max_width in 1u32..24,
+            burst in any::<bool>(),
+            salt in any::<u64>(),
+            wide in proptest::collection::vec((0usize..1500, 32u32..61), 0..3),
+            cut in any::<u64>(),
+        ) {
+            // Unit gaps only (the burst drain) or gaps up to `max_width`
+            // bits (the plain one), plus a few codes wider than 64 bits.
+            let mut gaps = gaps(&widths, if burst { 0 } else { max_width }, salt);
+            for &(at, w) in &wide {
+                let at = at % gaps.len();
+                gaps[at] = (1u64 << w) | (salt >> (64 - w));
+            }
+            let positions = positions(&gaps);
+            let universe = positions[positions.len() - 1] + 1;
+            let bm = GapBitmap::from_sorted(&positions, universe);
+            let (words, bit_len, count) = (bm.code_bits().words(), bm.size_bits(), bm.count());
+            let mut r = bm.code_bits().reader();
+            let mut p = u64::MAX;
+            let reference: Vec<u64> = (0..count)
+                .map(|_| {
+                    p = p.wrapping_add(codes::get_gamma_reference(&mut r));
+                    p
+                })
+                .collect();
+            let mut got = vec![7];
+            prop_assert_eq!(try_decode_gaps(words, bit_len, count, universe, &mut got), Ok(()));
+            prop_assert_eq!(&got, &reference);
+            prop_assert_eq!(&got, &bm.to_vec());
+
+            let refused = |words: &[u64], bit_len, count, universe| {
+                try_decode_gaps(words, bit_len, count, universe, &mut Vec::new()).is_err()
+            };
+            // Too many codes for the count, too few, a universe the last
+            // position reaches, and words short of the claimed length.
+            prop_assert!(refused(words, bit_len, count - 1, universe));
+            prop_assert!(refused(words, bit_len, count + 1, universe));
+            prop_assert!(refused(words, bit_len, count, universe - 1));
+            prop_assert!(refused(&words[..words.len() - 1], bit_len, count, universe));
+            // A tail cut anywhere inside the last code.
+            let last_code = u64::from(2 * (63 - gaps[gaps.len() - 1].leading_zeros()) + 1);
+            let short = bit_len - 1 - cut % last_code;
+            prop_assert!(refused(words, short, count, universe), "cut to {} of {}", short, bit_len);
+        }
+
+        #[test]
         fn every_body_sets_the_reference_bits(
             widths in proptest::collection::vec(0u32..10, 1..1500),
             max_width in 0u32..10,
@@ -702,5 +927,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A stream whose codes are each well formed but whose running sum
+    /// wraps past `u64::MAX`, back below its first position.
+    #[test]
+    fn a_wrapping_running_sum_is_refused() {
+        let mut b = crate::BitBuf::new();
+        codes::put_gamma(&mut b, 6); // p₀ = 5
+        codes::put_gamma(&mut b, u64::MAX - 2); // 5 + 2⁶⁴ − 3 wraps to 2
+        let err = try_decode_gaps(b.words(), b.len(), 2, 100, &mut Vec::new());
+        assert_eq!(
+            err,
+            Err(DecodeError::OutOfOrder {
+                index: 1,
+                value: 2,
+                universe: 100
+            })
+        );
+    }
+
+    /// Codes the trusted decoder used to panic on: a unary prefix of 64
+    /// zeros or more, a prefix that runs off the stream, and a mantissa
+    /// cut by the end of the last word.
+    #[test]
+    fn malformed_long_codes_are_errors_not_panics() {
+        let refused = |words: &[u64], bit_len, count| {
+            try_decode_gaps(words, bit_len, count, u64::MAX, &mut Vec::new())
+        };
+        // 64 zeros, then a 1: no u64 gap has so long a prefix.
+        assert_eq!(
+            refused(&[0, 1 << 63], 65, 1),
+            Err(DecodeError::Truncated { got: 0 })
+        );
+        // Nothing but zeros.
+        assert_eq!(
+            refused(&[0, 0], 128, 1),
+            Err(DecodeError::Truncated { got: 0 })
+        );
+        // A 40-zero prefix whose 40-bit mantissa the stream ends inside.
+        assert_eq!(
+            refused(&[1 << 23, 0], 70, 1),
+            Err(DecodeError::Truncated { got: 0 })
+        );
+        // A claimed length past the words supplied.
+        assert!(matches!(
+            refused(&[u64::MAX], 65, 1),
+            Err(DecodeError::Lengths { .. })
+        ));
     }
 }

@@ -153,6 +153,10 @@ struct ServeObs {
     batch_occupancy: Histogram,
     /// Admission-to-response latency per served request.
     request_ns: Histogram,
+    /// Encoding one response frame, per response.
+    encode_ns: Histogram,
+    /// Writing one response frame to its connection, per response.
+    write_ns: Histogram,
 }
 
 // ------------------------------------------------------------- transport
@@ -311,6 +315,14 @@ impl Shared {
             Value::Histogram(self.obs.request_ns.snapshot()),
         );
         snap.set(
+            "serve/encode_ns",
+            Value::Histogram(self.obs.encode_ns.snapshot()),
+        );
+        snap.set(
+            "serve/write_ns",
+            Value::Histogram(self.obs.write_ns.snapshot()),
+        );
+        snap.set(
             "serve/slow_queries",
             Value::Counter(self.slow_log.len() as u64),
         );
@@ -410,6 +422,8 @@ impl Server {
                 queue_depth: Gauge::new(),
                 batch_occupancy: Histogram::new(),
                 request_ns: Histogram::new(),
+                encode_ns: Histogram::new(),
+                write_ns: Histogram::new(),
             },
             per_conn: Mutex::new(BTreeMap::new()),
             slow_log: RingLog::new(cfg.slow_log_capacity),
@@ -790,6 +804,9 @@ fn batch_loop(shared: Arc<Shared>) {
 
         let mut served_per_conn: HashMap<u64, u64> = HashMap::new();
         for ((p, result), writer) in batch.iter().zip(&settled).zip(&writers) {
+            // Stage clocks run only while recording is on, like the
+            // pool's fetch timer.
+            let encode_start = psi_obs::enabled().then(std::time::Instant::now);
             let payload = match result {
                 Ok(outcome) => {
                     shared.counters.served_rows.fetch_add(1, Ordering::Relaxed);
@@ -803,7 +820,13 @@ fn batch_loop(shared: Arc<Shared>) {
                     encode_error(p.id, &WireError::from(e))
                 }
             };
+            let encoded = encode_start.map(|t| (t, std::time::Instant::now()));
             send(writer, &payload);
+            if let Some((t0, t1)) = encoded {
+                let encode_ns = t1.duration_since(t0).as_nanos() as u64;
+                shared.obs.encode_ns.record(encode_ns);
+                shared.obs.write_ns.record_since(t1);
+            }
             *served_per_conn.entry(p.conn).or_default() += 1;
             if let Some(t0) = p.t0 {
                 let elapsed_ns = t0.elapsed().as_nanos() as u64;

@@ -6,7 +6,10 @@
 //! frame     := len:u32le | payload (len bytes, len ≤ max_frame_bytes)
 //! request   := 0x01 | id:u64 | n:u64 | n × condition
 //! condition := attr:str | lo:u32 | hi:u32 | negated:bool
-//! rows      := 0x02 | id:u64 | rids:vec<u64> | blocks_read:u64 | degraded:bool
+//! rows      := 0x06 | id:u64 | universe:u64 | count:u64 | complemented:bool
+//!              | codec:u8 | codes | blocks_read:u64 | degraded:bool
+//! codes     := (codec 0, gamma) bit_len:u64 | ⌈bit_len/64⌉ × word:u64
+//!            | (codec 1, words) base:u64 | n:u64 | n × word:u64
 //! error     := 0x03 | id:u64 | code:u8 | message:str
 //! stats     := 0x04 | id:u64
 //! statsrep  := 0x05 | id:u64 | n:u64 | n × entry
@@ -16,11 +19,35 @@
 //! str       := len:u64 | bytes   (length-prefixed UTF-8, like MetaBuf)
 //! ```
 //!
+//! A rows frame carries the answer as the server holds it, a `RidSet`:
+//! its stored set's `count` positions below `universe`, which are the
+//! answer itself or, when `complemented`, the rows the answer leaves out.
+//! The stored set is gamma codes of its gaps (MSB-first words, bits past
+//! `bit_len` zero) or plain words, bit `j` of word `i` being position
+//! `base + 64i + j`. The server copies the words verbatim, so an answer
+//! costs about `lg C(n, z)` bits on the wire instead of 64 per row. Tag
+//! `0x02`, the retired frame of 8-byte row ids, is refused as an
+//! unexpected tag.
+//!
+//! [`decode_response`] checks a rows frame's header before allocating
+//! anything of the size it claims: `count ≤ universe`, the logical row
+//! count (`count`, or `universe − count` when complemented) at most
+//! [`MAX_REPLY_ROWS`], a known codec, code words present in the frame,
+//! at most one gamma code per bit, and a words span that is word-aligned
+//! and ends inside the universe. Then it decodes: gamma through the
+//! psi-bits SWAR kernel's fallible entry ([`psi_bits::try_decode_gaps`]:
+//! exactly `count` codes ending at `bit_len`, positions strictly
+//! increasing and below the universe), words by bit scan after their
+//! popcount matched `count`. A complemented answer is expanded over its
+//! universe from those stored positions (at most one per bit of the
+//! frame), so every client gets the same ascending `Vec<u64>`.
+//!
 //! Every decoder path returns a typed error — a malformed frame can
-//! never panic the server, and a frame longer than the negotiated cap is
-//! rejected *before* any allocation. Requests and responses carry a
-//! caller-chosen `id`; responses may come back in any order (the server
-//! batches per tick), so the id is the only correlation.
+//! never panic the server or the client, and a frame longer than the
+//! negotiated cap is rejected *before* any allocation. Requests and
+//! responses carry a caller-chosen `id`; responses may come back in any
+//! order (the server batches per tick), so the id is the only
+//! correlation.
 
 use std::io::{self, Read, Write};
 
@@ -28,14 +55,20 @@ use psi_obs::{HistSnapshot, Snapshot, Value};
 use psi_query::{AttrCondition, ConjunctiveQuery, QueryError, QueryOutcome};
 use psi_store::{MetaBuf, MetaCursor};
 
-/// Default cap on a single frame's payload, requests and responses alike
-/// (a response listing every row of a large result can be sizeable).
+/// Default cap on a single frame's payload, requests and responses alike.
 pub const MAX_FRAME_BYTES: u32 = 8 << 20;
+
+/// Most rows a client materializes from one rows frame: the 1,048,576
+/// row ids an [`MAX_FRAME_BYTES`] frame of 8-byte ids could carry. A
+/// frame whose header claims more is refused before anything is
+/// allocated; a compressed frame, complemented ones above all, could
+/// otherwise claim any number of rows in a few bytes.
+pub const MAX_REPLY_ROWS: u64 = MAX_FRAME_BYTES as u64 / 8;
 
 /// Message tag: a conjunctive query request.
 pub const MSG_QUERY: u8 = 0x01;
-/// Message tag: a successful response carrying result rows.
-pub const MSG_ROWS: u8 = 0x02;
+/// Message tag: a successful response carrying the answer's stored form.
+pub const MSG_ROWS: u8 = 0x06;
 /// Message tag: a typed failure response.
 pub const MSG_ERROR: u8 = 0x03;
 /// Message tag: a live metrics-snapshot request. Answered inline by the
@@ -48,6 +81,14 @@ pub const MSG_STATS_REPLY: u8 = 0x05;
 /// Request id used for an error response when the offending frame was
 /// too malformed to yield the real id.
 pub const UNKNOWN_ID: u64 = u64::MAX;
+
+/// Rows-frame codec: gamma codes of the stored set's gaps.
+const CODEC_GAMMA: u8 = 0;
+/// Rows-frame codec: the stored set as plain words over its span.
+const CODEC_WORDS: u8 = 1;
+/// Bytes of a gamma rows frame besides its code words (a words frame
+/// adds its span length).
+const ROWS_FIXED_BYTES: usize = 1 + 8 + 8 + 8 + 1 + 1 + 8 + 8 + 1;
 
 /// Typed failure codes carried by [`MSG_ERROR`] responses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,7 +285,7 @@ pub fn encode_request(id: u64, query: &ConjunctiveQuery) -> Vec<u8> {
         b.put_u32(c.hi);
         b.put_bool(c.negated);
     }
-    b.bytes().to_vec()
+    b.into_bytes()
 }
 
 /// A decoded request frame.
@@ -307,15 +348,36 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, (u64, WireError)> {
 
 // ------------------------------------------------------------- responses
 
-/// Encodes a rows response from an executed outcome.
+/// Encodes a rows response from an executed outcome: the answer's
+/// stored form, its code words copied as they are.
 pub fn encode_rows(id: u64, outcome: &QueryOutcome) -> Vec<u8> {
-    let mut b = MetaBuf::new();
+    let stored = outcome.rows.stored();
+    let (codec, head, words) = match stored.plain_words() {
+        Some((base, span)) => (CODEC_WORDS, base, span),
+        None => {
+            let bits = stored.code_bits();
+            let n = bits.len().div_ceil(64) as usize;
+            (CODEC_GAMMA, bits.len(), &bits.words()[..n])
+        }
+    };
+    let mut b = MetaBuf::with_capacity(ROWS_FIXED_BYTES + 8 + 8 * words.len());
     b.put_u8(MSG_ROWS);
     b.put_u64(id);
-    b.put_vec_u64(&outcome.rows.to_vec());
+    b.put_u64(stored.universe());
+    b.put_u64(stored.count());
+    b.put_bool(outcome.rows.is_complemented());
+    b.put_u8(codec);
+    b.put_u64(head);
+    if codec == CODEC_WORDS {
+        b.put_vec_u64(words);
+    } else {
+        for &w in words {
+            b.put_u64(w);
+        }
+    }
     b.put_u64(outcome.io.reads);
     b.put_bool(!outcome.degraded.is_empty());
-    b.bytes().to_vec()
+    b.into_bytes()
 }
 
 /// Encodes a typed error response.
@@ -325,7 +387,7 @@ pub fn encode_error(id: u64, err: &WireError) -> Vec<u8> {
     b.put_u64(id);
     b.put_u8(err.code as u8);
     b.put_str(&err.message);
-    b.bytes().to_vec()
+    b.into_bytes()
 }
 
 /// Decodes a response payload (the client side). Malformed responses are
@@ -337,16 +399,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     let tag = c.get_u8().map_err(|e| proto("response tag", e))?;
     let id = c.get_u64().map_err(|e| proto("response id", e))?;
     let body = match tag {
-        MSG_ROWS => {
-            let rows = c.get_vec_u64().map_err(|e| proto("rows", e))?;
-            let blocks_read = c.get_u64().map_err(|e| proto("blocks_read", e))?;
-            let degraded = c.get_bool().map_err(|e| proto("degraded flag", e))?;
-            Ok(RowsReply {
-                rows,
-                blocks_read,
-                degraded,
-            })
-        }
+        MSG_ROWS => Ok(decode_rows(&mut c)?),
         MSG_ERROR => {
             let code = c.get_u8().map_err(|e| proto("error code", e))?;
             let code = ErrorCode::from_u8(code)
@@ -369,6 +422,138 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     Ok(Response { id, body })
 }
 
+/// The body of a rows frame after its id; see the module docs for the
+/// checks and their order.
+fn decode_rows(c: &mut MetaCursor<'_>) -> Result<RowsReply, WireError> {
+    let proto = |what: &str, e: psi_store::StoreError| WireError::protocol(format!("{what}: {e}"));
+    let universe = c.get_u64().map_err(|e| proto("universe", e))?;
+    let count = c.get_u64().map_err(|e| proto("count", e))?;
+    let complemented = c.get_bool().map_err(|e| proto("complemented flag", e))?;
+    let codec = c.get_u8().map_err(|e| proto("codec", e))?;
+    if count > universe {
+        return Err(WireError::protocol(format!(
+            "count {count} exceeds universe {universe}"
+        )));
+    }
+    let rows_n = if complemented {
+        universe - count
+    } else {
+        count
+    };
+    if rows_n > MAX_REPLY_ROWS {
+        return Err(WireError::protocol(format!(
+            "answer of {rows_n} rows exceeds the {MAX_REPLY_ROWS}-row cap"
+        )));
+    }
+    // The stored positions: the answer itself, or what it leaves out.
+    // Either way at most one per bit of the frame.
+    let stored = match codec {
+        CODEC_GAMMA => gamma_positions(c, universe, count)?,
+        CODEC_WORDS => words_positions(c, universe, count)?,
+        other => return Err(WireError::protocol(format!("unknown rows codec {other}"))),
+    };
+    let rows = if complemented {
+        // Strictly increasing and below the universe, so the gaps
+        // between them are exactly the answer's `rows_n` rows.
+        let mut rows = Vec::with_capacity(rows_n as usize);
+        let mut next = 0;
+        for p in stored {
+            rows.extend(next..p);
+            next = p + 1;
+        }
+        rows.extend(next..universe);
+        rows
+    } else {
+        stored
+    };
+    let blocks_read = c.get_u64().map_err(|e| proto("blocks_read", e))?;
+    let degraded = c.get_bool().map_err(|e| proto("degraded flag", e))?;
+    Ok(RowsReply {
+        rows,
+        blocks_read,
+        degraded,
+    })
+}
+
+/// A gamma-coded stored set: `bit_len` and its words, decoded by the
+/// fallible SWAR entry.
+fn gamma_positions(
+    c: &mut MetaCursor<'_>,
+    universe: u64,
+    count: u64,
+) -> Result<Vec<u64>, WireError> {
+    let bit_len = c
+        .get_u64()
+        .map_err(|e| WireError::protocol(format!("bit length: {e}")))?;
+    let n = bit_len.div_ceil(64);
+    // Every code is at least one bit.
+    if n > (c.remaining() / 8) as u64 || count > bit_len {
+        return Err(WireError::protocol(format!(
+            "{count} codes in {bit_len} bits do not fit {} bytes",
+            c.remaining()
+        )));
+    }
+    let words = get_words(c, n as usize)?;
+    if bit_len % 64 != 0 && words.last().is_some_and(|&w| w << (bit_len % 64) != 0) {
+        return Err(WireError::protocol("set bits after the last code"));
+    }
+    let mut positions = Vec::new();
+    psi_bits::try_decode_gaps(&words, bit_len, count, universe, &mut positions)
+        .map_err(|e| WireError::protocol(format!("codes: {e}")))?;
+    Ok(positions)
+}
+
+/// A words-form stored set: `base` and its span, read by bit scan.
+fn words_positions(
+    c: &mut MetaCursor<'_>,
+    universe: u64,
+    count: u64,
+) -> Result<Vec<u64>, WireError> {
+    let proto = |what: &str, e: psi_store::StoreError| WireError::protocol(format!("{what}: {e}"));
+    let base = c.get_u64().map_err(|e| proto("span base", e))?;
+    let n = c.get_len(8).map_err(|e| proto("span", e))?;
+    let universe_words = universe.div_ceil(64);
+    if !base.is_multiple_of(64) || base / 64 + n as u64 > universe_words {
+        return Err(WireError::protocol(format!(
+            "span of {n} words at {base} lies outside universe {universe}"
+        )));
+    }
+    let words = get_words(c, n)?;
+    let tail = universe % 64;
+    if tail != 0
+        && base / 64 + n as u64 == universe_words
+        && words.last().is_some_and(|&w| w >> tail != 0)
+    {
+        return Err(WireError::protocol(format!(
+            "span sets a position at or past universe {universe}"
+        )));
+    }
+    let ones: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
+    if ones != count {
+        return Err(WireError::protocol(format!(
+            "span holds {ones} positions, header says {count}"
+        )));
+    }
+    let mut positions = Vec::with_capacity(count as usize);
+    for (i, &w) in words.iter().enumerate() {
+        let mut w = w;
+        while w != 0 {
+            positions.push(base + 64 * i as u64 + u64::from(w.trailing_zeros()));
+            w &= w - 1;
+        }
+    }
+    Ok(positions)
+}
+
+/// Reads `n` code words; the caller has checked that the frame holds
+/// them.
+fn get_words(c: &mut MetaCursor<'_>, n: usize) -> Result<Vec<u64>, WireError> {
+    (0..n)
+        .map(|_| c.get_u64())
+        .collect::<Result<_, _>>()
+        .map_err(|e| WireError::protocol(format!("code words: {e}")))
+}
+
 // ----------------------------------------------------------------- stats
 
 /// Encodes a metrics-snapshot request.
@@ -376,7 +561,7 @@ pub fn encode_stats_request(id: u64) -> Vec<u8> {
     let mut b = MetaBuf::new();
     b.put_u8(MSG_STATS);
     b.put_u64(id);
-    b.bytes().to_vec()
+    b.into_bytes()
 }
 
 /// Decodes a metrics-snapshot request, returning its id.
@@ -446,7 +631,7 @@ pub fn encode_stats_reply(id: u64, snap: &Snapshot) -> Vec<u8> {
             }
         }
     }
-    b.bytes().to_vec()
+    b.into_bytes()
 }
 
 /// Decodes a metrics-snapshot reply into `(id, snapshot)`. The decoded
@@ -561,6 +746,117 @@ mod tests {
         let (id, e) = decode_request(&full).expect_err("trailing byte");
         assert_eq!(id, 7);
         assert_eq!(e.code, ErrorCode::Protocol);
+    }
+
+    fn outcome(rows: psi_api::RidSet, reads: u64, degraded: bool) -> QueryOutcome {
+        let strategy = psi_query::CombineStrategy::Gallop;
+        QueryOutcome {
+            plan: psi_query::Plan {
+                order: Vec::new(),
+                estimates: Vec::new(),
+                strategy,
+            },
+            io: psi_io::IoStats {
+                reads,
+                ..Default::default()
+            },
+            degraded: if degraded {
+                vec!["a".into()]
+            } else {
+                Vec::new()
+            },
+            trace: psi_query::PlanTrace {
+                strategy,
+                conditions: Vec::new(),
+                result_rows: rows.cardinality(),
+                elapsed_ns: 0,
+            },
+            rows,
+        }
+    }
+
+    /// One answer of every stored form a rows frame carries.
+    fn answers() -> Vec<(&'static str, psi_api::RidSet)> {
+        use psi_api::RidSet;
+        use psi_bits::GapBitmap;
+        let sparse: Vec<u64> = (0..300).map(|i| i * i + 7).collect();
+        let dense: Vec<u64> = vec![0b1011_0110, u64::MAX, 0, 1 << 63];
+        vec![
+            (
+                "gamma",
+                RidSet::from_positions(GapBitmap::from_sorted(&sparse, 100_000)),
+            ),
+            (
+                "words at a non-zero base",
+                RidSet::from_positions(GapBitmap::from_plain_words(dense.clone(), 640, 1000)),
+            ),
+            (
+                "complemented gamma",
+                RidSet::from_complement(GapBitmap::from_sorted(&[0, 5, 999], 1000)),
+            ),
+            (
+                "complemented words",
+                RidSet::from_complement(GapBitmap::from_plain_words(dense, 704, 1000)),
+            ),
+            ("empty", RidSet::from_positions(GapBitmap::empty(1000))),
+            (
+                "complemented empty universe",
+                RidSet::from_complement(GapBitmap::empty(0)),
+            ),
+            (
+                "universe not a multiple of 64",
+                RidSet::from_positions(GapBitmap::from_sorted(&[1, 62, 63, 64, 130], 131)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn rows_frames_roundtrip_every_stored_form() {
+        for (i, (form, rows)) in answers().into_iter().enumerate() {
+            let want = rows.to_vec();
+            let o = outcome(rows, 3 + i as u64, i % 2 == 1);
+            let resp = decode_response(&encode_rows(40 + i as u64, &o)).expect(form);
+            assert_eq!(resp.id, 40 + i as u64, "{form}");
+            assert_eq!(
+                resp.body,
+                Ok(RowsReply {
+                    rows: want,
+                    blocks_read: o.io.reads,
+                    degraded: !o.degraded.is_empty(),
+                }),
+                "{form}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rows_frame_carries_the_codes_not_the_rows() {
+        let (_, rows) = answers().swap_remove(0);
+        let o = outcome(rows, 0, false);
+        assert_eq!(
+            encode_rows(1, &o).len() as u64,
+            ROWS_FIXED_BYTES as u64 + o.rows.size_bits().div_ceil(64) * 8
+        );
+        // The complement of three rows in a thousand is three codes.
+        let (_, rows) = answers().swap_remove(2);
+        assert!(encode_rows(1, &outcome(rows, 0, false)).len() < ROWS_FIXED_BYTES + 16);
+    }
+
+    #[test]
+    fn the_retired_rows_tag_is_an_unexpected_tag() {
+        let mut b = MetaBuf::new();
+        b.put_u8(0x02);
+        b.put_u64(1);
+        b.put_vec_u64(&[1, 2, 3]);
+        b.put_u64(0);
+        b.put_bool(false);
+        let e = decode_response(b.bytes()).expect_err("old rows frame");
+        assert_eq!(e.code, ErrorCode::Protocol);
+        assert!(
+            e.message.contains("unexpected response tag"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

@@ -327,6 +327,35 @@ fn soak_unix_socket_transport() {
 }
 
 #[test]
+fn complemented_answers_cross_the_wire_as_their_complement() {
+    let (served, oracle) = tables(&[]);
+    let server = Server::serve(Arc::new(served), ServeConfig::default()).expect("serve");
+    let mut client = Client::connect(server.addr().expect("tcp addr")).expect("connect");
+    // A range over most of `a`'s rows, which the index answers with the
+    // complement of the rest; the same range negated; and the empty
+    // conjunction, every row as the complement of none.
+    let wide = Predicate::range("a", 0, 12).normalize().expect("normalize");
+    let mut narrow = wide.clone();
+    narrow.conditions[0].negated = true;
+    let all = ConjunctiveQuery {
+        conditions: Vec::new(),
+    };
+    for (id, q) in [(1, &wide), (2, &narrow), (3, &all)] {
+        let want = oracle.execute_conjunctive(q).expect("oracle").rows;
+        if id != 2 {
+            assert!(
+                want.is_complemented(),
+                "query {id} is not answered complemented"
+            );
+        }
+        let reply = client.call(id, q).expect("call").body.expect("rows");
+        assert_eq!(reply.rows, want.to_vec(), "query {id}");
+    }
+    drop(client);
+    server.shutdown();
+}
+
+#[test]
 fn soak_malformed_frames_get_typed_errors_not_panics() {
     let (served, _) = tables(&[]);
     let server = Server::serve(Arc::new(served), ServeConfig::default()).expect("serve");

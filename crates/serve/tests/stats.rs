@@ -6,7 +6,8 @@
 //! * **exactness** — a quiesced server's wire-decoded snapshot is
 //!   structurally identical (`Snapshot: PartialEq`) to the snapshot the
 //!   server assembles locally, and its `serve/*` counters equal
-//!   [`Server::stats`] field for field;
+//!   [`Server::stats`] field for field, with one `serve/encode_ns` and
+//!   one `serve/write_ns` sample per response;
 //! * **shed causes split** — `shed == shed_global + shed_conn`, and the
 //!   per-connection totals account every shed and served response;
 //! * **slow-query ring** — with a zero threshold every served request
@@ -122,6 +123,10 @@ fn stats_reply_matches_the_servers_own_counters_exactly() {
         .histogram("serve/request_ns")
         .expect("latency histogram");
     assert_eq!(lat.count, 40, "one latency sample per served request");
+    for stage in ["serve/encode_ns", "serve/write_ns"] {
+        let h = over_wire.histogram(stage).expect("stage histogram");
+        assert_eq!(h.count, 40, "one {stage} sample per served response");
+    }
     assert_eq!(over_wire.counter("serve/conn/1/served"), Some(40));
     // The quarantine planted above is visible live, ascending.
     assert_eq!(over_wire.list("quarantine/b"), Some(&[1u64, 3][..]));

@@ -21,9 +21,21 @@ impl MetaBuf {
         Self::default()
     }
 
+    /// An empty buffer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        MetaBuf {
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
     /// The serialized bytes.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The serialized bytes, without a copy.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// Appends one byte.
