@@ -1,11 +1,7 @@
 fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("--json") => psi_bench::jsonout::emit_json(args.next()),
-        Some(other) => {
-            eprintln!("unknown argument `{other}`; usage: all_experiments [--json [PATH]]");
-            std::process::exit(2);
-        }
-        None => psi_bench::all(),
+    if let Some(other) = std::env::args().nth(1) {
+        eprintln!("unknown argument `{other}`; usage: all_experiments");
+        std::process::exit(2);
     }
+    psi_bench::all();
 }

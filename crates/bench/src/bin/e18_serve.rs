@@ -2,10 +2,8 @@
 //!
 //! The full run drives Poisson arrivals at three offered rates against a
 //! live server and prints the p50/p99/p999 + shed-rate table; `--smoke`
-//! is the CI-sized run (one low rate, one second). The machine-readable
-//! `serve/open_loop/*` rows land in `BENCH_NNNN.json` via
-//! `all_experiments --json`, alongside the rest of the perf-trajectory
-//! suite, so `compare_bench` diffs them against the checked-in baseline.
+//! is the CI-sized run (one low rate, one second). Served latency across
+//! changes is measured by perfbench's `serve_conjunctive` workload.
 
 fn main() {
     match std::env::args().nth(1).as_deref() {

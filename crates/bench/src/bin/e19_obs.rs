@@ -6,10 +6,7 @@
 //! p50/p99 for each arm, then the WAL's group-commit batch-size and
 //! fsync-latency histograms from a durable-write run. The run *asserts*
 //! the instrumented arm stays within 20% of stripped throughput, so
-//! `--smoke` doubles as the CI overhead gate. The machine-readable
-//! `obs/*` rows land in `BENCH_NNNN.json` via `all_experiments --json`;
-//! `compare_bench` diffs the histogram-derived rows at its wider TAIL
-//! bar.
+//! `--smoke` doubles as the CI overhead gate.
 
 fn main() {
     match std::env::args().nth(1).as_deref() {

@@ -8,8 +8,7 @@
 //! and that the sparse-probe-vs-dense workload beats the occupancy-free
 //! arm by ≥2×. `--smoke` shrinks the workloads and loosens the speedup
 //! gate to 1.5× so shared CI runners gate on correctness and gross
-//! regressions without flaking on noise. The machine-readable `kernel/*`
-//! rows land in `BENCH_NNNN.json` via `all_experiments --json`.
+//! regressions without flaking on noise.
 
 fn main() {
     match std::env::args().nth(1).as_deref() {

@@ -9,13 +9,12 @@
 //! measured outcome. Binaries: `cargo run -p psi-bench --release --bin
 //! e01_uniform_tree` … or `--bin all_experiments`.
 //!
-//! `all_experiments --json [PATH]` skips the tables and instead emits a
-//! machine-readable `BENCH_NNNN.json` of hot-path ns/op numbers (decode,
-//! merge, query) via [`jsonout`], the perf trajectory baseline diffed by
-//! successive PRs.
+//! Wall-clock performance is measured end to end by `perfbench/` (same-
+//! sitting A/B runs, see EXPERIMENTS.md) and, for isolated primitives, by
+//! the criterion benches; the tables here keep only the timings their
+//! own inline gates need.
 
-pub mod compare;
-pub mod jsonout;
+use std::time::{Duration, Instant};
 
 use psi_api::{AppendIndex, DynamicIndex, SecondaryIndex};
 use psi_baselines::*;
@@ -51,6 +50,42 @@ fn hdr(cols: &[&str]) {
 
 fn f(x: f64) -> String {
     format!("{x:.2}")
+}
+
+/// Median wall-clock nanoseconds per call of `f`: calibrate an iteration
+/// count until one sample takes at least 5 ms, then take the median of
+/// nine such samples.
+fn measure<O, F: FnMut() -> O>(mut f: F) -> f64 {
+    const SAMPLES: usize = 9;
+    const TARGET: Duration = Duration::from_millis(5);
+    let mut iters = 1u64;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f());
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= TARGET || iters >= 1 << 28 {
+            break;
+        }
+        let grow = if elapsed.is_zero() {
+            16.0
+        } else {
+            (TARGET.as_secs_f64() / elapsed.as_secs_f64()).clamp(1.5, 16.0)
+        };
+        iters = ((iters as f64) * grow).ceil() as u64;
+    }
+    let mut ns: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(f());
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    ns.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    ns[SAMPLES / 2]
 }
 
 /// E1 — Theorem 1: `UniformTreeIndex` uses `O(n lg² σ)` bits and answers
@@ -723,8 +758,7 @@ pub fn e13() {
 
 /// E14 — psi-store: cold-cache real block reads equal the simulated
 /// charge for every backend, a warm pool reads nothing, and pool
-/// capacity controls the fetch count. The save/open/query timings and
-/// on-disk sizes land in `jsonout`'s `store/*` rows (BENCH_0004).
+/// capacity controls the fetch count.
 pub fn e14() {
     use psi_api::HasDisk;
     use psi_store::{open, Backend, OpenOptions, PersistIndex};
@@ -1636,29 +1670,21 @@ pub fn e17_run(n: usize, people: usize) {
 /// protocol, Poisson arrivals at fixed offered rates, completion-time
 /// percentiles measured against the *scheduled* arrival (so queueing
 /// delay counts), and the typed shed rate from admission control.
-/// Full-size run; returns the snapshot rows for `BENCH_NNNN.json`.
 ///
 /// On one core the honest claim is latency under load *shaping*, not
 /// thread scaling: admission control bounds the queue, so the tail grows
 /// with offered load until shedding kicks in instead of growing without
 /// bound.
-pub fn e18() -> Vec<jsonout::JsonResult> {
+pub fn e18() {
     e18_run(4_000, &[500, 2_000, 8_000], 3.0)
 }
 
 /// [`e18`] with explicit sizes (the CI smoke run shrinks all three).
-///
-/// Emitted rows, all diffed lower-is-better by `compare_bench`:
-/// `serve/open_loop/q{qps}/p50|p99|p999` (completion latency in ns) and
-/// `serve/open_loop/q{qps}/shed_permille` (requests shed per thousand,
-/// in `ns_per_iter`'s slot — a rate, not a time, but lower is better in
-/// the same way).
-pub fn e18_run(people: usize, qps_targets: &[u64], seconds: f64) -> Vec<jsonout::JsonResult> {
+pub fn e18_run(people: usize, qps_targets: &[u64], seconds: f64) {
     use psi_query::{ConjunctiveQuery, IndexedTable, Predicate};
     use psi_serve::wire::ErrorCode;
     use psi_serve::{Client, ServeConfig, Server};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     head(
         "E18",
@@ -1707,7 +1733,6 @@ pub fn e18_run(people: usize, qps_targets: &[u64], seconds: f64) -> Vec<jsonout:
         "p999 us",
         "shed o/oo",
     ]);
-    let mut out = Vec::new();
     let mut total_sent = 0u64;
     for &qps in qps_targets {
         let n = ((qps as f64) * seconds).round().max(1.0) as usize;
@@ -1784,18 +1809,6 @@ pub fn e18_run(people: usize, qps_targets: &[u64], seconds: f64) -> Vec<jsonout:
             f(p999 / 1e3),
             f(shed_permille),
         ]);
-        for (tag, v) in [("p50", p50), ("p99", p99), ("p999", p999)] {
-            out.push(jsonout::JsonResult {
-                bench: format!("serve/open_loop/q{qps}/{tag}"),
-                ns_per_iter: v,
-                ..Default::default()
-            });
-        }
-        out.push(jsonout::JsonResult {
-            bench: format!("serve/open_loop/q{qps}/shed_permille"),
-            ns_per_iter: shed_permille,
-            ..Default::default()
-        });
     }
     let stats = server.shutdown();
     assert_eq!(
@@ -1807,7 +1820,6 @@ pub fn e18_run(people: usize, qps_targets: &[u64], seconds: f64) -> Vec<jsonout:
         stats.protocol_errors, 0,
         "load generator speaks the protocol"
     );
-    out
 }
 
 /// E19 — observability overhead: the always-on psi-obs instrumentation
@@ -1815,19 +1827,12 @@ pub fn e18_run(people: usize, qps_targets: &[u64], seconds: f64) -> Vec<jsonout:
 /// recording on (the shipped default) vs. off (`psi_obs::set_enabled`,
 /// same binary, same tables) — comparing warm-path closed-loop QPS and
 /// open-loop p50/p99; then a durable-write run publishing the WAL's
-/// group-commit batch-size and fsync-latency histograms. Full-size run;
-/// returns the `obs/*` snapshot rows for `BENCH_NNNN.json`.
-pub fn e19() -> Vec<jsonout::JsonResult> {
+/// group-commit batch-size and fsync-latency histograms.
+pub fn e19() {
     e19_run(4_000, 2_000, 2.5)
 }
 
 /// [`e19`] with explicit sizes (the CI smoke run shrinks all three).
-///
-/// Emitted rows: `obs/serve/{arm}/qps` (closed-loop throughput, diffed
-/// higher-is-better), `obs/serve/{arm}/p50|p99` (open-loop completion
-/// latency, ns), and `obs/wal/fsync_ns/p50|p99` + `obs/wal/commit_batch/mean`
-/// from the durable-write run. The histogram-derived `obs/*` rows are
-/// held to `compare_bench`'s wider TAIL_THRESHOLD.
 ///
 /// The gate: instrumented best-of-N closed-loop QPS within 20% of
 /// stripped (both arms alternate trials against one shared server, so
@@ -1835,14 +1840,12 @@ pub fn e19() -> Vec<jsonout::JsonResult> {
 /// machine shows, but tight enough to catch an accidental
 /// per-decoded-word instrument (the 15-30% class of mistake this
 /// workspace's I/O-session design note warns about). The open-loop p99
-/// is gated only against egregious blowup; `compare_bench` tracks it
-/// across PRs at the TAIL bar.
-pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult> {
+/// is gated only against egregious blowup.
+pub fn e19_run(people: usize, qps: u64, seconds: f64) {
     use psi_query::{ConjunctiveQuery, IndexedTable, Predicate};
     use psi_serve::wire::ErrorCode;
     use psi_serve::{Client, ServeConfig, Server};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     head(
         "E19",
@@ -1926,7 +1929,6 @@ pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult
     }
 
     hdr(&["arm", "closed qps", "p50 us", "p99 us", "shed o/oo"]);
-    let mut out = Vec::new();
     // One open-loop pass at the offered rate, as E18 runs it; returns
     // (p50 ns, p99 ns, shed count, n).
     let open_pass = || -> (f64, f64, u64, usize) {
@@ -2011,19 +2013,6 @@ pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult
             f(p99 / 1e3),
             f(1000.0 * shed as f64 / n as f64),
         ]);
-        out.push(jsonout::JsonResult {
-            bench: format!("obs/serve/{arm}/qps"),
-            ns_per_iter: 1e9 / qps_closed,
-            qps: qps_closed,
-            ..Default::default()
-        });
-        for (tag, v) in [("p50", p50), ("p99", p99)] {
-            out.push(jsonout::JsonResult {
-                bench: format!("obs/serve/{arm}/{tag}"),
-                ns_per_iter: v,
-                ..Default::default()
-            });
-        }
         arms.push((qps_closed, p99));
     }
     server.shutdown();
@@ -2043,11 +2032,10 @@ pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult
          decoded word?)",
         100.0 * qps_overhead
     );
-    // The open-loop tail is a single-run order statistic (compare_bench
-    // tracks it across PRs at the TAIL bar); gate only the egregious. The
-    // absolute slack must cover one scheduler stall on this 1-core box —
-    // E18 shows 10-35ms p99s at its *lightest* load, so anything under
-    // ~15ms is indistinguishable from a lucky/unlucky arm.
+    // The open-loop tail is a single-run order statistic; gate only the
+    // egregious. The absolute slack must cover one scheduler stall on this
+    // 1-core box — E18 shows 10-35ms p99s at its *lightest* load, so
+    // anything under ~15ms is indistinguishable from a lucky/unlucky arm.
     assert!(
         p99_on < p99_off.max(1.0) * 3.0 + 15_000_000.0,
         "instrumented p99 {p99_on:.0}ns vs stripped {p99_off:.0}ns"
@@ -2109,40 +2097,22 @@ pub fn e19_run(people: usize, qps: u64, seconds: f64) -> Vec<jsonout::JsonResult
                 h.quantile(0.99).to_string(),
             ]);
         }
-        for (tag, v) in [
-            ("fsync_ns/p50", fsync.quantile(0.50)),
-            ("fsync_ns/p99", fsync.quantile(0.99)),
-        ] {
-            out.push(jsonout::JsonResult {
-                bench: format!("obs/wal/{tag}"),
-                ns_per_iter: v as f64,
-                ..Default::default()
-            });
-        }
-        out.push(jsonout::JsonResult {
-            bench: "obs/wal/commit_batch/mean".into(),
-            ns_per_iter: batch.mean(),
-            ..Default::default()
-        });
     }
-    out
 }
 
 /// E20 — kernel layer: the dual-chain SWAR/accelerated gamma decoder
 /// and the occupancy-word probe rule-out, the latter measured against an
-/// occupancy-free copy of the same stream in one process. Full-size run;
-/// returns the `kernel/*` rows for `BENCH_NNNN.json`.
-pub fn e20() -> Vec<jsonout::JsonResult> {
+/// occupancy-free copy of the same stream in one process.
+pub fn e20() {
     e20_run(100_000, 2_000, 2.0)
 }
 
 /// [`e20`] with explicit sizes (the CI smoke run shrinks both and
 /// loosens the speedup gate for shared-runner noise).
 ///
-/// Emitted rows: `kernel/decode_{sparse13,dense,dense_random}` (batch
+/// Printed rows: `kernel/decode_{sparse13,dense,dense_random}` (batch
 /// decode through whatever kernel dispatch picks — one or two chains,
-/// run-of-ones test compiled in or out, SWAR or CPU-accelerated — with
-/// `per_element_ns` carrying the headline number) and
+/// run-of-ones test compiled in or out, SWAR or CPU-accelerated) and
 /// `kernel/intersect_probe_{skip,occfree}` (one probe workload against
 /// the dense stream as built, and against the occupancy-free copy: the
 /// same stream and directory with every entry's occupancy word zeroed,
@@ -2154,7 +2124,7 @@ pub fn e20() -> Vec<jsonout::JsonResult> {
 /// fast paths actually ran (dispatch silently falling back to scalar
 /// would otherwise read as a mysterious slowdown), and the skip arm must
 /// beat the occupancy-free arm by `min_speedup`.
-pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout::JsonResult> {
+pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) {
     use psi_api::RidSet;
     use psi_bits::{kernel, GapBitmap, SkipDirectory, SkipEntry};
 
@@ -2162,23 +2132,11 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
         "E20",
         "kernel layer: dual-chain gamma decode, run-length burst rule, occupancy probe rule-out vs an occupancy-free copy",
     );
-    let mut out: Vec<jsonout::JsonResult> = Vec::new();
-    let push = |rows: &mut Vec<jsonout::JsonResult>,
-                bench: String,
-                m: jsonout::Measured,
-                elements: u64| {
+    let print = |bench: String, ns: f64, elements: u64| {
         println!(
-            "{bench:<40} {:>14.1} ns/iter  ({:.2} ns/element)",
-            m.ns,
-            m.ns / elements as f64
+            "{bench:<40} {ns:>14.1} ns/iter  ({:.2} ns/element)",
+            ns / elements as f64
         );
-        rows.push(jsonout::JsonResult {
-            bench,
-            ns_per_iter: m.ns,
-            spread: m.spread,
-            elements,
-            ..Default::default()
-        });
     };
     let counters = kernel::metrics();
     let decode_kernel_ops =
@@ -2209,7 +2167,7 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
     for (name, positions) in &shapes {
         let bm = GapBitmap::from_sorted(positions, positions.last().unwrap() + 1);
         let ops_before = decode_kernel_ops();
-        let m = jsonout::measure(|| {
+        let ns = measure(|| {
             bm.decode_all(&mut buf);
             buf.len()
         });
@@ -2221,7 +2179,7 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
             decode_kernel_ops() > ops_before,
             "no decode kernel counted the {name} batch"
         );
-        push(&mut out, format!("kernel/decode_{name}"), m, n);
+        print(format!("kernel/decode_{name}"), ns, n);
     }
 
     // --- sparse-probe-vs-dense intersection: B is clusters of 100
@@ -2253,34 +2211,30 @@ pub fn e20_run(decode_n: usize, clusters: u64, min_speedup: f64) -> Vec<jsonout:
         SkipDirectory::from_entries(dir.k(), blind),
     ));
     let b = RidSet::from_positions(b);
-    let probe = |rows: &mut Vec<jsonout::JsonResult>,
-                 arm: &str,
-                 other: &RidSet|
-     -> (jsonout::Measured, Vec<u64>) {
-        let m = jsonout::measure(|| a.intersect(other).cardinality());
+    let probe = |arm: &str, other: &RidSet| -> (f64, Vec<u64>) {
+        let ns = measure(|| a.intersect(other).cardinality());
         let got = a.intersect(other).to_vec();
-        push(rows, format!("kernel/intersect_probe_{arm}"), m, clusters);
-        (m, got)
+        print(format!("kernel/intersect_probe_{arm}"), ns, clusters);
+        (ns, got)
     };
     let skips_before = counters.intersect_block_skip.get();
-    let (fast, fast_got) = probe(&mut out, "skip", &b);
+    let (fast, fast_got) = probe("skip", &b);
     assert!(
         counters.intersect_block_skip.get() > skips_before,
         "occupancy probe skip never fired on the probe workload"
     );
-    let (occfree, occfree_got) = probe(&mut out, "occfree", &b_occfree);
+    let (occfree, occfree_got) = probe("occfree", &b_occfree);
     assert_eq!(
         fast_got, occfree_got,
         "occupancy words changed the intersection"
     );
     assert_eq!(fast_got.len() as u64, clusters.div_ceil(10), "probe hits");
-    let speedup = occfree.ns / fast.ns;
+    let speedup = occfree / fast;
     println!("    probe-skip speedup over the occupancy-free arm: {speedup:.2}x");
     assert!(
         speedup >= min_speedup,
         "sparse-probe-vs-dense must be ≥{min_speedup}x with occupancy words (got {speedup:.2}x)"
     );
-    out
 }
 
 /// Runs every experiment in order.

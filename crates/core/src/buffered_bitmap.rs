@@ -184,13 +184,6 @@ impl BufferedBitmapIndex {
         idx
     }
 
-    /// This index with its disk in charge space `space`
-    /// ([`Disk::set_charge_space`]).
-    pub(crate) fn in_charge_space(mut self, space: u32) -> Self {
-        self.disk.set_charge_space(space);
-        self
-    }
-
     /// Encodes one leaf block (first code absolute, then gaps). The leaf
     /// takes the most recently freed spare id and its extent, rewritten
     /// in place with no old block read, before it takes a new id.

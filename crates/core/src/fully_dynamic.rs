@@ -200,8 +200,7 @@ impl FullyDynamicIndex {
         let cuts = levels
             .iter()
             .zip(per_cut_sets)
-            .enumerate()
-            .map(|(i, (&level, sets))| CutIndex {
+            .map(|(&level, sets)| CutIndex {
                 level,
                 bbi: BufferedBitmapIndex::build_from_lists(
                     if sets.is_empty() {
@@ -210,8 +209,7 @@ impl FullyDynamicIndex {
                         sets
                     },
                     self.config,
-                )
-                .in_charge_space(cut_space(i)),
+                ),
             })
             .collect();
         self.snap = Some(Snapshot {
@@ -447,13 +445,6 @@ fn collect_cut_nodes(
     }
 }
 
-/// The charge space of cut `i`'s disk. A read or an update spans the
-/// disks of several cuts, whose extent ids overlap; one space per disk
-/// makes a session charge each block it touches.
-fn cut_space(i: usize) -> u32 {
-    u32::try_from(i + 1).expect("cut count fits u32")
-}
-
 impl SecondaryIndex for FullyDynamicIndex {
     fn len(&self) -> u64 {
         self.string.len() as u64
@@ -576,7 +567,6 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
 
     fn write_meta(&self, out: &mut psi_store::MetaBuf) {
         out.put_u64(self.config.block_bits);
-        out.put_opt_u64(self.config.mem_blocks.map(|m| m as u64));
         out.put_u32(self.sigma);
         out.put_vec_u32(&self.string);
         out.put_vec_u64(&self.counts);
@@ -644,11 +634,8 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
         meta: &mut psi_store::MetaCursor,
         disks: Vec<Disk>,
     ) -> Result<Self, psi_store::StoreError> {
-        let block_bits = meta.get_u64()?;
-        let mem_blocks = meta.get_opt_u64()?.map(|m| m as usize);
         let config = psi_io::IoConfig {
-            block_bits,
-            mem_blocks,
+            block_bits: meta.get_u64()?,
         };
         let meta_err = |what: String| psi_store::StoreError::Meta { what };
         let sigma = meta.get_u32()?;
@@ -732,8 +719,7 @@ impl psi_store::PersistIndex for FullyDynamicIndex {
                 });
             }
             let mut cuts = Vec::with_capacity(num_cuts);
-            for (i, mut disk) in disks.into_iter().enumerate() {
-                disk.set_charge_space(cut_space(i));
+            for disk in disks {
                 let level = meta.get_u32()?;
                 cuts.push(CutIndex {
                     level,

@@ -1,9 +1,10 @@
 //! The simulated block device.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::error::{pin_retrying, ReadError};
+use crate::error::{pin_block, ReadError};
 use crate::pool::BufferPool;
 use crate::session::IoSession;
 use crate::IoConfig;
@@ -70,8 +71,8 @@ impl Default for Extent {
 /// construction.
 #[derive(Debug)]
 pub struct Disk {
-    /// The charge space of this disk's blocks (see
-    /// [`Disk::set_charge_space`]); 0 unless set.
+    /// The charge space of this disk's blocks, distinct for every disk
+    /// (see [`fresh_space`]).
     space: u32,
     config: IoConfig,
     extents: Vec<Extent>,
@@ -86,11 +87,21 @@ pub struct Disk {
     dirty: Mutex<HashSet<u32>>,
 }
 
+/// A charge space no other disk of this process holds. A session keys
+/// charged blocks by `(space, extent, block)` and extent ids restart at 0
+/// on every disk, so an operation that spans several disks (a buffered
+/// index's log and engine, the fully dynamic index's cuts, a rebuild's
+/// fresh disk) is charged every block it touches.
+fn fresh_space() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 impl Disk {
     /// Creates an empty disk with the given model configuration.
     pub fn new(config: IoConfig) -> Self {
         Disk {
-            space: 0,
+            space: fresh_space(),
             config,
             extents: Vec::new(),
             pool: None,
@@ -104,7 +115,7 @@ impl Disk {
     /// writer promotes it.
     pub fn from_stored(config: IoConfig, extents: &[StoredExtent], pool: Arc<BufferPool>) -> Self {
         Disk {
-            space: 0,
+            space: fresh_space(),
             config,
             extents: extents
                 .iter()
@@ -246,8 +257,8 @@ impl Disk {
     /// `ext` as reads, and — on a pooled disk — faults each of them, so
     /// directory-record charges drive real fetches exactly like payload
     /// reads do. Zero-length spans charge their single containing block,
-    /// matching a one-record read. A fetch that still fails after the
-    /// session's transient-retry budget is returned as a [`ReadError`].
+    /// matching a one-record read. A failed fetch is returned as a
+    /// [`ReadError`].
     pub fn charge_read_span(
         &self,
         ext: ExtentId,
@@ -270,7 +281,7 @@ impl Disk {
                     .pool
                     .as_ref()
                     .expect("non-resident extent needs a pool");
-                pool.unpin(pin_retrying(pool, ext, blk, io)?);
+                pool.unpin(pin_block(pool, ext, blk)?);
             }
         }
         Ok(())
@@ -283,17 +294,7 @@ impl Disk {
         io.charge(self.space, ext, block, write);
     }
 
-    /// Places this disk's blocks in charge space `space`. A session
-    /// charges blocks of different spaces separately even where their
-    /// extent ids coincide, so an index whose one operation spans several
-    /// disks (the per-cut volumes of the fully dynamic index) gives each
-    /// disk its own space and is charged every block it touches. Disks
-    /// share space 0 by default.
-    pub fn set_charge_space(&mut self, space: u32) {
-        self.space = space;
-    }
-
-    /// The model configuration (block size, memory bound).
+    /// The model configuration (block size).
     pub fn config(&self) -> &IoConfig {
         &self.config
     }
@@ -588,8 +589,8 @@ impl<'a> DiskReader<'a> {
     /// field. A resident extent copies its words (with a two-word shift
     /// when the cursor is not word-aligned). A pooled one pins each block
     /// in turn, copies its words out of the frame and unpins it, so a
-    /// failed fetch (after the session's transient-retry budget) is
-    /// returned as a [`ReadError`] and the cursor holds no pin afterwards.
+    /// failed fetch is returned as a [`ReadError`] and the cursor holds
+    /// no pin afterwards.
     ///
     /// # Panics
     /// Panics when reading past the end of the extent.
@@ -617,7 +618,7 @@ impl<'a> DiskReader<'a> {
             match self.pool {
                 None => out.extend_from_slice(&self.words[idx as usize..stop as usize]),
                 Some(pool) => {
-                    let pinned = pin_retrying(pool, self.ext, block, self.session)?;
+                    let pinned = pin_block(pool, self.ext, block)?;
                     let at = (idx - block * per_block) as usize;
                     out.extend_from_slice(&pinned.words()[at..at + (stop - idx) as usize]);
                     pool.unpin(pinned);
@@ -938,6 +939,22 @@ mod tests {
         assert!(r.read_bit());
         assert_eq!(r.read_bits(64), u64::MAX);
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn disks_with_equal_extent_ids_are_charged_apart() {
+        // One operation over two disks: extent ids restart at 0 on each,
+        // yet each disk's block is a block the operation touches.
+        let (mut a, mut b) = (small_disk(), small_disk());
+        let (ea, eb) = (a.alloc(), b.alloc());
+        assert_eq!(ea, eb);
+        let s = IoSession::new();
+        a.charge_block(ea, 0, true, &s);
+        b.charge_block(eb, 0, true, &s);
+        a.charge_read_span(ea, 0, 1, &s).expect("resident span");
+        b.charge_read_span(eb, 0, 1, &s).expect("resident span");
+        let st = s.stats();
+        assert_eq!((st.writes, st.reads), (2, 0), "each disk's block once");
     }
 
     #[test]

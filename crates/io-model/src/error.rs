@@ -12,7 +12,6 @@ use crate::backend::ErrorClass;
 use crate::disk::ExtentId;
 use crate::metrics::io_metrics;
 use crate::pool::{BufferPool, PinnedBlock, PoolError};
-use crate::session::IoSession;
 
 /// A typed failure of the fallible read path: which block could not be
 /// served, and why.
@@ -58,39 +57,19 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
-/// Pins `(ext, block)` through `pool`, re-attempting transient failures
-/// under the session's armed [`crate::RetryPolicy`] budget (immediately,
-/// no backoff — store-level wrappers own the clock) and counting each
-/// extra attempt into [`crate::IoStats::retries`].
-pub fn pin_retrying(
+/// Pins `(ext, block)` through `pool`, returning a failed pin as a
+/// [`ReadError`] at that address. Transient faults are retried below the
+/// pool, by a [`crate::RetryStore`] backend, so one attempt here is final.
+pub(crate) fn pin_block(
     pool: &BufferPool,
     ext: ExtentId,
     block: u64,
-    io: &IoSession,
 ) -> Result<PinnedBlock, ReadError> {
-    let attempts = io
-        .retry_policy()
-        .map(|p| p.max_attempts.max(1))
-        .unwrap_or(1);
-    let mut last = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            io.add_retries(1);
-            io_metrics().retries_transient.inc();
+    pool.try_pin(ext, block).map_err(|e| {
+        let err = ReadError::from_pool(ext, block, e);
+        if err.class == ErrorClass::Permanent {
+            io_metrics().errors_permanent.inc();
         }
-        match pool.try_pin(ext, block) {
-            Ok(pin) => return Ok(pin),
-            Err(e) => {
-                let err = ReadError::from_pool(ext, block, e);
-                if err.class != ErrorClass::Transient {
-                    if err.class == ErrorClass::Permanent {
-                        io_metrics().errors_permanent.inc();
-                    }
-                    return Err(err);
-                }
-                last = Some(err);
-            }
-        }
-    }
-    Err(last.expect("at least one attempt"))
+        err
+    })
 }

@@ -16,6 +16,7 @@ use std::time::Duration;
 
 use crate::backend::{BlockStore, BlockStoreError, ErrorClass};
 use crate::disk::ExtentId;
+use crate::metrics::io_metrics;
 
 /// One scripted failure in a [`FaultyStore`] schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,7 +234,8 @@ type Sleeper = Box<dyn Fn(Duration) + Send + Sync>;
 /// Transient fetch failures are retried per [`RetryPolicy`]; permanent
 /// and corrupt ones pass through immediately. [`Self::retries`] counts
 /// the extra attempts, so tests can assert a scripted flake cost exactly
-/// the expected number of re-reads. The backoff sleeper is injectable
+/// the expected number of re-reads, and each one also counts into the
+/// process's `io/retries_transient`. The backoff sleeper is injectable
 /// ([`Self::with_sleeper`]) so tests never touch the wall clock.
 pub struct RetryStore<S> {
     inner: S,
@@ -293,6 +295,7 @@ impl<S: BlockStore> RetryStore<S> {
             || {
                 if !first {
                     self.retries.fetch_add(1, Ordering::Relaxed);
+                    io_metrics().retries_transient.inc();
                 }
                 first = false;
                 op()

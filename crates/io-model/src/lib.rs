@@ -13,7 +13,7 @@
 //!   (one query, one update). It counts **distinct blocks touched**, which
 //!   models the paper's assumption that internal memory holds
 //!   `M = B(σ lg n)^Ω(1)` bits, so within one operation a block is only
-//!   fetched once. A bounded-memory mode is available for ablations.
+//!   fetched once.
 //! * [`DiskReader`] / [`DiskWriter`] — bit-granular cursors that charge the
 //!   session lazily as they cross block boundaries, so partially-read blocks
 //!   are charged exactly once, and unread suffixes are never charged.
@@ -45,7 +45,7 @@ mod session;
 
 pub use backend::{classify_io, BlockStore, BlockStoreError, ErrorClass, MemStore};
 pub use disk::{Disk, DiskReader, DiskWriter, DiskWriterAt, ExtentId, StoredExtent};
-pub use error::{pin_retrying, ReadError};
+pub use error::ReadError;
 pub use fault::{
     retry_transient, retry_transient_with, Fault, FaultyStore, RetryPolicy, RetryStore,
 };
@@ -86,33 +86,25 @@ const _: () = {
 /// `B ≥ lg n` and `b ≥ 2` (§1.4).
 pub const DEFAULT_BLOCK_BITS: u64 = 8192;
 
-/// Configuration of the simulated I/O model.
-///
-/// `block_bits` is the paper's `B` (block size in bits). `mem_blocks`
-/// bounds how many distinct blocks a single [`IoSession`] remembers before
-/// it starts re-charging evicted blocks; `None` models the paper's
-/// `M = B(σ lg n)^Ω(1)` assumption (every block is charged at most once per
-/// operation).
+/// Configuration of the simulated I/O model: the paper's block size `B`.
+/// Internal memory is the paper's `M = B(σ lg n)^Ω(1)`, so an
+/// [`IoSession`] charges every block at most once per operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoConfig {
     /// Block size `B` in bits. Must be a positive multiple of 64.
     pub block_bits: u64,
-    /// Internal-memory capacity in blocks (`M / B`); `None` = unbounded.
-    pub mem_blocks: Option<usize>,
 }
 
 impl Default for IoConfig {
     fn default() -> Self {
         Self {
             block_bits: DEFAULT_BLOCK_BITS,
-            mem_blocks: None,
         }
     }
 }
 
 impl IoConfig {
-    /// Creates a configuration with the given block size (in bits) and
-    /// unbounded internal memory.
+    /// Creates a configuration with the given block size (in bits).
     ///
     /// # Panics
     /// Panics if `block_bits` is zero or not a multiple of 64 (the disk
@@ -122,10 +114,7 @@ impl IoConfig {
             block_bits > 0 && block_bits.is_multiple_of(64),
             "block_bits must be a positive multiple of 64"
         );
-        Self {
-            block_bits,
-            mem_blocks: None,
-        }
+        Self { block_bits }
     }
 
     /// The paper's `b = Θ(B / lg n)`: the block size in "words" of `lg n`
@@ -149,7 +138,6 @@ mod tests {
     fn config_default_is_word_aligned() {
         let c = IoConfig::default();
         assert_eq!(c.block_bits % 64, 0);
-        assert!(c.mem_blocks.is_none());
     }
 
     #[test]

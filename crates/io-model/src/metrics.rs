@@ -2,7 +2,7 @@
 //! [`psi_obs::Registry`].
 //!
 //! One static handle set for the whole crate: the buffer pool, the
-//! retry loop, and the scrubber record into these. Granularity is
+//! retrying backend, and the scrubber record into these. Granularity is
 //! per *event* (a pin, a backend fetch, a scrub probe) — never per
 //! decoded word; the per-query hot loops stay on the non-atomic
 //! [`crate::IoSession`] counters by design (see the session module's
@@ -30,8 +30,9 @@ pub struct IoMetrics {
     /// `pool/verify_failures` — fetches whose integrity trailer did not
     /// check out (class `Corrupt`).
     pub pool_verify_failures: Arc<Counter>,
-    /// `io/retries_transient` — extra pin attempts after a transient
-    /// failure (mirrors the per-session `IoStats::retries` total).
+    /// `io/retries_transient` — extra fetch attempts a
+    /// [`crate::RetryStore`] made after a transient failure (the sum of
+    /// every store's [`crate::RetryStore::retries`]).
     pub retries_transient: Arc<Counter>,
     /// `io/errors_permanent` — pins abandoned on a permanent failure.
     pub errors_permanent: Arc<Counter>,

@@ -1,7 +1,7 @@
 //! I/O accounting sessions.
 
 use std::cell::RefCell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 use crate::disk::ExtentId;
 
@@ -21,10 +21,6 @@ pub struct IoStats {
     pub bits_read: u64,
     /// Total bits produced by writers.
     pub bits_written: u64,
-    /// Pooled fetches re-attempted after a transient fault, under the
-    /// session's [`crate::RetryPolicy`] budget. Zero on a healthy store;
-    /// benches report this as retries/query.
-    pub retries: u64,
 }
 
 impl IoStats {
@@ -40,14 +36,12 @@ impl IoStats {
             writes: self.writes + other.writes,
             bits_read: self.bits_read + other.bits_read,
             bits_written: self.bits_written + other.bits_written,
-            retries: self.retries + other.retries,
         }
     }
 }
 
-/// A block address: the charge space of its disk (0 unless the disk sets
-/// one, see `Disk::set_charge_space`), the extent, and the block index
-/// within the extent.
+/// A block address: the charge space of its disk (distinct for every
+/// disk), the extent, and the block index within the extent.
 type BlockAddr = (u32, ExtentId, u64);
 
 #[derive(Debug, Default)]
@@ -55,21 +49,14 @@ struct SessionInner {
     stats: IoStats,
     /// Blocks currently "in memory": charged once, not re-charged.
     resident: HashSet<BlockAddr>,
-    /// FIFO eviction order when `mem_blocks` is bounded.
-    fifo: VecDeque<BlockAddr>,
-    mem_blocks: Option<usize>,
     tracking: bool,
-    /// Retry budget for transient pooled-fetch faults (None = no retry).
-    retry: Option<crate::RetryPolicy>,
 }
 
 /// An I/O accounting scope for one logical operation.
 ///
 /// A session counts *distinct* blocks read and written, modelling the
 /// paper's internal memory `M`: once a block has been fetched it stays
-/// resident for the remainder of the operation (unless a bounded memory is
-/// configured, in which case blocks are evicted FIFO and re-fetching them
-/// is charged again).
+/// resident for the remainder of the operation.
 ///
 /// Sessions use interior mutability so that several [`DiskReader`]s can
 /// charge the same session concurrently during k-way merges.
@@ -100,24 +87,11 @@ impl Default for IoSession {
 }
 
 impl IoSession {
-    /// A tracking session with unbounded internal memory.
+    /// A tracking session.
     pub fn new() -> Self {
         IoSession {
             inner: RefCell::new(SessionInner {
                 tracking: true,
-                ..Default::default()
-            }),
-        }
-    }
-
-    /// A tracking session whose internal memory holds at most `mem_blocks`
-    /// blocks (FIFO eviction). Use for memory-pressure ablations.
-    pub fn with_memory_blocks(mem_blocks: usize) -> Self {
-        assert!(mem_blocks > 0, "memory must hold at least one block");
-        IoSession {
-            inner: RefCell::new(SessionInner {
-                tracking: true,
-                mem_blocks: Some(mem_blocks),
                 ..Default::default()
             }),
         }
@@ -149,13 +123,6 @@ impl IoSession {
             inner.stats.reads += 1;
         }
         inner.resident.insert(addr);
-        if let Some(cap) = inner.mem_blocks {
-            inner.fifo.push_back(addr);
-            if inner.fifo.len() > cap {
-                let evicted = inner.fifo.pop_front().expect("fifo non-empty");
-                inner.resident.remove(&evicted);
-            }
-        }
     }
 
     /// Charges a block write (`write`) or read of a disk in charge space
@@ -190,7 +157,6 @@ impl IoSession {
         let mut inner = self.inner.borrow_mut();
         inner.stats = IoStats::default();
         inner.resident.clear();
-        inner.fifo.clear();
     }
 
     /// Returns the counters and resets the session (convenience for
@@ -204,28 +170,6 @@ impl IoSession {
     /// Whether this session is recording I/Os.
     pub fn is_tracking(&self) -> bool {
         self.inner.borrow().tracking
-    }
-
-    /// Arms a per-session retry budget: pooled fetches that fail
-    /// transiently during queries under this session are re-pinned up to
-    /// `policy.max_attempts` times (immediately — backoff belongs to the
-    /// store-level [`crate::RetryStore`]) before the failure surfaces as
-    /// a [`crate::ReadError`]. Returns `self` for builder-style use.
-    pub fn with_retry(self, policy: crate::RetryPolicy) -> Self {
-        self.inner.borrow_mut().retry = Some(policy);
-        self
-    }
-
-    /// The armed per-session retry budget, if any.
-    pub fn retry_policy(&self) -> Option<crate::RetryPolicy> {
-        self.inner.borrow().retry
-    }
-
-    /// Counts `n` transient-fault retries into [`IoStats::retries`].
-    /// Counted even on untracked sessions: a retry is an operational
-    /// event, not a cost-model charge.
-    pub fn add_retries(&self, n: u64) {
-        self.inner.borrow_mut().stats.retries += n;
     }
 }
 
@@ -276,19 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_memory_evicts_fifo() {
-        let s = IoSession::with_memory_blocks(2);
-        read(&s, EXT, 0);
-        read(&s, EXT, 1);
-        read(&s, EXT, 2); // evicts block 0
-        read(&s, EXT, 0); // re-charged
-        assert_eq!(s.stats().reads, 4);
-        // Block 2 is still resident.
-        read(&s, EXT, 2);
-        assert_eq!(s.stats().reads, 4);
-    }
-
-    #[test]
     fn untracked_session_counts_nothing() {
         let s = IoSession::untracked();
         read(&s, EXT, 0);
@@ -330,14 +261,12 @@ mod tests {
             writes: 2,
             bits_read: 3,
             bits_written: 4,
-            retries: 5,
         };
         let b = IoStats {
             reads: 10,
             writes: 20,
             bits_read: 30,
             bits_written: 40,
-            retries: 50,
         };
         let m = a.merged(&b);
         assert_eq!(
@@ -347,7 +276,6 @@ mod tests {
                 writes: 22,
                 bits_read: 33,
                 bits_written: 44,
-                retries: 55,
             }
         );
     }

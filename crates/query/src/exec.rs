@@ -383,8 +383,8 @@ impl IndexedTable {
     /// its extent and retries the condition as a table scan (the error
     /// surfaces only if no source column is attached); transient and
     /// permanent failures propagate as [`QueryError::Read`] — by the
-    /// time they reach here the per-session retry budget is spent, and
-    /// no rebuild would change the outcome.
+    /// time they reach here the store's retries (if it was opened with
+    /// any) are spent, and no rebuild would change the outcome.
     fn eval_condition(&self, cond: &AttrCondition) -> Result<(RidSet, IoStats, bool), QueryError> {
         let col = self.column(&cond.attr)?;
         if self.is_quarantined(&cond.attr) {

@@ -52,10 +52,11 @@ use crate::StoreError;
 /// Format version of checkpoint files (dual-slot superblock). Odd
 /// versions are the save-the-world [`crate::format`] layout; the two are
 /// told apart by this field, so opening one as the other fails typed.
-/// (8 carries the same metadata change as format version 7: no
-/// persisted skip directories. 6 carried format version 5's slot codec
-/// tag, and 4 format version 3's 144-bit skip-directory entries.)
-pub const VERSION_CHECKPOINT: u32 = 8;
+/// (10 carries the same layout change as format version 9: no memory
+/// bound in the model configuration. 8 carried format version 7's drop
+/// of persisted skip directories, 6 format version 5's slot codec tag,
+/// and 4 format version 3's 144-bit skip-directory entries.)
+pub const VERSION_CHECKPOINT: u32 = 10;
 
 /// What one checkpoint (create or update) cost.
 #[derive(Debug, Clone, Copy)]

@@ -36,13 +36,15 @@ use crate::StoreError;
 /// File magic: the first 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"PSISTOR1";
 /// Format version written by this build.
-/// (7 dropped the persisted skip directories: their side extents and the
-/// directory fields of slot and catalog metadata. 5 added a codec tag to
+/// (9 dropped the memory bound from each volume's model configuration and
+/// from the fully dynamic index's metadata. 7 dropped the persisted skip
+/// directories: their side extents and the directory fields of slot and
+/// catalog metadata. 5 added a codec tag to
 /// slot metadata: a slot is gamma codes, or plain words over its span.
 /// 3 widened the persisted skip-directory entries to 144 bits. Even
 /// versions are reserved for checkpoint files, see
 /// [`crate::checkpoint::VERSION_CHECKPOINT`].)
-pub const VERSION: u32 = 7;
+pub const VERSION: u32 = 9;
 /// Size of superblock and metadata pages.
 pub const META_PAGE: usize = 4096;
 /// Payload bytes per metadata page (the rest is the checksum trailer).
@@ -96,7 +98,6 @@ pub(crate) fn encode_table(volumes: &[VolumeDesc]) -> Vec<u8> {
     let mut b = MetaBuf::new();
     for v in volumes {
         b.put_u64(v.config.block_bits);
-        b.put_opt_u64(v.config.mem_blocks.map(|m| m as u64));
         b.put_len(v.extents.len());
         for e in &v.extents {
             b.put_u64(e.bit_len);
@@ -118,7 +119,6 @@ pub(crate) fn decode_table(bytes: &[u8], volume_count: u32) -> Result<Vec<Volume
                 what: format!("volume block_bits {block_bits}"),
             });
         }
-        let mem_blocks = c.get_opt_u64()?.map(|m| m as usize);
         let n = c.get_len(17)?;
         let mut extents = Vec::with_capacity(n);
         for _ in 0..n {
@@ -129,10 +129,7 @@ pub(crate) fn decode_table(bytes: &[u8], volume_count: u32) -> Result<Vec<Volume
             });
         }
         volumes.push(VolumeDesc {
-            config: IoConfig {
-                block_bits,
-                mem_blocks,
-            },
+            config: IoConfig { block_bits },
             extents,
         });
     }

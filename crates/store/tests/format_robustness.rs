@@ -137,8 +137,8 @@ fn bad_version_is_typed() {
     let path = tmp("version.psi");
     write_store(&path, "t", &[], &[&disk]).expect("write");
     let written = std::fs::read(&path).expect("read");
-    // Retired store (5) and checkpoint (6) versions, and a junk one.
-    for version in [5u32, 6, 0xFF] {
+    // Retired store (5, 7) and checkpoint (6, 8) versions, and a junk one.
+    for version in [5u32, 6, 7, 8, 0xFF] {
         let mut bytes = written.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         // The checksum catches the flip first unless it is recomputed;

@@ -4,8 +4,9 @@
 
 use psi::io::cost;
 use psi::{
-    AppendIndex, ApproximateIndex, BufferedBitmapIndex, DynamicIndex, FullyDynamicIndex, IoConfig,
-    IoSession, OptimalIndex, SecondaryIndex, SemiDynamicIndex, UniformTreeIndex,
+    AppendIndex, ApproximateIndex, BufferedBitmapIndex, BufferedIndex, DynamicIndex,
+    FullyDynamicIndex, IoConfig, IoSession, OptimalIndex, SecondaryIndex, SemiDynamicIndex,
+    UniformTreeIndex,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -109,6 +110,45 @@ fn thm4_appends_preserve_query_bound() {
         (io.reads as f64) <= 16.0 * bound + 32.0,
         "{} reads vs {bound:.1}",
         io.reads
+    );
+}
+
+#[test]
+fn thm5_buffered_appends() {
+    // E7's stream at a quarter of its length: 2^15 uniform symbols over
+    // σ = 256, appended one per session. An empty index drains its log
+    // every ~B records, so even B = 32768 drains once.
+    let (n, sigma) = (1usize << 15, 256u32);
+    let stream = psi::workloads::uniform(n, sigma, 7);
+    let lg_n = cost::lg2(n as f64);
+    let mut ratios = Vec::new();
+    for block_bits in [2048u64, 8192, 32768] {
+        let cfg = IoConfig::with_block_bits(block_bits);
+        let mut idx = BufferedIndex::new(sigma, cfg);
+        let mut total = 0;
+        for &c in &stream {
+            let io = IoSession::new();
+            idx.append(c, &io);
+            total += io.stats().total();
+        }
+        let bound = lg_n / cfg.words_per_block(n as u64) as f64;
+        let ratio = total as f64 / n as f64 / bound;
+        // Amortized O(lg n / b): the rows read 26.0, 23.9 and 23.6 times
+        // lg n / b (E7's full stream 24.6, 21.0 and 20.1), at least 90% of
+        // it the engine's writes while a drain appends the log's records.
+        assert!(
+            ratio <= 27.0,
+            "B = {block_bits}: {ratio:.2} x lg n / b per append"
+        );
+        ratios.push(ratio);
+    }
+    // The constant does not vanish as B grows: the log's and the engine's
+    // blocks are charged apart.
+    assert!(
+        ratios[2] >= ratios[0] / 2.0,
+        "ratio to lg n / b fell from {:.2} at B = 2048 to {:.2} at B = 32768",
+        ratios[0],
+        ratios[2]
     );
 }
 
