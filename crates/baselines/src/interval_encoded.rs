@@ -67,11 +67,6 @@ impl IntervalEncodedIndex {
             m,
         }
     }
-
-    /// The interval width `m = ⌈σ/2⌉`.
-    pub fn interval_width(&self) -> Symbol {
-        self.m
-    }
 }
 
 impl HasDisk for IntervalEncodedIndex {

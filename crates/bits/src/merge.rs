@@ -39,14 +39,6 @@ where
     })
 }
 
-/// Merges sorted streams directly into a [`GapBitmap`] over `universe`.
-pub fn merge_into_gap<I>(inputs: Vec<I>, universe: u64) -> GapBitmap
-where
-    I: Iterator<Item = u64>,
-{
-    GapBitmap::from_sorted_iter(merge_disjoint(inputs), universe)
-}
-
 /// How a k-way union is executed (chosen by [`plan`] from metadata known
 /// *before* any stream is decoded: fan-in, summed element counts, and the
 /// position span of the cover).
@@ -386,15 +378,6 @@ mod tests {
         let b = vec![1u64, 2, 5, 6];
         let u: Vec<u64> = union_dedup(vec![a.into_iter(), b.into_iter()]).collect();
         assert_eq!(u, vec![1, 2, 3, 5, 6]);
-    }
-
-    #[test]
-    fn merge_into_gap_builds_bitmap() {
-        let a = vec![10u64, 30];
-        let b = vec![20u64];
-        let g = merge_into_gap(vec![a.into_iter(), b.into_iter()], 100);
-        assert_eq!(g.to_vec(), vec![10, 20, 30]);
-        assert_eq!(g.universe(), 100);
     }
 
     #[test]

@@ -94,54 +94,6 @@ impl PlainBitmap {
         &self.words
     }
 
-    /// Wraps an existing LSB-first word array (bits at or beyond
-    /// `universe` must be zero) — the hand-off from word-level set
-    /// algebra (bitmap-index accumulators, the dense merge path) into a
-    /// bitmap without a per-element rebuild.
-    pub fn from_raw_words(words: Vec<u64>, universe: u64) -> Self {
-        assert!(
-            words.len() == (universe as usize).div_ceil(64),
-            "word array does not match universe"
-        );
-        let ones = words.iter().map(|w| u64::from(w.count_ones())).sum();
-        PlainBitmap {
-            universe,
-            words,
-            ones,
-        }
-    }
-
-    /// Re-encodes into a gap-compressed bitmap with one `trailing_zeros`
-    /// word scan (see [`crate::GapBitmap::from_words`]).
-    pub fn to_gap(&self) -> crate::GapBitmap {
-        crate::GapBitmap::from_words(&self.words, self.universe)
-    }
-
-    /// ORs `other` into `self` (used by bitmap-index range scans).
-    ///
-    /// # Panics
-    /// Panics if the universes differ.
-    pub fn or_assign(&mut self, other: &PlainBitmap) {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let mut ones = 0;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-            ones += a.count_ones() as u64;
-        }
-        self.ones = ones;
-    }
-
-    /// ANDs `other` into `self` (RID intersection).
-    pub fn and_assign(&mut self, other: &PlainBitmap) {
-        assert_eq!(self.universe, other.universe, "universe mismatch");
-        let mut ones = 0;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-            ones += a.count_ones() as u64;
-        }
-        self.ones = ones;
-    }
-
     /// Number of 1s strictly before `pos` (`rank₁`). O(pos/64) scan; use
     /// [`RankDirectory`] for repeated queries.
     pub fn rank1(&self, pos: u64) -> u64 {
@@ -308,19 +260,6 @@ mod tests {
         let pos = vec![0u64, 7, 63, 64, 100, 511];
         let b = PlainBitmap::from_positions(pos.iter().copied(), 512);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), pos);
-    }
-
-    #[test]
-    fn boolean_ops_track_counts() {
-        let mut a = PlainBitmap::from_positions([1, 2, 3], 64);
-        let b = PlainBitmap::from_positions([3, 4], 64);
-        a.or_assign(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        assert_eq!(a.count_ones(), 4);
-        let mut c = PlainBitmap::from_positions([1, 2, 3], 64);
-        c.and_assign(&b);
-        assert_eq!(c.iter_ones().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(c.count_ones(), 1);
     }
 
     #[test]

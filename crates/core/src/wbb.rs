@@ -191,11 +191,6 @@ impl WbbTree {
         &self.nodes[id as usize]
     }
 
-    /// Mutable node access (used by the engine to maintain bookkeeping).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id as usize]
-    }
-
     /// Number of arena slots (including dead nodes).
     pub fn arena_len(&self) -> usize {
         self.nodes.len()

@@ -180,23 +180,10 @@ impl Default for RetryPolicy {
 /// backoff until the attempt budget runs out; permanent and corrupt
 /// failures (and the last transient one) surface unchanged.
 ///
-/// Shared by [`RetryStore`] (read path) and the WAL writer (append
-/// path), so both sides of the durable write path classify and retry
-/// identically. Backoff sleeps on the real clock; tests that need
-/// determinism inject a recording sleeper via [`retry_transient_with`].
-pub fn retry_transient<T, E>(
-    policy: RetryPolicy,
-    classify: impl Fn(&E) -> ErrorClass,
-    op: impl FnMut() -> Result<T, E>,
-) -> Result<T, E> {
-    retry_transient_with(policy, classify, std::thread::sleep, op)
-}
-
-/// [`retry_transient`] with an injectable backoff sleeper.
-///
 /// The sleeper receives each computed backoff delay (`base_delay * 2^k`)
 /// *instead of* the wall clock being consulted, so tests can script and
-/// assert the exact backoff sequence without ever sleeping.
+/// assert the exact backoff sequence without ever sleeping;
+/// [`RetryStore`] passes its own.
 pub fn retry_transient_with<T, E>(
     policy: RetryPolicy,
     classify: impl Fn(&E) -> ErrorClass,
@@ -472,9 +459,10 @@ mod tests {
             base_delay: Duration::ZERO,
         };
         let mut calls = 0;
-        let out: Result<(), BlockStoreError> = retry_transient(
+        let out: Result<(), BlockStoreError> = retry_transient_with(
             policy,
             |e: &BlockStoreError| e.class,
+            |_| {},
             || {
                 calls += 1;
                 Err(BlockStoreError::corrupt("trailer mismatch"))
@@ -509,9 +497,10 @@ mod tests {
             max_attempts: 5,
             base_delay: Duration::ZERO,
         };
-        let out: Result<u32, &str> = retry_transient(
+        let out: Result<u32, &str> = retry_transient_with(
             policy,
             |_| ErrorClass::Transient,
+            |_| {},
             || {
                 calls += 1;
                 if calls < 3 {

@@ -46,9 +46,7 @@ mod session;
 pub use backend::{classify_io, BlockStore, BlockStoreError, ErrorClass, MemStore};
 pub use disk::{Disk, DiskReader, DiskWriter, DiskWriterAt, ExtentId, StoredExtent};
 pub use error::ReadError;
-pub use fault::{
-    retry_transient, retry_transient_with, Fault, FaultyStore, RetryPolicy, RetryStore,
-};
+pub use fault::{retry_transient_with, Fault, FaultyStore, RetryPolicy, RetryStore};
 pub use metrics::{io_metrics, IoMetrics};
 pub use pool::{
     BufferPool, PinnedBlock, PoolError, PoolStats, DEFAULT_POOL_SHARDS, GROWTH_CEILING,

@@ -414,10 +414,7 @@ impl BufferPool {
             _ => data = vec![0u64; self.block_words].into(),
         }
         let buf = Arc::get_mut(&mut data).expect("uniquely owned buffer");
-        // `Instant::now` only when recording is on, so the stripped
-        // baseline (obs disabled) pays neither the clock read nor the
-        // histogram write on its miss path.
-        let fetch_start = psi_obs::enabled().then(std::time::Instant::now);
+        let fetch_start = std::time::Instant::now();
         let fetched = if self.verify() {
             self.store.read_block_verified(ext, block, buf)
         } else {
@@ -444,9 +441,7 @@ impl BufferPool {
         shard.stats.misses += 1;
         let m = io_metrics();
         m.pool_misses.inc();
-        if let Some(start) = fetch_start {
-            m.pool_fetch_ns.record_since(start);
-        }
+        m.pool_fetch_ns.record_since(fetch_start);
         let f = &mut shard.frames[idx as usize];
         f.key = key;
         f.data = Arc::clone(&data);
@@ -497,18 +492,10 @@ impl BufferPool {
     /// even though no payload word is read (directory-record charges).
     ///
     /// # Panics
-    /// Panics like [`Self::pin`] on failure; fallible callers use
-    /// [`Self::try_touch`].
+    /// Panics like [`Self::pin`] on failure.
     pub fn touch(&self, ext: ExtentId, block: u64) {
         let pinned = self.pin(ext, block);
         self.unpin(pinned);
-    }
-
-    /// Fallible [`Self::touch`].
-    pub fn try_touch(&self, ext: ExtentId, block: u64) -> Result<(), PoolError> {
-        let pinned = self.try_pin(ext, block)?;
-        self.unpin(pinned);
-        Ok(())
     }
 
     /// Drops any frames belonging to `ext` (called when the owning disk

@@ -158,19 +158,6 @@ impl IoSession {
         inner.stats = IoStats::default();
         inner.resident.clear();
     }
-
-    /// Returns the counters and resets the session (convenience for
-    /// per-operation measurement loops).
-    pub fn take_stats(&self) -> IoStats {
-        let stats = self.stats();
-        self.reset();
-        stats
-    }
-
-    /// Whether this session is recording I/Os.
-    pub fn is_tracking(&self) -> bool {
-        self.inner.borrow().tracking
-    }
 }
 
 #[cfg(test)]
@@ -226,14 +213,14 @@ mod tests {
         write(&s, EXT, 1);
         s.add_bits_read(100);
         assert_eq!(s.stats(), IoStats::default());
-        assert!(!s.is_tracking());
     }
 
     #[test]
     fn reset_clears_residency() {
         let s = IoSession::new();
         read(&s, EXT, 0);
-        assert_eq!(s.take_stats().reads, 1);
+        assert_eq!(s.stats().reads, 1);
+        s.reset();
         read(&s, EXT, 0); // no longer resident after reset
         assert_eq!(s.stats().reads, 1);
     }

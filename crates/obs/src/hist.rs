@@ -87,20 +87,16 @@ impl Histogram {
     /// one into the running sum.
     #[inline]
     pub fn record(&self, v: u64) {
-        if crate::enabled() {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Records the elapsed nanoseconds since `start` (saturating at
     /// `u64::MAX`); the common latency-instrumentation shape.
     #[inline]
     pub fn record_since(&self, start: std::time::Instant) {
-        if crate::enabled() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.record(ns);
-        }
+        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.record(ns);
     }
 
     /// Point-in-time copy. Bucket loads are relaxed: concurrent

@@ -23,16 +23,15 @@
 //!
 //! ## Hot-path contract
 //!
-//! Recording is gated on one process-global relaxed [`AtomicBool`]
-//! ([`set_enabled`]): with metrics on (the default) an event costs one
-//! relaxed load plus one relaxed `fetch_add`; with metrics off it costs
-//! the load alone. The gate exists so the E19 overhead experiment can
-//! measure instrumented-vs-stripped on the same binary — it is **not** a
-//! feature flag, and nothing in the workspace turns it off outside
-//! benchmarks. Per-word decode loops (see `psi_io::IoSession`'s
-//! deliberately non-atomic design note) are *not* instrumented here;
-//! instruments attach at per-event granularity only (a block fetch, a
-//! query completion, a commit), where a relaxed RMW is noise.
+//! Recording is always on: a counter or gauge event is one relaxed
+//! atomic RMW, a histogram sample two. With no switch to turn it off, a
+//! benchmark reads the same instruments a live server ships in `STATS`,
+//! and instrument overhead shows end to end, in perfbench's A/B of
+//! parent against change. Per-word decode loops (see
+//! `psi_io::IoSession`'s deliberately non-atomic design note) are *not*
+//! instrumented here; instruments attach at per-event granularity only
+//! (a block fetch, a query completion, a commit), where a relaxed RMW
+//! is noise.
 
 mod hist;
 mod registry;
@@ -44,24 +43,7 @@ pub use registry::{Instrument, Registry};
 pub use ring::RingLog;
 pub use snapshot::{Snapshot, Value};
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-
-/// Process-global recording gate. `true` from process start.
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns recording on or off process-wide. Off, every instrument's
-/// record methods become a single relaxed load. Reads (`get`,
-/// snapshots) are unaffected. Used by the E19 overhead harness; leave
-/// it on everywhere else.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether recording is currently enabled.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotone event counter: one relaxed `AtomicU64`.
 #[derive(Debug, Default)]
@@ -76,9 +58,7 @@ impl Counter {
     /// Adds `n` events.
     #[inline]
     pub fn add(&self, n: u64) {
-        if enabled() {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one event.
@@ -111,17 +91,13 @@ impl Gauge {
     /// Sets the level.
     #[inline]
     pub fn set(&self, v: i64) {
-        if enabled() {
-            self.0.store(v, Ordering::Relaxed);
-        }
+        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Moves the level by `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        if enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
+        self.0.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current level.
@@ -153,8 +129,4 @@ mod tests {
         g.add(-10);
         assert_eq!(g.get(), -3);
     }
-
-    // The `set_enabled` gate is process-global, so toggling it would
-    // race with sibling unit tests recording concurrently; its test
-    // lives alone in `tests/enable_gate.rs` (own process).
 }

@@ -64,8 +64,8 @@ pub struct QueryOutcome {
     /// healthy read path.
     pub degraded: Vec<String>,
     /// The execution trace: per-condition estimates vs. actuals, blocks
-    /// read, timings (when metrics recording is on), and the combine
-    /// summary. Render with [`PlanTrace::render`].
+    /// read, timings, and the combine summary. Render with
+    /// [`PlanTrace::render`].
     pub trace: PlanTrace,
 }
 
@@ -418,9 +418,7 @@ impl IndexedTable {
     }
 
     fn run(&self, query: &ConjunctiveQuery, plan: Plan) -> Result<QueryOutcome, QueryError> {
-        // Timings read the clock only while recording is enabled; the
-        // stripped path builds the trace with zero timestamps.
-        let t0 = psi_obs::enabled().then(std::time::Instant::now);
+        let t0 = std::time::Instant::now();
         let m = query_metrics();
         // The empty conjunction matches every row: the complement of the
         // empty set, produced without touching any index.
@@ -430,13 +428,11 @@ impl IndexedTable {
                 strategy: plan.strategy,
                 conditions: Vec::new(),
                 result_rows: rows.cardinality(),
-                elapsed_ns: t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                elapsed_ns: t0.elapsed().as_nanos() as u64,
             };
             m.executed.inc();
             m.rows.record(trace.result_rows);
-            if let Some(t) = t0 {
-                m.latency_ns.record_since(t);
-            }
+            m.latency_ns.record_since(t0);
             return Ok(QueryOutcome {
                 rows,
                 plan,
@@ -451,7 +447,7 @@ impl IndexedTable {
         let mut conditions = Vec::with_capacity(plan.order.len());
         for (k, &i) in plan.order.iter().enumerate() {
             let cond = &query.conditions[i];
-            let c0 = t0.map(|_| std::time::Instant::now());
+            let c0 = std::time::Instant::now();
             let (rows, stats, fell_back) = self.eval_condition(cond)?;
             io = io.merged(&stats);
             if fell_back && !degraded.contains(&cond.attr) {
@@ -463,7 +459,7 @@ impl IndexedTable {
                 estimate: plan.estimates[k],
                 actual: rows.cardinality(),
                 blocks_read: stats.reads,
-                elapsed_ns: c0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                elapsed_ns: c0.elapsed().as_nanos() as u64,
                 degraded: fell_back,
             });
             results.push(rows);
@@ -482,13 +478,11 @@ impl IndexedTable {
             strategy: plan.strategy,
             conditions,
             result_rows: rows.cardinality(),
-            elapsed_ns: t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
+            elapsed_ns: t0.elapsed().as_nanos() as u64,
         };
         m.executed.inc();
         m.rows.record(trace.result_rows);
-        if let Some(t) = t0 {
-            m.latency_ns.record_since(t);
-        }
+        m.latency_ns.record_since(t0);
         if !degraded.is_empty() {
             m.degraded.inc();
         }

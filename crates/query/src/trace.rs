@@ -4,11 +4,11 @@
 //! Every execution produces a [`PlanTrace`] attached to
 //! [`crate::QueryOutcome`]: the combine strategy, the per-condition
 //! execution order with the planner's cardinality estimate next to the
-//! actual result size, the blocks each condition read, and (when
-//! recording is enabled) wall-clock per-condition timings. The trace is
-//! plain data — cheap to build, comparable in tests, renderable as an
-//! `EXPLAIN ANALYZE`-style report via [`PlanTrace::render`], and the
-//! payload the server's slow-query log captures.
+//! actual result size, the blocks each condition read, and wall-clock
+//! per-condition timings. The trace is plain data — cheap to build,
+//! comparable in tests, renderable as an `EXPLAIN ANALYZE`-style report
+//! via [`PlanTrace::render`], and the payload the server's slow-query
+//! log captures.
 
 use crate::plan::CombineStrategy;
 
@@ -26,8 +26,7 @@ pub struct CondTrace {
     pub actual: u64,
     /// Simulated blocks read answering this condition.
     pub blocks_read: u64,
-    /// Wall-clock nanoseconds spent on this condition (0 when metrics
-    /// recording is disabled — the stripped path reads no clock).
+    /// Wall-clock nanoseconds spent on this condition.
     pub elapsed_ns: u64,
     /// Whether the condition was answered by the degraded table-scan
     /// fallback instead of its index.
@@ -43,8 +42,7 @@ pub struct PlanTrace {
     pub conditions: Vec<CondTrace>,
     /// Cardinality of the combined result.
     pub result_rows: u64,
-    /// Wall-clock nanoseconds for the whole execution (0 when metrics
-    /// recording is disabled).
+    /// Wall-clock nanoseconds for the whole execution.
     pub elapsed_ns: u64,
 }
 
@@ -76,29 +74,21 @@ impl PlanTrace {
         for (i, c) in self.conditions.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "  [{i}] {}{}: est={} actual={} blocks={}{}{}",
+                "  [{i}] {}{}: est={} actual={} blocks={} time={}ns{}",
                 if c.negated { "not " } else { "" },
                 c.attr,
                 c.estimate,
                 c.actual,
                 c.blocks_read,
-                if c.elapsed_ns > 0 {
-                    format!(" time={}ns", c.elapsed_ns)
-                } else {
-                    String::new()
-                },
+                c.elapsed_ns,
                 if c.degraded { " DEGRADED(scan)" } else { "" },
             );
         }
         let _ = writeln!(
             out,
-            "result: {} row(s){} worst_misestimate={:.2}",
+            "result: {} row(s) in {}ns worst_misestimate={:.2}",
             self.result_rows,
-            if self.elapsed_ns > 0 {
-                format!(" in {}ns", self.elapsed_ns)
-            } else {
-                String::new()
-            },
+            self.elapsed_ns,
             self.worst_misestimate(),
         );
         out

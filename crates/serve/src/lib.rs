@@ -30,8 +30,9 @@
 //!   control and batching, so a saturated server still answers its
 //!   operator) with a [`psi_obs::Snapshot`]: the global registry
 //!   (pool, planner, WAL, scrubber) plus this server's `serve/*`
-//!   counters, latency/occupancy histograms, per-connection totals,
-//!   and the served table's `quarantine/*` extent lists. Requests
+//!   counters, latency/occupancy histograms, the totals of its open
+//!   connections, and the served table's `quarantine/*` extent lists.
+//!   [`Server::stats`] reads the same counters. Requests
 //!   slower than [`ServeConfig::slow_query_ns`] land in a bounded
 //!   [`SlowQuery`] ring log with their full plan trace.
 //!

@@ -28,7 +28,6 @@
 //!   door. The server never holds more than
 //!   `max_inflight + connections` decoded requests.
 
-use std::collections::BTreeMap;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,13 +35,14 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use psi_obs::{Gauge, Histogram, Registry, RingLog, Snapshot, Value};
+use psi_obs::{Counter, Gauge, Histogram, Registry, RingLog, Snapshot, Value};
 use psi_query::{ConjunctiveQuery, IndexedTable, PlanTrace};
 
 use crate::wire::{
-    encode_error, encode_rows, read_frame, write_frame, FrameIn, WireError, UNKNOWN_ID,
+    encode_error, encode_rows, read_frame, write_frame, FrameIn, WireError, MAX_REPLY_ROWS,
+    UNKNOWN_ID,
 };
 
 /// Tuning knobs for [`Server::serve`].
@@ -76,21 +76,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counters observable while the server runs (monotone, relaxed).
-#[derive(Debug, Default)]
-struct Counters {
-    admitted: AtomicU64,
-    served_rows: AtomicU64,
-    served_errors: AtomicU64,
-    shed: AtomicU64,
-    shed_global: AtomicU64,
-    shed_conn: AtomicU64,
-    protocol_errors: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
-}
-
-/// A point-in-time snapshot of the server's counters.
+/// A point-in-time read of the server's counters: the same instruments
+/// the `serve/*` section of `STATS` ships.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests admitted past admission control.
@@ -114,7 +101,8 @@ pub struct ServeStats {
     pub max_batch: u64,
 }
 
-/// Per-connection admission totals (see [`Server::conn_stats`]).
+/// Per-connection admission totals, kept while the connection is open
+/// (see [`Server::conn_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConnStats {
     /// Requests from this connection shed with `Overloaded`.
@@ -141,12 +129,24 @@ pub struct SlowQuery {
     pub error: Option<String>,
 }
 
-/// The serve layer's own instruments. Owned per server (not resolved
-/// from the global registry) so concurrent servers in one process —
-/// the test suite, for instance — never bleed into each other; they
-/// are injected into the [`Snapshot`] at `STATS` assembly instead.
-#[derive(Debug)]
+/// The serve layer's own instruments, the one source of
+/// [`Server::stats`] and the `serve/*` section of `STATS`. Owned per
+/// server (not resolved from the global registry) so concurrent servers
+/// in one process — the test suite, for instance — never bleed into each
+/// other; they are injected into the [`Snapshot`] at `STATS` assembly
+/// instead.
+#[derive(Debug, Default)]
 struct ServeObs {
+    admitted: Counter,
+    served_rows: Counter,
+    served_errors: Counter,
+    /// Sheds by cause; their sum is `serve/shed`.
+    shed_global: Counter,
+    shed_conn: Counter,
+    protocol_errors: Counter,
+    batches: Counter,
+    /// Largest batch executed: a high-water mark, not a count.
+    max_batch: AtomicU64,
     /// Requests queued for the batcher right now.
     queue_depth: Gauge,
     /// Requests per executed batch.
@@ -227,8 +227,8 @@ struct Pending {
     id: u64,
     query: ConjunctiveQuery,
     /// Admission instant, for the request-latency histogram and the
-    /// slow-query log (`None` with recording disabled).
-    t0: Option<std::time::Instant>,
+    /// slow-query log.
+    t0: Instant,
 }
 
 /// A connection's admission state.
@@ -238,6 +238,9 @@ struct ConnState {
     inflight: usize,
     /// Reader thread gone; entry removed once `inflight` drains to 0.
     closed: bool,
+    /// Shed and served totals, updated under the inbox lock by
+    /// admission and by the batcher; they end with the entry.
+    totals: ConnStats,
     writer: Arc<Mutex<Stream>>,
 }
 
@@ -262,75 +265,83 @@ struct Shared {
     active_readers: std::sync::atomic::AtomicUsize,
     inbox: Mutex<Inbox>,
     work: Condvar,
-    counters: Counters,
     obs: ServeObs,
-    /// Shed/served totals per connection id; outlives the connection
-    /// (the `Inbox` entry is removed once it drains).
-    per_conn: Mutex<BTreeMap<u64, ConnStats>>,
     slow_log: RingLog<SlowQuery>,
 }
 
 impl Shared {
     fn stats(&self) -> ServeStats {
-        let c = &self.counters;
+        let o = &self.obs;
+        let (shed_global, shed_conn) = (o.shed_global.get(), o.shed_conn.get());
         ServeStats {
-            admitted: c.admitted.load(Ordering::Relaxed),
-            served_rows: c.served_rows.load(Ordering::Relaxed),
-            served_errors: c.served_errors.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            shed_global: c.shed_global.load(Ordering::Relaxed),
-            shed_conn: c.shed_conn.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            batches: c.batches.load(Ordering::Relaxed),
-            max_batch: c.max_batch.load(Ordering::Relaxed),
+            admitted: o.admitted.get(),
+            served_rows: o.served_rows.get(),
+            served_errors: o.served_errors.get(),
+            shed: shed_global + shed_conn,
+            shed_global,
+            shed_conn,
+            protocol_errors: o.protocol_errors.get(),
+            batches: o.batches.get(),
+            max_batch: o.max_batch.load(Ordering::Relaxed),
         }
+    }
+
+    /// Totals of the connections still in the inbox (open, or owed
+    /// responses) that were served or shed at least once, ascending.
+    fn conn_stats(&self) -> Vec<(u64, ConnStats)> {
+        let inbox = self.inbox.lock().expect("inbox");
+        let mut out: Vec<(u64, ConnStats)> = inbox
+            .conns
+            .iter()
+            .filter(|(_, c)| c.totals != ConnStats::default())
+            .map(|(&id, c)| (id, c.totals))
+            .collect();
+        drop(inbox);
+        out.sort_unstable_by_key(|&(id, _)| id);
+        out
     }
 
     /// The full live-stats snapshot the `STATS` wire op ships: the
     /// global registry (pool, planner, WAL, scrubber) plus this
-    /// server's own counters, gauges, histograms, per-connection
-    /// totals, and the served table's quarantined-extent lists.
+    /// server's own counters, gauges, histograms, the totals of its open
+    /// connections, and the served table's quarantined-extent lists.
     fn snapshot(&self) -> Snapshot {
         let mut snap = Registry::global().snapshot();
         let s = self.stats();
-        snap.set("serve/admitted", Value::Counter(s.admitted));
-        snap.set("serve/served_rows", Value::Counter(s.served_rows));
-        snap.set("serve/served_errors", Value::Counter(s.served_errors));
-        snap.set("serve/shed", Value::Counter(s.shed));
-        snap.set("serve/shed_global", Value::Counter(s.shed_global));
-        snap.set("serve/shed_conn", Value::Counter(s.shed_conn));
-        snap.set("serve/protocol_errors", Value::Counter(s.protocol_errors));
-        snap.set("serve/batches", Value::Counter(s.batches));
-        snap.set("serve/max_batch", Value::Counter(s.max_batch));
-        snap.set(
-            "serve/queue_depth",
-            Value::Gauge(self.obs.queue_depth.get()),
-        );
-        snap.set(
-            "serve/batch_occupancy",
-            Value::Histogram(self.obs.batch_occupancy.snapshot()),
-        );
-        snap.set(
-            "serve/request_ns",
-            Value::Histogram(self.obs.request_ns.snapshot()),
-        );
-        snap.set(
-            "serve/encode_ns",
-            Value::Histogram(self.obs.encode_ns.snapshot()),
-        );
-        snap.set(
-            "serve/write_ns",
-            Value::Histogram(self.obs.write_ns.snapshot()),
-        );
-        snap.set(
-            "serve/slow_queries",
-            Value::Counter(self.slow_log.len() as u64),
-        );
-        snap.set(
-            "serve/slow_queries_evicted",
-            Value::Counter(self.slow_log.dropped()),
-        );
-        for (&conn, cs) in self.per_conn.lock().expect("per_conn").iter() {
+        let o = &self.obs;
+        for (name, value) in [
+            ("serve/admitted", Value::Counter(s.admitted)),
+            ("serve/served_rows", Value::Counter(s.served_rows)),
+            ("serve/served_errors", Value::Counter(s.served_errors)),
+            ("serve/shed", Value::Counter(s.shed)),
+            ("serve/shed_global", Value::Counter(s.shed_global)),
+            ("serve/shed_conn", Value::Counter(s.shed_conn)),
+            ("serve/protocol_errors", Value::Counter(s.protocol_errors)),
+            ("serve/batches", Value::Counter(s.batches)),
+            ("serve/max_batch", Value::Counter(s.max_batch)),
+            ("serve/queue_depth", Value::Gauge(o.queue_depth.get())),
+            (
+                "serve/batch_occupancy",
+                Value::Histogram(o.batch_occupancy.snapshot()),
+            ),
+            (
+                "serve/request_ns",
+                Value::Histogram(o.request_ns.snapshot()),
+            ),
+            ("serve/encode_ns", Value::Histogram(o.encode_ns.snapshot())),
+            ("serve/write_ns", Value::Histogram(o.write_ns.snapshot())),
+            (
+                "serve/slow_queries",
+                Value::Counter(self.slow_log.len() as u64),
+            ),
+            (
+                "serve/slow_queries_evicted",
+                Value::Counter(self.slow_log.dropped()),
+            ),
+        ] {
+            snap.set(name, value);
+        }
+        for (conn, cs) in self.conn_stats() {
             snap.set(&format!("serve/conn/{conn}/shed"), Value::Counter(cs.shed));
             snap.set(
                 &format!("serve/conn/{conn}/served"),
@@ -417,15 +428,7 @@ impl Server {
             active_readers: std::sync::atomic::AtomicUsize::new(0),
             inbox: Mutex::new(Inbox::default()),
             work: Condvar::new(),
-            counters: Counters::default(),
-            obs: ServeObs {
-                queue_depth: Gauge::new(),
-                batch_occupancy: Histogram::new(),
-                request_ns: Histogram::new(),
-                encode_ns: Histogram::new(),
-                write_ns: Histogram::new(),
-            },
-            per_conn: Mutex::new(BTreeMap::new()),
+            obs: ServeObs::default(),
             slow_log: RingLog::new(cfg.slow_log_capacity),
         });
         let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
@@ -458,7 +461,7 @@ impl Server {
         self.tcp_addr
     }
 
-    /// Current counter snapshot.
+    /// The server's counters now.
     pub fn stats(&self) -> ServeStats {
         self.shared.stats()
     }
@@ -470,16 +473,12 @@ impl Server {
         self.shared.snapshot()
     }
 
-    /// Shed/served totals per connection id, ascending. Entries survive
-    /// the connection closing.
+    /// Shed/served totals per connection id, ascending, for the
+    /// connections that are open (or still owed responses) and were
+    /// served or shed at least once. A connection's totals end with it;
+    /// `stats()` keeps the server-wide sums.
     pub fn conn_stats(&self) -> Vec<(u64, ConnStats)> {
-        self.shared
-            .per_conn
-            .lock()
-            .expect("per_conn")
-            .iter()
-            .map(|(&id, &cs)| (id, cs))
-            .collect()
+        self.shared.conn_stats()
     }
 
     /// The retained slow queries, oldest first.
@@ -557,7 +556,14 @@ fn accept_loop(
             .name(format!("psi-serve-conn-{conn_id}"))
             .spawn(move || connection_loop(conn_id, stream, shared));
         if let Ok(h) = handle {
-            readers.lock().expect("readers").push(h);
+            // Join the readers that have exited (which does not block), so
+            // the server holds one handle per live connection, not one per
+            // connection ever accepted; shutdown joins the rest.
+            let mut readers = readers.lock().expect("readers");
+            for done in readers.extract_if(.., |r| r.is_finished()) {
+                let _ = done.join();
+            }
+            readers.push(h);
         }
     }
     if let Listener::Unix(_, path) = listener {
@@ -595,6 +601,7 @@ fn connection_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
             queue: VecDeque::new(),
             inflight: 0,
             closed: false,
+            totals: ConnStats::default(),
             writer: Arc::clone(&writer),
         },
     );
@@ -643,10 +650,7 @@ fn connection_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
             Ok(FrameIn::TooLarge(len)) => {
                 // Framing is gone (we refused to read the body): answer
                 // typed, then close.
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.obs.protocol_errors.inc();
                 let err = WireError::protocol(format!(
                     "frame of {len} bytes exceeds cap {}",
                     shared.cfg.max_frame_bytes
@@ -667,10 +671,7 @@ fn connection_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
                     send(&writer, &reply);
                 }
                 Err((id, err)) => {
-                    shared
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared.obs.protocol_errors.inc();
                     send(&writer, &encode_error(id, &err));
                 }
             }
@@ -679,10 +680,7 @@ fn connection_loop(conn_id: u64, stream: Stream, shared: Arc<Shared>) {
         match crate::wire::decode_request(&payload) {
             Ok(req) => admit(conn_id, req.id, req.query, &writer, &shared),
             Err((id, err)) => {
-                shared
-                    .counters
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.obs.protocol_errors.inc();
                 send(&writer, &encode_error(id, &err));
                 if id == UNKNOWN_ID {
                     // Could not even parse the header — close rather than
@@ -713,29 +711,22 @@ fn admit(
     writer: &Arc<Mutex<Stream>>,
     shared: &Shared,
 ) {
-    let t0 = psi_obs::enabled().then(std::time::Instant::now);
+    let t0 = Instant::now();
     let mut inbox = shared.inbox.lock().expect("inbox");
     let global_full = inbox.inflight >= shared.cfg.max_inflight;
     let Some(cs) = inbox.conns.get_mut(&conn_id) else {
         return;
     };
     if global_full || cs.inflight >= shared.cfg.max_inflight_per_conn {
+        cs.totals.shed += 1;
         drop(inbox);
-        shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         // Causes are disjoint: the global budget is checked first, so a
         // request over both caps is accounted a global shed.
         if global_full {
-            shared.counters.shed_global.fetch_add(1, Ordering::Relaxed);
+            shared.obs.shed_global.inc();
         } else {
-            shared.counters.shed_conn.fetch_add(1, Ordering::Relaxed);
+            shared.obs.shed_conn.inc();
         }
-        shared
-            .per_conn
-            .lock()
-            .expect("per_conn")
-            .entry(conn_id)
-            .or_default()
-            .shed += 1;
         send(writer, &encode_error(id, &WireError::overloaded()));
         return;
     }
@@ -749,7 +740,7 @@ fn admit(
     inbox.inflight += 1;
     inbox.queued += 1;
     shared.obs.queue_depth.set(inbox.queued as i64);
-    shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
+    shared.obs.admitted.inc();
     drop(inbox);
     shared.work.notify_one();
 }
@@ -795,67 +786,58 @@ fn batch_loop(shared: Arc<Shared>) {
 
         let queries: Vec<ConjunctiveQuery> = batch.iter().map(|p| p.query.clone()).collect();
         let settled = shared.table.execute_batch_settled(&queries, EXEC_THREADS);
-        shared.counters.batches.fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .max_batch
+        let obs = &shared.obs;
+        obs.batches.inc();
+        obs.max_batch
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
-        shared.obs.batch_occupancy.record(batch.len() as u64);
+        obs.batch_occupancy.record(batch.len() as u64);
 
-        let mut served_per_conn: HashMap<u64, u64> = HashMap::new();
         for ((p, result), writer) in batch.iter().zip(&settled).zip(&writers) {
-            // Stage clocks run only while recording is on, like the
-            // pool's fetch timer.
-            let encode_start = psi_obs::enabled().then(std::time::Instant::now);
+            let encode_start = Instant::now();
             let payload = match result {
+                // Refused here, not after the client has read it: a
+                // client expands at most `MAX_REPLY_ROWS` from one frame.
+                Ok(outcome) if outcome.rows.cardinality() > MAX_REPLY_ROWS => {
+                    obs.served_errors.inc();
+                    let rows = outcome.rows.cardinality();
+                    encode_error(p.id, &WireError::answer_too_large(rows))
+                }
                 Ok(outcome) => {
-                    shared.counters.served_rows.fetch_add(1, Ordering::Relaxed);
+                    obs.served_rows.inc();
                     encode_rows(p.id, outcome)
                 }
                 Err(e) => {
-                    shared
-                        .counters
-                        .served_errors
-                        .fetch_add(1, Ordering::Relaxed);
+                    obs.served_errors.inc();
                     encode_error(p.id, &WireError::from(e))
                 }
             };
-            let encoded = encode_start.map(|t| (t, std::time::Instant::now()));
+            let encoded = Instant::now();
             send(writer, &payload);
-            if let Some((t0, t1)) = encoded {
-                let encode_ns = t1.duration_since(t0).as_nanos() as u64;
-                shared.obs.encode_ns.record(encode_ns);
-                shared.obs.write_ns.record_since(t1);
-            }
-            *served_per_conn.entry(p.conn).or_default() += 1;
-            if let Some(t0) = p.t0 {
-                let elapsed_ns = t0.elapsed().as_nanos() as u64;
-                shared.obs.request_ns.record(elapsed_ns);
-                if elapsed_ns >= shared.cfg.slow_query_ns {
-                    shared.slow_log.push(SlowQuery {
-                        conn: p.conn,
-                        id: p.id,
-                        elapsed_ns,
-                        trace: result.as_ref().ok().map(|o| o.trace.clone()),
-                        error: result.as_ref().err().map(|e| e.to_string()),
-                    });
-                }
-            }
-        }
-        if !served_per_conn.is_empty() {
-            let mut per_conn = shared.per_conn.lock().expect("per_conn");
-            for (conn, n) in served_per_conn {
-                per_conn.entry(conn).or_default().served += n;
+            obs.encode_ns
+                .record(encoded.duration_since(encode_start).as_nanos() as u64);
+            obs.write_ns.record_since(encoded);
+            let elapsed_ns = p.t0.elapsed().as_nanos() as u64;
+            obs.request_ns.record(elapsed_ns);
+            if elapsed_ns >= shared.cfg.slow_query_ns {
+                shared.slow_log.push(SlowQuery {
+                    conn: p.conn,
+                    id: p.id,
+                    elapsed_ns,
+                    trace: result.as_ref().ok().map(|o| o.trace.clone()),
+                    error: result.as_ref().err().map(|e| e.to_string()),
+                });
             }
         }
 
         // Release the in-flight budget only after the responses went out
-        // (admission counts queued + executing).
+        // (admission counts queued + executing), and count them to their
+        // connections under the same lock.
         let mut inbox = shared.inbox.lock().expect("inbox");
         for p in &batch {
             inbox.inflight -= 1;
             if let Some(cs) = inbox.conns.get_mut(&p.conn) {
                 cs.inflight -= 1;
+                cs.totals.served += 1;
                 if cs.closed && cs.inflight == 0 {
                     inbox.conns.remove(&p.conn);
                 }
@@ -913,7 +895,7 @@ mod tests {
             query: ConjunctiveQuery {
                 conditions: Vec::new(),
             },
-            t0: None,
+            t0: Instant::now(),
         }
     }
 
@@ -929,6 +911,7 @@ mod tests {
                     inflight: queue.len(),
                     queue,
                     closed: false,
+                    totals: ConnStats::default(),
                     writer: Arc::new(Mutex::new(Stream::Tcp(loopback_stream()))),
                 },
             );
@@ -977,5 +960,111 @@ mod tests {
         let mut inbox = inbox_with(&[(1, &[10, 11, 12, 13])]);
         assert_eq!(drain_fair(&mut inbox, 3).len(), 3);
         assert_eq!(inbox.queued, 1);
+    }
+
+    /// A server over one small column `v` with values 0..4.
+    fn live_server() -> Server {
+        let v: Vec<u32> = (0..256u32).map(|i| i % 4).collect();
+        let index = psi_core::OptimalIndex::build(&v, 4, psi_io::IoConfig::with_block_bits(512));
+        let table = IndexedTable::from_columns(vec![psi_query::IndexedColumn {
+            name: "v".into(),
+            sigma: 4,
+            index: Box::new(index),
+        }]);
+        Server::serve(Arc::new(table), ServeConfig::default()).expect("serve")
+    }
+
+    fn point(v: u32) -> ConjunctiveQuery {
+        psi_query::Predicate::point("v", v)
+            .normalize()
+            .expect("normalize")
+    }
+
+    /// Polls until `cond` holds, for at most five seconds.
+    fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn finished_readers_are_reaped_as_connections_arrive() {
+        let server = live_server();
+        let addr = server.addr().expect("tcp addr");
+        for conn in 1..=20u64 {
+            let mut client = crate::Client::connect(addr).expect("connect");
+            client
+                .call(conn, &point(1))
+                .expect("call")
+                .body
+                .expect("rows");
+            drop(client);
+            // Connection ids count up from 1, and a reader thread is named
+            // after its connection.
+            let name = format!("psi-serve-conn-{conn}");
+            wait_for(&name, || {
+                server
+                    .readers
+                    .lock()
+                    .expect("readers")
+                    .iter()
+                    .any(|h| h.thread().name() == Some(name.as_str()) && h.is_finished())
+            });
+        }
+        let held = server.readers.lock().expect("readers").len();
+        assert!(
+            held <= 1,
+            "{held} reader handles held after 20 closed connections"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn connection_totals_end_with_their_connection() {
+        const CLIENTS: u64 = 4;
+        const CALLS: u64 = 5;
+        let server = live_server();
+        let addr = server.addr().expect("tcp addr");
+        let mut clients: Vec<crate::Client> = (0..CLIENTS)
+            .map(|_| crate::Client::connect(addr).expect("connect"))
+            .collect();
+        for client in &mut clients {
+            for id in 0..CALLS {
+                client
+                    .call(id, &point(2))
+                    .expect("call")
+                    .body
+                    .expect("rows");
+            }
+        }
+        wait_for("every response counted to its connection", || {
+            server
+                .conn_stats()
+                .iter()
+                .map(|(_, c)| c.served)
+                .sum::<u64>()
+                == CLIENTS * CALLS
+        });
+        assert_eq!(server.conn_stats().len() as u64, CLIENTS);
+
+        drop(clients);
+        wait_for("closed connections forgotten", || {
+            server.conn_stats().is_empty()
+        });
+        let mut operator = crate::Client::connect(addr).expect("connect");
+        let snap = operator.stats(1).expect("stats");
+        let conn_entries: Vec<&str> = snap
+            .entries
+            .iter()
+            .map(|(name, _)| name.as_str())
+            .filter(|name| name.starts_with("serve/conn/"))
+            .collect();
+        assert!(conn_entries.is_empty(), "{conn_entries:?}");
+        assert_eq!(snap.counter("serve/served_rows"), Some(CLIENTS * CALLS));
+        assert_eq!(server.stats().served_rows, CLIENTS * CALLS);
+        drop(operator);
+        server.shutdown();
     }
 }

@@ -62,7 +62,9 @@ pub const MAX_FRAME_BYTES: u32 = 8 << 20;
 /// row ids an [`MAX_FRAME_BYTES`] frame of 8-byte ids could carry. A
 /// frame whose header claims more is refused before anything is
 /// allocated; a compressed frame, complemented ones above all, could
-/// otherwise claim any number of rows in a few bytes.
+/// otherwise claim any number of rows in a few bytes. The server answers
+/// a larger answer with a typed [`ErrorCode::AnswerTooLarge`] instead of
+/// a rows frame.
 pub const MAX_REPLY_ROWS: u64 = MAX_FRAME_BYTES as u64 / 8;
 
 /// Message tag: a conjunctive query request.
@@ -115,6 +117,9 @@ pub enum ErrorCode {
     Panicked = 8,
     /// The predicate was not a conjunction of per-attribute conditions.
     NotConjunctive = 9,
+    /// The answer has more than [`MAX_REPLY_ROWS`] rows, more than a
+    /// client expands from one frame. Narrow the query.
+    AnswerTooLarge = 10,
 }
 
 impl ErrorCode {
@@ -129,6 +134,7 @@ impl ErrorCode {
             7 => ErrorCode::Quarantined,
             8 => ErrorCode::Panicked,
             9 => ErrorCode::NotConjunctive,
+            10 => ErrorCode::AnswerTooLarge,
             _ => return None,
         })
     }
@@ -157,6 +163,15 @@ impl WireError {
         WireError {
             code: ErrorCode::Overloaded,
             message: "server overloaded: in-flight budget full".into(),
+        }
+    }
+
+    /// The refusal of an executed answer of `rows` rows, over
+    /// [`MAX_REPLY_ROWS`].
+    pub fn answer_too_large(rows: u64) -> WireError {
+        WireError {
+            code: ErrorCode::AnswerTooLarge,
+            message: format!("answer of {rows} rows exceeds the {MAX_REPLY_ROWS}-row reply cap"),
         }
     }
 }
@@ -869,7 +884,7 @@ mod tests {
 
     #[test]
     fn every_error_code_roundtrips() {
-        for code in 1..=9u8 {
+        for code in 1..=10u8 {
             let c = ErrorCode::from_u8(code).expect("code");
             assert_eq!(c as u8, code);
             let resp = decode_response(&encode_error(
@@ -883,7 +898,7 @@ mod tests {
             assert_eq!(resp.body.unwrap_err().code, c);
         }
         assert!(ErrorCode::from_u8(0).is_none());
-        assert!(ErrorCode::from_u8(10).is_none());
+        assert!(ErrorCode::from_u8(11).is_none());
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! * **typed errors only of the injected kinds** — `ReadTransient` from
 //!   the `FaultyStore` schedule, `Overloaded` from admission control,
 //!   `Protocol` only for deliberately malformed frames;
+//! * **oversized answers are typed** — an answer over `MAX_REPLY_ROWS`
+//!   is refused with `AnswerTooLarge`, and the connection stays usable;
 //! * **clean shutdown** — `Server::shutdown` joins every thread and the
 //!   final counters balance against what the clients saw.
 
@@ -298,6 +300,48 @@ fn soak_overload_burst_sheds_typed_and_stays_fair() {
     assert_eq!(stats.admitted, ok as u64 + 12);
     assert_eq!(stats.served_rows, ok as u64 + 12);
     assert_eq!(stats.served_errors, 0);
+}
+
+#[test]
+fn an_answer_over_the_reply_cap_is_a_typed_error() {
+    use psi_serve::wire::MAX_REPLY_ROWS;
+    // One row more than a client expands from one frame. The empty
+    // conjunction matches every row without reading the index.
+    let n = MAX_REPLY_ROWS as usize + 1;
+    let data: Vec<u32> = (0..n).map(|i| u32::from(i % 100_000 == 7)).collect();
+    let table = IndexedTable::from_columns(vec![IndexedColumn {
+        name: "v".into(),
+        sigma: 2,
+        index: Box::new(SlowScan {
+            data: data.clone(),
+            sigma: 2,
+        }),
+    }]);
+    let server = Server::serve(Arc::new(table), ServeConfig::default()).expect("serve");
+    let mut client = Client::connect(server.addr().expect("tcp addr")).expect("connect");
+    let all = ConjunctiveQuery {
+        conditions: Vec::new(),
+    };
+    let err = client
+        .call(1, &all)
+        .expect("a typed reply, not an unreadable frame")
+        .body
+        .expect_err("answer over the cap");
+    assert_eq!(err.code, ErrorCode::AnswerTooLarge);
+    for figure in [n as u64, MAX_REPLY_ROWS] {
+        assert!(
+            err.message.contains(&figure.to_string()),
+            "{figure} missing from {:?}",
+            err.message
+        );
+    }
+    // The connection stays usable.
+    let q = Predicate::point("v", 1).normalize().expect("normalize");
+    let reply = client.call(2, &q).expect("call").body.expect("rows");
+    assert_eq!(reply.rows, naive_query(&data, 1, 1).to_vec());
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!((stats.served_errors, stats.served_rows), (1, 1));
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! One frame of every kind the protocol carries — a request, a STATS
 //! request, a rows frame of each stored form (gamma, words at a non-zero
 //! base, complemented, empty, and a universe that is not a multiple of
-//! 64), an error frame and a STATS reply — is decoded at every
+//! 64), an error frame of a read fault and one of an answer over the
+//! reply cap, and a STATS reply — is decoded at every
 //! truncation and with every single-bit and whole-byte flip at every
 //! offset. Each decode must return a value or a typed `Protocol` error;
 //! a panic hook counts any panic. Hand-built hostile rows headers must
@@ -336,6 +337,11 @@ fn malformed_frames_are_typed_errors_never_panics() {
                     message: "flaky".into(),
                 },
             ),
+            as_response,
+        ),
+        (
+            "answer-too-large error",
+            encode_error(11, &WireError::answer_too_large(MAX_REPLY_ROWS + 1)),
             as_response,
         ),
         (

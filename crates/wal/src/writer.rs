@@ -123,15 +123,13 @@ impl WalWriter {
                     std::process::abort();
                 }
             }
-            let sync_start = psi_obs::enabled().then(std::time::Instant::now);
+            let sync_start = std::time::Instant::now();
             self.file.write_all(&self.buf)?;
             self.file.sync_data()?;
             let m = crate::metrics::wal_metrics();
             m.commits.inc();
             m.commit_batch.record(self.pending as u64);
-            if let Some(start) = sync_start {
-                m.fsync_ns.record_since(start);
-            }
+            m.fsync_ns.record_since(sync_start);
             self.bytes_written += self.buf.len() as u64;
             self.buf.clear();
             self.pending = 0;
