@@ -34,7 +34,7 @@ pub enum ErrorClass {
     Transient,
     /// Retrying cannot help (missing extent, bad length, lost file).
     Permanent,
-    /// The bytes came back but fail their integrity check (FNV-1a page
+    /// The bytes came back but fail their integrity check (XXH64 page
     /// trailer mismatch, torn read). Not retryable either, but kept
     /// distinct from [`ErrorClass::Permanent`] because the *remedy*
     /// differs: corrupt extents are quarantined and rebuilt from source
@@ -124,8 +124,8 @@ pub trait BlockStore: std::fmt::Debug + Send + Sync {
 
     /// Like [`Self::read_block`], but additionally verifies whatever
     /// end-to-end integrity check the backend carries (psi-store's
-    /// FNV-1a page trailer), reporting a mismatch as
-    /// [`ErrorClass::Corrupt`].
+    /// XXH64 page trailer, `psi_store::checksum64`), reporting a mismatch
+    /// as [`ErrorClass::Corrupt`].
     ///
     /// The default delegates to `read_block`: backends without a
     /// integrity trailer (RAM snapshots) have nothing extra to check.

@@ -776,15 +776,20 @@ fn batch_loop(shared: Arc<Shared>) {
                 .expect("inbox");
             inbox = guard;
         }
-        let batch = drain_fair(&mut inbox, shared.cfg.batch_window);
+        // The queries move into the executor's slice; what answers them
+        // (connection, request id, admission instant) stays here.
+        let (queries, batch): (Vec<ConjunctiveQuery>, Vec<(u64, u64, Instant)>) =
+            drain_fair(&mut inbox, shared.cfg.batch_window)
+                .into_iter()
+                .map(|p| (p.query, (p.conn, p.id, p.t0)))
+                .unzip();
         shared.obs.queue_depth.set(inbox.queued as i64);
         let writers: Vec<Arc<Mutex<Stream>>> = batch
             .iter()
-            .map(|p| Arc::clone(&inbox.conns[&p.conn].writer))
+            .map(|&(conn, _, _)| Arc::clone(&inbox.conns[&conn].writer))
             .collect();
         drop(inbox);
 
-        let queries: Vec<ConjunctiveQuery> = batch.iter().map(|p| p.query.clone()).collect();
         let settled = shared.table.execute_batch_settled(&queries, EXEC_THREADS);
         let obs = &shared.obs;
         obs.batches.inc();
@@ -792,7 +797,7 @@ fn batch_loop(shared: Arc<Shared>) {
             .fetch_max(batch.len() as u64, Ordering::Relaxed);
         obs.batch_occupancy.record(batch.len() as u64);
 
-        for ((p, result), writer) in batch.iter().zip(&settled).zip(&writers) {
+        for (&(conn, id, t0), (result, writer)) in batch.iter().zip(settled.iter().zip(&writers)) {
             let encode_start = Instant::now();
             let payload = match result {
                 // Refused here, not after the client has read it: a
@@ -800,15 +805,15 @@ fn batch_loop(shared: Arc<Shared>) {
                 Ok(outcome) if outcome.rows.cardinality() > MAX_REPLY_ROWS => {
                     obs.served_errors.inc();
                     let rows = outcome.rows.cardinality();
-                    encode_error(p.id, &WireError::answer_too_large(rows))
+                    encode_error(id, &WireError::answer_too_large(rows))
                 }
                 Ok(outcome) => {
                     obs.served_rows.inc();
-                    encode_rows(p.id, outcome)
+                    encode_rows(id, outcome)
                 }
                 Err(e) => {
                     obs.served_errors.inc();
-                    encode_error(p.id, &WireError::from(e))
+                    encode_error(id, &WireError::from(e))
                 }
             };
             let encoded = Instant::now();
@@ -816,12 +821,12 @@ fn batch_loop(shared: Arc<Shared>) {
             obs.encode_ns
                 .record(encoded.duration_since(encode_start).as_nanos() as u64);
             obs.write_ns.record_since(encoded);
-            let elapsed_ns = p.t0.elapsed().as_nanos() as u64;
+            let elapsed_ns = t0.elapsed().as_nanos() as u64;
             obs.request_ns.record(elapsed_ns);
             if elapsed_ns >= shared.cfg.slow_query_ns {
                 shared.slow_log.push(SlowQuery {
-                    conn: p.conn,
-                    id: p.id,
+                    conn,
+                    id,
                     elapsed_ns,
                     trace: result.as_ref().ok().map(|o| o.trace.clone()),
                     error: result.as_ref().err().map(|e| e.to_string()),
@@ -833,13 +838,13 @@ fn batch_loop(shared: Arc<Shared>) {
         // (admission counts queued + executing), and count them to their
         // connections under the same lock.
         let mut inbox = shared.inbox.lock().expect("inbox");
-        for p in &batch {
+        for &(conn, _, _) in &batch {
             inbox.inflight -= 1;
-            if let Some(cs) = inbox.conns.get_mut(&p.conn) {
+            if let Some(cs) = inbox.conns.get_mut(&conn) {
                 cs.inflight -= 1;
                 cs.totals.served += 1;
                 if cs.closed && cs.inflight == 0 {
-                    inbox.conns.remove(&p.conn);
+                    inbox.conns.remove(&conn);
                 }
             }
         }

@@ -46,17 +46,18 @@ use crate::format::{
     ExtPlacement, VolumeDesc, MAGIC, MAX_TAG, META_PAGE, META_PAGE_PAYLOAD,
 };
 use crate::persist::{build_opened, sweep_stale_tmp, OpenOptions, Opened, PersistIndex};
-use crate::sum::fnv1a64;
+use crate::sum::checksum64;
 use crate::StoreError;
 
 /// Format version of checkpoint files (dual-slot superblock). Odd
 /// versions are the save-the-world [`crate::format`] layout; the two are
 /// told apart by this field, so opening one as the other fails typed.
-/// (10 carries the same layout change as format version 9: no memory
-/// bound in the model configuration. 8 carried format version 7's drop
-/// of persisted skip directories, 6 format version 5's slot codec tag,
-/// and 4 format version 3's 144-bit skip-directory entries.)
-pub const VERSION_CHECKPOINT: u32 = 10;
+/// (12 carries format version 11's XXH64 checksum, for the slot pages
+/// and every region page. 10 carried format version 9's layout change:
+/// no memory bound in the model configuration. 8 carried format version
+/// 7's drop of persisted skip directories, 6 format version 5's slot
+/// codec tag, and 4 format version 3's 144-bit skip-directory entries.)
+pub const VERSION_CHECKPOINT: u32 = 12;
 
 /// What one checkpoint (create or update) cost.
 #[derive(Debug, Clone, Copy)]
@@ -103,7 +104,7 @@ fn encode_slot(state: &SlotState) -> [u8; META_PAGE] {
     sb[64..72].copy_from_slice(&state.dead_bytes.to_le_bytes());
     sb[72..76].copy_from_slice(&(state.tag.len() as u32).to_le_bytes());
     sb[76..76 + state.tag.len()].copy_from_slice(state.tag.as_bytes());
-    let sum = fnv1a64(&sb[..META_PAGE_PAYLOAD]);
+    let sum = checksum64(&sb[..META_PAGE_PAYLOAD]);
     sb[META_PAGE_PAYLOAD..].copy_from_slice(&sum.to_le_bytes());
     sb
 }
@@ -119,7 +120,7 @@ fn decode_slot(page: &[u8; META_PAGE]) -> Option<SlotState> {
         return None;
     }
     let want = u64::from_le_bytes(page[META_PAGE_PAYLOAD..].try_into().expect("8 bytes"));
-    if fnv1a64(&page[..META_PAGE_PAYLOAD]) != want {
+    if checksum64(&page[..META_PAGE_PAYLOAD]) != want {
         return None;
     }
     let tag_len = u32::from_le_bytes(page[72..76].try_into().expect("4 bytes")) as usize;

@@ -4,9 +4,9 @@
 //! ┌────────────────────────────────────────────────────────────────────┐
 //! │ superblock — one 4096-byte page                                    │
 //! │   magic "PSISTOR1" · version · volume count · region offsets/      │
-//! │   lengths · expected file length · family tag · FNV-1a checksum    │
+//! │   lengths · expected file length · family tag · XXH64 checksum     │
 //! ├────────────────────────────────────────────────────────────────────┤
-//! │ extent table — 4096-byte pages (4088 payload + 8 checksum each)    │
+//! │ extent table — 4096-byte pages (4088 payload + 8-byte XXH64 each)  │
 //! │   per volume: IoConfig (block bits, memory bound) + per extent:    │
 //! │   bit length · freed flag · payload file offset                    │
 //! ├────────────────────────────────────────────────────────────────────┤
@@ -14,7 +14,7 @@
 //! │   the family's memory-resident state (MetaBuf bytes)               │
 //! ├────────────────────────────────────────────────────────────────────┤
 //! │ payload — per live extent, one page per model block:               │
-//! │   (block_bits/8) data bytes + 8-byte FNV-1a, so every real block   │
+//! │   (block_bits/8) data bytes + 8-byte XXH64, so every real block    │
 //! │   fetch verifies its own checksum                                  │
 //! └────────────────────────────────────────────────────────────────────┘
 //! ```
@@ -30,21 +30,23 @@ use std::path::Path;
 use psi_io::{Disk, ExtentId, IoConfig};
 
 use crate::ser::{MetaBuf, MetaCursor};
-use crate::sum::fnv1a64;
+use crate::sum::checksum64;
 use crate::StoreError;
 
 /// File magic: the first 8 bytes of every store file.
 pub const MAGIC: [u8; 8] = *b"PSISTOR1";
 /// Format version written by this build.
-/// (9 dropped the memory bound from each volume's model configuration and
-/// from the fully dynamic index's metadata. 7 dropped the persisted skip
-/// directories: their side extents and the directory fields of slot and
-/// catalog metadata. 5 added a codec tag to
-/// slot metadata: a slot is gamma codes, or plain words over its span.
+/// (11 replaced the byte-serial checksum of the superblock and of every
+/// page trailer with XXH64, [`crate::checksum64`]; the layout is
+/// unchanged. 9 dropped the memory bound from each volume's model
+/// configuration and from the fully dynamic index's metadata. 7 dropped
+/// the persisted skip directories: their side extents and the directory
+/// fields of slot and catalog metadata. 5 added a codec tag to slot
+/// metadata: a slot is gamma codes, or plain words over its span.
 /// 3 widened the persisted skip-directory entries to 144 bits. Even
 /// versions are reserved for checkpoint files, see
 /// [`crate::checkpoint::VERSION_CHECKPOINT`].)
-pub const VERSION: u32 = 9;
+pub const VERSION: u32 = 11;
 /// Size of superblock and metadata pages.
 pub const META_PAGE: usize = 4096;
 /// Payload bytes per metadata page (the rest is the checksum trailer).
@@ -151,28 +153,39 @@ pub(crate) fn write_paged(out: &mut impl Write, bytes: &[u8]) -> Result<(), Stor
         if start < end {
             page[..end - start].copy_from_slice(&bytes[start..end]);
         }
-        let sum = fnv1a64(&page[..META_PAGE_PAYLOAD]);
+        let sum = checksum64(&page[..META_PAGE_PAYLOAD]);
         page[META_PAGE_PAYLOAD..].copy_from_slice(&sum.to_le_bytes());
         out.write_all(&page)?;
     }
     Ok(())
 }
 
-/// Reads and verifies a paged region of logical length `len`.
+/// Reads and verifies a paged region of logical length `len`. `off` and
+/// `len` come from a superblock or checkpoint slot, so the region is
+/// checked against the file's length before anything is reserved for it.
 pub(crate) fn read_paged(
     file: &mut File,
     off: u64,
     len: usize,
     what: &str,
 ) -> Result<Vec<u8>, StoreError> {
+    let pages = meta_pages(len);
+    let end = pages
+        .checked_mul(META_PAGE as u64)
+        .and_then(|bytes| bytes.checked_add(off));
+    let actual = file.metadata()?.len();
+    if end.is_none_or(|end| end > actual) {
+        return Err(StoreError::Truncated {
+            what: format!("{what} ({len} bytes at offset {off}, file of {actual} bytes)"),
+        });
+    }
     file.seek(SeekFrom::Start(off))?;
-    let pages = meta_pages(len) as usize;
     let mut out = Vec::with_capacity(len);
     let mut page = [0u8; META_PAGE];
     for p in 0..pages {
         file.read_exact(&mut page).map_err(|e| map_eof(e, what))?;
         let want = u64::from_le_bytes(page[META_PAGE_PAYLOAD..].try_into().expect("8 bytes"));
-        if fnv1a64(&page[..META_PAGE_PAYLOAD]) != want {
+        if checksum64(&page[..META_PAGE_PAYLOAD]) != want {
             return Err(StoreError::Corrupt {
                 what: format!("{what} page {p}"),
             });
@@ -192,7 +205,7 @@ pub(crate) fn map_eof(e: std::io::Error, what: &str) -> StoreError {
 }
 
 /// Writes one extent's payload as `blocks` checksummed pages (one page
-/// per model block of `block_bits` bits, words LE, 8-byte FNV trailer).
+/// per model block of `block_bits` bits, words LE, 8-byte XXH64 trailer).
 pub(crate) fn write_extent_pages(
     out: &mut impl Write,
     words: &[u64],
@@ -207,7 +220,7 @@ pub(crate) fn write_extent_pages(
             let word = words.get(start + w).copied().unwrap_or(0);
             chunk.copy_from_slice(&word.to_le_bytes());
         }
-        let sum = fnv1a64(&page[..block_words * 8]);
+        let sum = checksum64(&page[..block_words * 8]);
         let sum_at = block_words * 8;
         page[sum_at..sum_at + 8].copy_from_slice(&sum.to_le_bytes());
         out.write_all(&page)?;
@@ -284,7 +297,7 @@ pub fn write_store(
     sb[48..56].copy_from_slice(&file_bytes.to_le_bytes());
     sb[56..60].copy_from_slice(&(tag.len() as u32).to_le_bytes());
     sb[60..60 + tag.len()].copy_from_slice(tag.as_bytes());
-    let sum = fnv1a64(&sb[..META_PAGE_PAYLOAD]);
+    let sum = checksum64(&sb[..META_PAGE_PAYLOAD]);
     sb[META_PAGE_PAYLOAD..].copy_from_slice(&sum.to_le_bytes());
 
     let mut tmp = path.as_os_str().to_owned();
@@ -325,7 +338,7 @@ pub fn read_header(path: &Path) -> Result<(File, StoreHeader), StoreError> {
         return Err(StoreError::BadVersion { found: version });
     }
     let want = u64::from_le_bytes(sb[META_PAGE_PAYLOAD..].try_into().expect("8 bytes"));
-    if fnv1a64(&sb[..META_PAGE_PAYLOAD]) != want {
+    if checksum64(&sb[..META_PAGE_PAYLOAD]) != want {
         return Err(StoreError::Corrupt {
             what: "superblock".into(),
         });
@@ -389,7 +402,7 @@ pub fn scrub(path: &Path) -> Result<(), StoreError> {
                     .map_err(|err| map_eof(err, &what))?;
                 let data = page_bytes - 8;
                 let want = u64::from_le_bytes(page[data..].try_into().expect("8 bytes"));
-                if fnv1a64(&page[..data]) != want {
+                if checksum64(&page[..data]) != want {
                     return Err(StoreError::Corrupt { what });
                 }
             }

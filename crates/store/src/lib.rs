@@ -50,4 +50,4 @@ pub use persist::{
     Backend, OpenOptions, Opened, PersistIndex, SaveReport, StoreWrap,
 };
 pub use ser::{MetaBuf, MetaCursor};
-pub use sum::fnv1a64;
+pub use sum::checksum64;

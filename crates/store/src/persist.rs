@@ -34,7 +34,7 @@ pub struct OpenOptions {
     /// (missing extent, checksum mismatch) surface immediately either way.
     pub retry: Option<psi_io::RetryPolicy>,
     /// Verified fetches: when `true` (the default) every payload page is
-    /// checked against its FNV-1a trailer as the buffer pool faults it
+    /// checked against its XXH64 trailer as the buffer pool faults it
     /// in — never on warm hits — and a mismatch surfaces as
     /// [`psi_io::ErrorClass::Corrupt`]. Turning it off skips the
     /// checksum on fetch (the E17 overhead ablation; open-time

@@ -8,7 +8,7 @@ use psi_io::{BlockStore, BlockStoreError, ExtentId};
 
 use crate::format::VolumeDesc;
 use crate::raw::RawBytes;
-use crate::sum::fnv1a64;
+use crate::sum::checksum64;
 
 /// Serves one volume's payload pages out of a shared raw byte source,
 /// verifying each page's checksum and counting every real fetch into a
@@ -42,8 +42,9 @@ impl VolumeStore {
 
 impl VolumeStore {
     /// Shared body of the raw/verified reads: fetches the page, decodes
-    /// its words, and — when `verify` — checks the FNV-1a trailer,
-    /// classifying a mismatch as [`psi_io::ErrorClass::Corrupt`].
+    /// its words, and — when `verify` — checks the XXH64 trailer
+    /// ([`crate::checksum64`]), classifying a mismatch as
+    /// [`psi_io::ErrorClass::Corrupt`].
     fn read_page(
         &self,
         ext: ExtentId,
@@ -76,7 +77,7 @@ impl VolumeStore {
         let data = page_bytes - 8;
         if verify {
             let want = u64::from_le_bytes(page[data..].try_into().expect("8 bytes"));
-            if fnv1a64(&page[..data]) != want {
+            if checksum64(&page[..data]) != want {
                 return Err(BlockStoreError::corrupt(format!(
                     "checksum mismatch in extent {} block {block}",
                     ext.0

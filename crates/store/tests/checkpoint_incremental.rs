@@ -268,19 +268,62 @@ fn version_mismatch_is_typed_both_ways() {
         })
     ));
 
-    // A checkpoint of the retired version 6, checksums intact, is
-    // rejected by version too.
-    let mut bytes = std::fs::read(&v2).expect("read");
-    for slot in bytes.chunks_exact_mut(META_PAGE).take(2) {
-        slot[8..12].copy_from_slice(&6u32.to_le_bytes());
-        let sum = psi_store::fnv1a64(&slot[..META_PAGE - 8]);
-        slot[META_PAGE - 8..].copy_from_slice(&sum.to_le_bytes());
+    // Slots stamped with a retired checkpoint (6, 8, 10) or store (9)
+    // version, checksums intact, are rejected by version too.
+    let written = std::fs::read(&v2).expect("read");
+    for version in [6u32, 8, 9, 10] {
+        let mut bytes = written.clone();
+        for slot in bytes.chunks_exact_mut(META_PAGE).take(2) {
+            slot[8..12].copy_from_slice(&version.to_le_bytes());
+            let sum = psi_store::checksum64(&slot[..META_PAGE - 8]);
+            slot[META_PAGE - 8..].copy_from_slice(&sum.to_le_bytes());
+        }
+        std::fs::write(&v2, &bytes).expect("rewrite");
+        assert!(matches!(
+            checkpoint_epoch(&v2),
+            Err(StoreError::BadVersion { found }) if found == version
+        ));
+        assert!(matches!(
+            open_checkpoint::<Probe>(&v2, &OpenOptions::default()),
+            Err(StoreError::BadVersion { found }) if found == version
+        ));
     }
-    std::fs::write(&v2, &bytes).expect("rewrite");
-    assert!(matches!(
-        checkpoint_epoch(&v2),
-        Err(StoreError::BadVersion { found: 6 })
-    ));
+}
+
+#[test]
+fn oversized_region_in_a_slot_is_truncated_not_an_abort() {
+    // A checksum-valid slot whose extent table or metadata region claims
+    // more bytes than the file holds fails typed at open and at attach,
+    // before anything is reserved for the region.
+    let path = tmp("oversized.ck");
+    CheckpointFile::create(&path, &build_probe(2), &[], 1).expect("create");
+    let written = std::fs::read(&path).expect("read");
+    // `table_len` and `meta_len` sit at bytes 24 and 40 of each slot.
+    for field in [24usize, 40] {
+        for len in [1u64 << 40, 1_000_000_000, u64::MAX] {
+            let mut bytes = written.clone();
+            for slot in bytes.chunks_exact_mut(META_PAGE).take(2) {
+                slot[field..field + 8].copy_from_slice(&len.to_le_bytes());
+                let sum = psi_store::checksum64(&slot[..META_PAGE - 8]);
+                slot[META_PAGE - 8..].copy_from_slice(&sum.to_le_bytes());
+            }
+            std::fs::write(&path, &bytes).expect("rewrite");
+            assert!(
+                matches!(
+                    open_checkpoint::<Probe>(&path, &OpenOptions::default()),
+                    Err(StoreError::Truncated { .. })
+                ),
+                "length {len} at slot byte {field}"
+            );
+            if field == 24 {
+                // `attach` reads the extent table, not the metadata.
+                assert!(matches!(
+                    CheckpointFile::attach(&path),
+                    Err(StoreError::Truncated { .. })
+                ));
+            }
+        }
+    }
 }
 
 #[test]

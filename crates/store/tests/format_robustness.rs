@@ -137,19 +137,45 @@ fn bad_version_is_typed() {
     let path = tmp("version.psi");
     write_store(&path, "t", &[], &[&disk]).expect("write");
     let written = std::fs::read(&path).expect("read");
-    // Retired store (5, 7) and checkpoint (6, 8) versions, and a junk one.
-    for version in [5u32, 6, 7, 8, 0xFF] {
+    // Retired store (5, 7, 9) and checkpoint (6, 8, 10) versions, and a
+    // junk one.
+    for version in [5u32, 6, 7, 8, 9, 10, 0xFF] {
         let mut bytes = written.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         // The checksum catches the flip first unless it is recomputed;
         // patch the checksum to prove the version check itself is typed.
-        let payload = psi_store::fnv1a64(&bytes[..META_PAGE - 8]);
+        let payload = psi_store::checksum64(&bytes[..META_PAGE - 8]);
         bytes[META_PAGE - 8..META_PAGE].copy_from_slice(&payload.to_le_bytes());
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(matches!(
             read_header(&path),
             Err(StoreError::BadVersion { found }) if found == version
         ));
+    }
+}
+
+#[test]
+fn oversized_region_is_truncated_not_an_abort() {
+    // A checksum-valid superblock whose extent table or metadata region
+    // claims more bytes than the file holds is refused before anything
+    // is reserved for the region.
+    let disk = build_disk(128, &[(100, false)]);
+    let path = tmp("oversized.psi");
+    write_store(&path, "t", &[3; 100], &[&disk]).expect("write");
+    let written = std::fs::read(&path).expect("read");
+    // `table_len` and `meta_len` sit at bytes 24 and 40 of the superblock.
+    for field in [24usize, 40] {
+        for len in [1u64 << 40, 1_000_000_000, u64::MAX] {
+            let mut bytes = written.clone();
+            bytes[field..field + 8].copy_from_slice(&len.to_le_bytes());
+            let sum = psi_store::checksum64(&bytes[..META_PAGE - 8]);
+            bytes[META_PAGE - 8..META_PAGE].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("rewrite");
+            assert!(
+                matches!(read_header(&path), Err(StoreError::Truncated { .. })),
+                "length {len} at superblock byte {field}"
+            );
+        }
     }
 }
 

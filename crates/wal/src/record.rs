@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
-//! │ header — 16 bytes: magic "PSIWAL01" + checkpoint epoch (u64 LE)  │
+//! │ header — 16 bytes: magic "PSIWAL02" + checkpoint epoch (u64 LE)  │
 //! ├──────────────────────────────────────────────────────────────────┤
-//! │ record — len (u32 LE) · body · FNV-1a over (len ‖ body) (u64 LE) │
+//! │ record — len (u32 LE) · body · XXH64 over (len ‖ body) (u64 LE)  │
 //! │   body: sequence number (u64 LE) + operation                     │
 //! │     kind 1 = append: symbol (u32 LE)                             │
 //! │     kind 2 = change: position (u64 LE) + symbol (u32 LE)         │
@@ -25,10 +25,11 @@ use std::io::Read;
 use std::path::Path;
 
 use psi_api::MutOp;
-use psi_store::fnv1a64;
+use psi_store::checksum64;
 
-/// WAL file magic: the first 8 bytes of every log file.
-pub const WAL_MAGIC: [u8; 8] = *b"PSIWAL01";
+/// WAL file magic: the first 8 bytes of every log file. (`PSIWAL02`
+/// checksums records with XXH64; a `PSIWAL01` log reads as no log.)
+pub const WAL_MAGIC: [u8; 8] = *b"PSIWAL02";
 /// Fixed header length: magic plus the checkpoint epoch this log
 /// extends.
 pub const WAL_HEADER_BYTES: usize = 16;
@@ -101,7 +102,7 @@ pub fn encode_record(seq: u64, op: &MutOp, out: &mut Vec<u8>) {
     encode_op(op, out);
     let body_len = (out.len() - body_start) as u32;
     out[body_start - 4..body_start].copy_from_slice(&body_len.to_le_bytes());
-    let sum = fnv1a64(&out[body_start - 4..]);
+    let sum = checksum64(&out[body_start - 4..]);
     out.extend_from_slice(&sum.to_le_bytes());
 }
 
@@ -141,7 +142,7 @@ pub fn scan_bytes(bytes: &[u8], start_seq: u64) -> Option<WalTail> {
             break;
         };
         let want = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        if fnv1a64(framed) != want {
+        if checksum64(framed) != want {
             break;
         }
         let body = &framed[4..];

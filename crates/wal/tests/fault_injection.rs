@@ -256,6 +256,31 @@ fn assert_is_prefix(idx: &SemiDynamicIndex, symbols: &[u32], n: usize) {
     }
 }
 
+#[test]
+fn retired_checkpoint_version_fails_recovery_typed() {
+    // A durable directory whose checkpoint slots carry the retired
+    // version 10, checksums intact, is refused by version: recovery
+    // never returns an empty or shorter index from it.
+    let (dir, _, _) = durable_fixture("retired_version");
+    let ck_path = dir.join(CHECKPOINT_FILE);
+    let mut bytes = std::fs::read(&ck_path).expect("read checkpoint");
+    let page = psi_store::format::META_PAGE;
+    for slot in bytes.chunks_exact_mut(page).take(2) {
+        slot[8..12].copy_from_slice(&10u32.to_le_bytes());
+        let sum = psi_store::checksum64(&slot[..page - 8]);
+        slot[page - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+    std::fs::write(&ck_path, &bytes).expect("rewrite checkpoint");
+    match recover::<SemiDynamicIndex>(&dir, DurableOptions::default()) {
+        Err(WalError::Store(psi_store::StoreError::BadVersion { found: 10 })) => {}
+        Err(other) => panic!("expected a version error, got {other}"),
+        Ok((_, report)) => panic!(
+            "recovered {} operations from a retired checkpoint",
+            report.checkpoint_seq + report.replayed as u64
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
